@@ -57,7 +57,6 @@ from .knn import (
     average_error,
     experiment1_rule,
     experiment2_rule,
-    knn_predict,
     select_k,
     uniform_error,
 )
@@ -119,7 +118,7 @@ __all__ = [
     "ThresholdSearchResult", "optimize_threshold", "brute_force_threshold",
     "optimize_threshold_deterministic", "optimize_population_threshold",
     # knn
-    "KnnModel", "KSelectionRule", "knn_predict", "select_k",
+    "KnnModel", "KSelectionRule", "select_k",
     "experiment1_rule", "experiment2_rule", "uniform_error", "average_error",
     # synth
     "SyntheticProblem", "exp1_problem", "exp2_uci_problem",

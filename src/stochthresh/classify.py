@@ -71,6 +71,15 @@ class ScoredSample:
             raise ParameterDomainError(f"draw {self.draw!r} outside [0, 1]")
 
 
+def _check_unit_interval(name: str, values: np.ndarray) -> None:
+    # min/max propagate NaN, which then fails both comparisons.
+    if not (values.min() >= 0.0 and values.max() <= 1.0):
+        i = int(np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))[0])
+        raise ParameterDomainError(
+            f"{name} {float(values[i])!r} at row {i} outside [0, 1]"
+        )
+
+
 def as_sample_arrays(
     samples, *, require_draws: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -78,7 +87,9 @@ def as_sample_arrays(
 
     Accepts a sequence of :class:`ScoredSample` / (score, label[, draw])
     tuples, or a 2- or 3-tuple of equal-length arrays.  Raises on empty
-    input, and on missing draws when ``require_draws`` is set.
+    input, on a score or draw that is not finite or lies outside [0, 1]
+    (the rule :func:`classify_sample` applies to one value), and on missing
+    draws when ``require_draws`` is set.
     """
     scores = labels = draws = None
     if (
@@ -115,6 +126,9 @@ def as_sample_arrays(
     if not np.all((labels == 0) | (labels == 1)):
         raise ParameterDomainError("labels must be 0/1")
     labels = labels.astype(np.int64)
+    _check_unit_interval("score", scores)
+    if draws is not None:
+        _check_unit_interval("draw", draws)
     if require_draws and draws is None:
         raise DegenerateInputError(
             "this operation needs stored uniform draws for every sample"

@@ -273,8 +273,9 @@ def _read_scored_csv(path):
     ds = load_csv(path, label_column="label",
                   draw_column="draw" if "draw" in header else None)
     scores = ds.covariates[:, ds.feature_names.index("score")]
-    if scores.min() < 0.0 or scores.max() > 1.0:
-        raise SchemaError(f"{path}: scores must lie in [0, 1]")
+    # NaN fails both comparisons, so it is rejected too.
+    if not (scores.min() >= 0.0 and scores.max() <= 1.0):
+        raise SchemaError(f"{path}: scores must be finite and lie in [0, 1]")
     return scores, ds.labels, ds.draws
 
 

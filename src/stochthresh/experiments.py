@@ -438,15 +438,14 @@ def _fraud_trial(args) -> list[tuple]:
     key = _seed_key(master_seed, 3, 0, trial)
 
     rows = []
-    for k in k_values:
-        k_eff = min(k, train.n)
-        model = KnnModel.fit(train.covariates, train.labels, k_eff)
-        val_scores = model.predict(val.covariates if model.d > 1 else val.covariates[:, 0])
+    k_effs = tuple(min(k, train.n) for k in k_values)
+    # One fit and one neighbor pass per split serve every k.
+    model = KnnModel.fit(train.covariates, train.labels, max(k_effs))
+    val_path = model.predict_path(val.covariates, k_effs)
+    test_path = model.predict_path(test.covariates, k_effs)
+    for k_eff, val_scores, test_scores in zip(k_effs, val_path, test_path):
         sto = optimize_threshold((val_scores, val.labels, val.draws), spec)
         det = optimize_threshold_deterministic((val_scores, val.labels), spec)
-        test_scores = model.predict(
-            test.covariates if model.d > 1 else test.covariates[:, 0]
-        )
         f1_s = evaluate_cmm(
             spec,
             empirical_confusion(sto.threshold, (test_scores, test.labels, test.draws)),

@@ -9,7 +9,18 @@ of the training set — permuting training rows cannot change any prediction.
 In one dimension the canonical rule makes every neighborhood a contiguous
 window of the sorted covariates, so batch prediction reduces to a single
 ``searchsorted`` against precomputed window-boundary sums plus label prefix
-sums: O((n + m) log n) overall, exact, no distance matrix.
+sums: O((n + m) log n) overall, exact, no distance matrix.  Several k share
+the sorted covariates and the prefix sums; only the boundary sums are per k.
+
+In more dimensions, exact squared distances are computed in query blocks
+whose ``(rows, n, d)`` temporary stays under a fixed element budget.  Each
+distance row is partitioned to ``k_max``; the candidates are every training
+row strictly closer than the ``k_max``-th smallest distance plus the
+canonically earliest rows at exactly that distance, ordered by (distance,
+canonical index).  Cumulative label sums along that order give the
+prediction for every ``k <= k_max`` from one distance pass:
+:meth:`KnnModel.predict_path`.  Single-k :meth:`KnnModel.predict` is the
+one-element case.
 """
 
 from __future__ import annotations
@@ -30,7 +41,6 @@ from .errors import (
 __all__ = [
     "KnnModel",
     "KSelectionRule",
-    "knn_predict",
     "select_k",
     "experiment1_rule",
     "experiment2_rule",
@@ -39,12 +49,25 @@ __all__ = [
 ]
 
 
+#: Largest (query rows x training rows x d) distance temporary, in float64
+#: elements (8 MiB); a block always holds at least one query row.
+_BLOCK_ELEMENTS = 1 << 20
+
+
+def _check_k(k, n: int) -> int:
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
+        raise ParameterDomainError(f"k={k!r} outside [1, n={n}]")
+    return int(k)
+
+
 def _as_matrix(covariates) -> np.ndarray:
     x = np.asarray(covariates, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2:
         raise ShapeError(f"covariates must be (n,) or (n, d), got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ParameterDomainError("covariates must be finite")
     return x
 
 
@@ -71,8 +94,7 @@ class KnnModel:
             )
         if not np.all((y == 0) | (y == 1)):
             raise ParameterDomainError("training labels must be 0/1")
-        if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
-            raise ParameterDomainError(f"k={k!r} outside [1, n={n}]")
+        k = _check_k(k, n)
         # Canonical order: covariate tuple ascending, original index breaking
         # exact duplicates (lexsort is stable).
         order = np.lexsort(tuple(x[:, j] for j in range(x.shape[1] - 1, -1, -1)))
@@ -83,7 +105,7 @@ class KnnModel:
             flat = xs[:, 0]
             prefix = np.concatenate(([0.0], np.cumsum(ys)))
             h = flat[: n - k] + flat[k:]
-        return cls(x=xs, y=ys, k=int(k), _prefix=prefix, _h=h)
+        return cls(x=xs, y=ys, k=k, _prefix=prefix, _h=h)
 
     @property
     def n(self) -> int:
@@ -94,7 +116,28 @@ class KnnModel:
         return self.x.shape[1]
 
     def predict(self, queries) -> np.ndarray:
-        """Mean label of the k nearest training rows for each query row."""
+        """Mean label of the k nearest training rows for each query row.
+
+        A scalar query (d = 1) or a single length-d query returns a float.
+        """
+        q, scalar = self._queries(queries)
+        out = self._path(q, (self.k,))[0]
+        return float(out[0]) if scalar else out
+
+    def predict_path(self, queries, ks) -> np.ndarray:
+        """Predictions for every k in ``ks`` at once: shape (len(ks), m).
+
+        Row i equals ``KnnModel.fit(x, y, ks[i]).predict(queries)`` bit for
+        bit; the neighbor order is found once, for the largest k.
+        """
+        q, _ = self._queries(queries)
+        ks = tuple(_check_k(k, self.n) for k in ks)
+        if not ks:
+            raise ParameterDomainError("ks must name at least one k")
+        return np.asarray(self._path(q, ks))
+
+    def _queries(self, queries) -> tuple[np.ndarray, bool]:
+        """Query rows as (m,) for d = 1 or (m, d), plus whether it was one point."""
         q = np.asarray(queries, dtype=np.float64)
         scalar = q.ndim == 0
         if self.d == 1:
@@ -105,7 +148,7 @@ class KnnModel:
                 raise ShapeError(
                     f"model has d=1 but queries have shape {q.shape}"
                 )
-            out = self._predict_1d(flat)
+            q = flat
         else:
             if q.ndim == 1:
                 if q.shape[0] != self.d:
@@ -118,37 +161,62 @@ class KnnModel:
                 raise ShapeError(
                     f"queries must be (m, {self.d}), got shape {q.shape}"
                 )
-            out = self._predict_nd(q)
-        return float(out[0]) if scalar else out
+        if not np.isfinite(q).all():
+            raise ParameterDomainError("queries must be finite")
+        return q, scalar
 
-    def _predict_1d(self, q: np.ndarray) -> np.ndarray:
+    def _path(self, q: np.ndarray, ks: tuple[int, ...]):
+        """One prediction row per k in ``ks``."""
+        if self.d == 1:
+            return self._path_1d(q, ks)
+        return self._path_nd(q, ks)
+
+    def _path_1d(self, q: np.ndarray, ks: tuple[int, ...]) -> list[np.ndarray]:
         # Advancing the window past training point i is strictly better
         # exactly when 2q > x[i] + x[i+k]; on equality the canonical rule
         # keeps the left (earlier) point, hence side="left".
-        s = np.searchsorted(self._h, 2.0 * q, side="left")
-        return (self._prefix[s + self.k] - self._prefix[s]) / self.k
+        # A list, not a preallocated (len(ks), m) array: the extra live
+        # buffer measurably slowed single-k predict on large query sets.
+        flat = self.x[:, 0]
+        rows = []
+        for k in ks:
+            h = self._h if k == self.k else flat[: self.n - k] + flat[k:]
+            s = np.searchsorted(h, 2.0 * q, side="left")
+            rows.append((self._prefix[s + k] - self._prefix[s]) / k)
+        return rows
 
-    def _predict_nd(self, q: np.ndarray) -> np.ndarray:
-        m = q.shape[0]
-        out = np.empty(m, dtype=np.float64)
-        chunk = max(1, int(4_000_000 // max(self.n, 1)))
+    def _path_nd(self, q: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
+        m, n = q.shape[0], self.n
+        k_max = max(ks)
+        cols_k = np.asarray(ks) - 1
+        ks_f = np.asarray(ks, dtype=np.float64)
+        out = np.empty((len(ks), m), dtype=np.float64)
+        chunk = max(1, _BLOCK_ELEMENTS // (n * self.d))
         for i0 in range(0, m, chunk):
             block = q[i0 : i0 + chunk]
             d2 = ((block[:, None, :] - self.x[None, :, :]) ** 2).sum(axis=2)
-            # Stable sort keeps canonical order among exact distance ties.
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-            out[i0 : i0 + chunk] = self.y[nearest].mean(axis=1)
+            kth = np.partition(d2, k_max - 1, axis=1)[:, k_max - 1 : k_max]
+            keep = d2 <= kth
+            # Rows with more than k_max candidates tie at the k_max-th
+            # distance: keep only the canonically earliest of those ties.
+            over = np.flatnonzero(keep.sum(axis=1) > k_max)
+            if over.size:
+                sub, sub_kth = d2[over], kth[over]
+                lt = sub < sub_kth
+                eq = sub == sub_kth
+                room = k_max - lt.sum(axis=1, keepdims=True)
+                keep[over] = lt | (eq & (np.cumsum(eq, axis=1) <= room))
+            # np.nonzero walks rows in order, so candidates arrive in
+            # canonical index order and a stable sort by distance finishes
+            # the (distance, index) order.
+            idx = np.nonzero(keep)[1].reshape(-1, k_max)
+            order = np.argsort(
+                np.take_along_axis(d2, idx, axis=1), axis=1, kind="stable"
+            )
+            labels = self.y[np.take_along_axis(idx, order, axis=1)]
+            cum = np.cumsum(labels, axis=1)
+            out[:, i0 : i0 + chunk] = (cum[:, cols_k] / ks_f).T
         return out
-
-
-def knn_predict(model: KnnModel, query) -> float:
-    """Prediction at a single query point (scalar for d = 1, else length-d)."""
-    q = np.asarray(query, dtype=np.float64)
-    if model.d == 1:
-        if q.ndim != 0 and q.shape != (1,):
-            raise ShapeError(f"model has d=1 but query has shape {q.shape}")
-        return float(model.predict(np.atleast_1d(q))[0])
-    return float(model.predict(q))
 
 
 @dataclass(frozen=True)

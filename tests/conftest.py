@@ -22,3 +22,13 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
 def rng() -> np.random.Generator:
     """Deterministic generator for tests that sample their own inputs."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(20260816)))
+
+
+def argsort_knn_reference(model, queries, k: int) -> np.ndarray:
+    """k-NN means by a full stable argsort over a fitted model's canonical rows."""
+    q = np.asarray(queries, dtype=np.float64).reshape(-1, model.d)
+    out = np.empty(q.shape[0])
+    for i, row in enumerate(q):
+        d2 = ((row - model.x) ** 2).sum(axis=1)
+        out[i] = model.y[np.argsort(d2, kind="stable")[:k]].mean()
+    return out

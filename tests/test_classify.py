@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochthresh import (
     Piece,
@@ -107,6 +109,49 @@ def test_sample_arrays_validation():
         as_sample_arrays([(0.1, 0, 0.2, 0.9)])
     with pytest.raises(DegenerateInputError):
         as_sample_arrays((np.array([0.1]), np.array([0])), require_draws=True)
+
+
+def test_sample_arrays_reject_non_finite_and_out_of_range_values():
+    labels = np.array([0, 1, 1])
+    draws = np.array([0.1, 0.5, 0.9])
+    for bad in ([0.2, np.nan, 0.7], [0.2, 1.7, -3.0], [0.2, np.inf, 0.7]):
+        with pytest.raises(ParameterDomainError, match="score"):
+            as_sample_arrays((np.array(bad), labels, draws))
+        with pytest.raises(ParameterDomainError, match="draw"):
+            as_sample_arrays((draws, labels, np.array(bad)))
+    with pytest.raises(ParameterDomainError, match="row 1"):
+        as_sample_arrays([(0.2, 0), (float("nan"), 1)])
+    with pytest.raises(ParameterDomainError):
+        as_sample_arrays([(0.2, 0, 0.5), (0.4, 1, -0.5)])
+
+
+_ANY_FLOAT = st.one_of(
+    st.floats(0.0, 1.0), st.floats(allow_nan=True, allow_infinity=True)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_ANY_FLOAT, _ANY_FLOAT), min_size=1, max_size=12))
+def test_sample_arrays_accept_exactly_what_classify_sample_accepts(pairs):
+    th = StochasticThreshold(0.5, 0.5)
+
+    def accepted(score, draw):
+        try:
+            classify_sample(th, score, draw)
+        except ParameterDomainError:
+            return False
+        return True
+
+    scores = np.array([s for s, _ in pairs])
+    draws = np.array([z for _, z in pairs])
+    samples = (scores, np.zeros(len(pairs), dtype=np.int64), draws)
+    if all(accepted(s, z) for s, z in pairs):
+        got_scores, _, got_draws = as_sample_arrays(samples)
+        assert np.array_equal(got_scores, scores)
+        assert np.array_equal(got_draws, draws)
+    else:
+        with pytest.raises(ParameterDomainError):
+            as_sample_arrays(samples)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,11 @@ def test_tune_threshold_error_exit_codes(runner, tmp_path):
     write_csv(out_of_range, ["score", "label"], [[1.5, 1]])
     result = runner.invoke(main, ["tune-threshold", "--data", str(out_of_range)])
     assert result.exit_code == 1
+    nan_score = tmp_path / "nan.csv"
+    write_csv(nan_score, ["score", "label"], [[0.2, 0], ["nan", 1], [0.7, 1]])
+    result = runner.invoke(main, ["tune-threshold", "--data", str(nan_score)])
+    assert result.exit_code == 1
+    assert "finite" in result.output
     bad_metric = tmp_path / "ok.csv"
     write_csv(bad_metric, ["score", "label"], [[0.5, 1]])
     result = runner.invoke(

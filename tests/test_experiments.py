@@ -20,10 +20,12 @@ from stochthresh.experiments import (
     _f1_grid_tune,
 )
 from stochthresh.io import save_csv
-from stochthresh.knn import experiment1_rule, experiment2_rule, select_k
+from stochthresh.knn import KnnModel, experiment1_rule, experiment2_rule, select_k
 from stochthresh.metrics import CmmSpec, ConfusionMatrix, evaluate_cmm
 from stochthresh.synth import exp1_problem, exp2_nonuci_problem, generate
 from stochthresh.threshold_opt import optimize_population_threshold
+
+from conftest import argsort_knn_reference, write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +304,40 @@ def test_fraud_pipeline_stored_draws_and_k_clamp(tmp_path):
         path, draw_column="draw", trials=2, master_seed=0, k_values=(50,)
     )
     assert rows == rows2
+
+
+def test_fraud_pipeline_matches_per_k_refit(tmp_path, monkeypatch):
+    # A d = 3 logistic table; one feature on a coarse grid makes ties.
+    gen = np.random.default_rng(7)
+    n = 300
+    x = np.column_stack(
+        (gen.standard_normal(n), gen.standard_normal(n), gen.integers(0, 3, n))
+    )
+    p_pos = 1.0 / (1.0 + np.exp(-(x @ np.array([1.5, -1.0, 0.8]) - 1.5)))
+    labels = (gen.random(n) < p_pos).astype(int)
+    path = write_csv(
+        tmp_path / "d3.csv", ["f0", "f1", "f2", "label"],
+        [[*map(repr, row), int(lab)] for row, lab in zip(x.tolist(), labels)],
+    )
+    ks = (1, 3, 8, 40, 500)
+    rows, summary = run_fraud_pipeline(path, trials=2, master_seed=5, k_values=ks)
+    assert [r[2] for r in rows[:10]] == [1, 1, 3, 3, 8, 8, 40, 40, 180, 180]
+
+    # Reference: one pipeline run per k, each scoring with a stable-argsort
+    # k-NN refitted at that k.  Splits and draws depend only on the trial.
+    def argsort_path(self, queries, path_ks):
+        return np.stack(
+            [argsort_knn_reference(KnnModel.fit(self.x, self.y, k), queries, k)
+             for k in path_ks]
+        )
+
+    monkeypatch.setattr(KnnModel, "predict_path", argsort_path)
+    per_k = {k: run_fraud_pipeline(path, trials=2, master_seed=5, k_values=(k,))
+             for k in ks}
+    assert rows == [
+        row for trial in (0, 1) for k in ks for row in per_k[k][0] if row[0] == trial
+    ]
+    assert summary == [row for k in ks for row in per_k[k][1]]
 
 
 def test_fraud_pipeline_writes_files(tmp_path):

@@ -12,11 +12,11 @@ from stochthresh import (
     average_error,
     experiment1_rule,
     experiment2_rule,
-    knn_predict,
     select_k,
     uniform_error,
     uniform_error_bound,
 )
+from stochthresh import knn
 from stochthresh.errors import (
     DegenerateInputError,
     ParameterDomainError,
@@ -29,6 +29,8 @@ from stochthresh.synth import (
     exp2_uci_problem,
     generate,
 )
+
+from conftest import argsort_knn_reference
 
 
 # ---------------------------------------------------------------------------
@@ -45,21 +47,21 @@ def test_full_neighborhood_returns_label_mean(rng):
 
 def test_nearest_single_neighbor():
     model = KnnModel.fit([0.0, 0.5, 1.0], [0, 1, 1], 1)
-    assert knn_predict(model, 0.4) == 1.0
-    assert knn_predict(model, 0.1) == 0.0
+    assert model.predict(0.4) == 1.0
+    assert model.predict(0.1) == 0.0
 
 
 def test_three_point_full_mean():
     model = KnnModel.fit([0.0, 0.5, 1.0], [0, 1, 1], 3)
     for q in (0.0, 0.3, 0.97):
-        assert knn_predict(model, q) == pytest.approx(2 / 3)
+        assert model.predict(q) == pytest.approx(2 / 3)
 
 
 def test_distance_tie_prefers_canonically_earlier_point():
     model = KnnModel.fit([0.0, 1.0], [0, 1], 1)
-    assert knn_predict(model, 0.5) == 0.0
+    assert model.predict(0.5) == 0.0
     model2d = KnnModel.fit([[0.0, 0.0], [1.0, 1.0]], [0, 1], 1)
-    assert knn_predict(model2d, [0.5, 0.5]) == 0.0
+    assert model2d.predict([0.5, 0.5]) == 0.0
 
 
 def test_predictions_invariant_under_training_permutation(rng):
@@ -109,7 +111,7 @@ def test_fast_path_agrees_with_generic_distance_search(rng):
 def test_window_boundary_tie_keeps_left_window():
     # Query 1.5 is equidistant from 1.0 and 2.0; the earlier point wins.
     model = KnnModel.fit([0.0, 1.0, 2.0, 3.0], [0, 1, 0, 0], 1)
-    assert knn_predict(model, 1.5) == 1.0
+    assert model.predict(1.5) == 1.0
 
 
 def test_chunked_multidimensional_prediction_matches_naive(rng):
@@ -128,6 +130,112 @@ def test_chunked_multidimensional_prediction_matches_naive(rng):
         assert got[i] == ys[nearest].mean()
 
 
+def _assert_path_matches_reference(model, queries, ks):
+    path = model.predict_path(queries, ks)
+    assert path.shape == (len(ks), len(queries))
+    for row, k in zip(path, ks):
+        assert np.array_equal(row, argsort_knn_reference(model, queries, k))
+
+
+@pytest.fixture
+def tiny_blocks(monkeypatch):
+    # A few query rows per distance block, so block edges are exercised.
+    monkeypatch.setattr(knn, "_BLOCK_ELEMENTS", 1000)
+
+
+def test_predict_path_matches_argsort_reference_random(rng, tiny_blocks):
+    n, d = 120, 3
+    model = KnnModel.fit(rng.random((n, d)), rng.integers(0, 2, n), 5)
+    queries = rng.random((23, d))
+    _assert_path_matches_reference(model, queries, (1, 2, 5, 17, 64, n))
+
+
+def test_predict_path_matches_argsort_reference_on_ties(rng, tiny_blocks):
+    # Integer grid covariates with many duplicate rows and integer queries:
+    # every squared distance is exact, so the k-th distance is almost
+    # always shared and the canonical index order decides the boundary.
+    n = 150
+    x = rng.integers(0, 4, size=(n, 2)).astype(np.float64)
+    y = rng.integers(0, 2, n)
+    queries = np.vstack((rng.integers(-1, 5, size=(30, 2)), x[:5])).astype(np.float64)
+    model = KnnModel.fit(x, y, 3)
+    # k_max decides which boundary ties are kept, so vary it.
+    for ks in ((1, 3, 9, 10, 38), (75, 2), (n - 1,), (1, n)):
+        _assert_path_matches_reference(model, queries, ks)
+
+
+def test_predict_path_one_dimension(rng):
+    # Distinct dyadic values: the window search and the distance sort
+    # agree exactly (see test_fast_path_agrees_with_generic_distance_search).
+    x = rng.permutation(65)[:40] / 64.0
+    model = KnnModel.fit(x, rng.integers(0, 2, x.size), 7)
+    queries = np.concatenate((rng.integers(0, 129, size=50) / 128.0, x[:10]))
+    _assert_path_matches_reference(model, queries, (1, 7, 3, 40))
+    # With duplicated values the 1-d rule is the per-k window search.
+    x = rng.integers(0, 6, size=60) / 5.0
+    y = rng.integers(0, 2, 60)
+    ks = (60, 1, 4, 13, 4)
+    path = KnnModel.fit(x, y, 13).predict_path(queries[:, None], ks)
+    for row, k in zip(path, ks):
+        assert np.array_equal(row, KnnModel.fit(x, y, k).predict(queries))
+
+
+def test_predict_path_under_training_permutations(rng, tiny_blocks):
+    x = rng.integers(0, 3, size=(60, 3)).astype(np.float64)
+    y = (x.sum(axis=1) % 2).astype(np.int64)  # duplicates agree on labels
+    queries = rng.integers(0, 3, size=(25, 3)).astype(np.float64) + 0.5
+    ks = (1, 4, 11, 37)
+    base = KnnModel.fit(x, y, 4).predict_path(queries, ks)
+    for _ in range(3):
+        perm = rng.permutation(60)
+        model = KnnModel.fit(x[perm], y[perm], 4)
+        _assert_path_matches_reference(model, queries, ks)
+        assert np.array_equal(model.predict_path(queries, ks), base)
+
+
+def test_single_k_predict_is_the_path_row(rng):
+    model = KnnModel.fit(rng.random((80, 4)), rng.integers(0, 2, 80), 9)
+    queries = rng.random((11, 4))
+    assert np.array_equal(
+        model.predict(queries), model.predict_path(queries, (2, 9, 30))[1]
+    )
+    assert model.predict(queries[0]) == model.predict_path(queries[0], (9,))[0, 0]
+
+
+def test_distance_block_size_counts_dimension(monkeypatch):
+    shapes = []
+    real_partition = np.partition
+
+    def recording_partition(a, kth, axis):
+        shapes.append(a.shape)
+        return real_partition(a, kth, axis=axis)
+
+    monkeypatch.setattr(knn.np, "partition", recording_partition)
+    monkeypatch.setattr(knn, "_BLOCK_ELEMENTS", 600)
+    rng = np.random.default_rng(0)
+    model = KnnModel.fit(rng.random((20, 10)), rng.integers(0, 2, 20), 2)
+    model.predict(rng.random((7, 10)))
+    assert shapes == [(3, 20), (3, 20), (1, 20)]
+    shapes.clear()
+    model = KnnModel.fit(rng.random((100, 10)), rng.integers(0, 2, 100), 2)
+    model.predict(rng.random((2, 10)))  # one row already exceeds the budget
+    assert shapes == [(1, 100), (1, 100)]
+
+
+def test_predict_path_validation(rng):
+    model = KnnModel.fit(rng.random((10, 2)), rng.integers(0, 2, 10), 2)
+    q = rng.random((3, 2))
+    for ks in ((), (0,), (11,), (2, 2.0)):
+        with pytest.raises(ParameterDomainError):
+            model.predict_path(q, ks)
+    with pytest.raises(ShapeError):
+        model.predict_path(rng.random((3, 3)), (1,))
+    with pytest.raises(ParameterDomainError):
+        model.predict(np.array([[0.1, np.nan]]))
+    with pytest.raises(ParameterDomainError):
+        KnnModel.fit([[0.1, np.inf], [0.2, 0.3]], [0, 1], 1)
+
+
 def test_fit_and_predict_validation(rng):
     with pytest.raises(DegenerateInputError):
         KnnModel.fit(np.empty((0, 1)), np.empty(0), 1)
@@ -143,7 +251,7 @@ def test_fit_and_predict_validation(rng):
     with pytest.raises(ShapeError):
         model.predict([0.1, 0.2, 0.3])
     with pytest.raises(ShapeError):
-        knn_predict(KnnModel.fit([0.1, 0.2], [0, 1], 1), [0.1, 0.2])
+        KnnModel.fit([0.1, 0.2], [0, 1], 1).predict([[0.1, 0.2]])
 
 
 # ---------------------------------------------------------------------------

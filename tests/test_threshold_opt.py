@@ -111,6 +111,20 @@ def test_brute_force_rejects_large_instances():
         brute_force_threshold((np.full(n, 0.5), np.zeros(n), np.zeros(n)), ACC)
 
 
+def test_sweep_rejects_nan_and_out_of_range_scores():
+    # Both inputs used to be accepted: the NaN row sorted to the end of the
+    # sweep and was counted as positive, reporting accuracy 1.0 for a
+    # threshold (t=0.2, p=0.1) that classifies it negative.
+    labels = np.array([0, 1, 1])
+    draws = np.array([0.1, 0.5, 0.9])
+    for scores in ([0.2, np.nan, 0.7], [0.2, 1.7, -3.0]):
+        samples = (np.array(scores), labels, draws)
+        with pytest.raises(ParameterDomainError):
+            optimize_threshold(samples, ACC)
+        with pytest.raises(ParameterDomainError):
+            optimize_threshold_deterministic(samples, ACC)
+
+
 def test_result_validation():
     with pytest.raises(ParameterDomainError):
         ThresholdSearchResult(
