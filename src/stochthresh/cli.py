@@ -43,7 +43,6 @@ from .synth import (
     generate,
     singleton_problem,
 )
-from .threshold_opt import brute_force_threshold  # noqa: F401  (re-export for docs)
 from .threshold_opt import optimize_threshold, optimize_threshold_deterministic
 
 __all__ = ["main"]

@@ -29,6 +29,7 @@ from .metrics import CmmSpec, evaluate_cmm, _cmm_values
 from .synth import exp1_problem, exp2_nonuci_problem, exp2_uci_problem
 from .synth import generate
 from .threshold_opt import (
+    SortedSample,
     optimize_population_threshold,
     optimize_threshold,
     optimize_threshold_deterministic,
@@ -295,22 +296,10 @@ def run_experiment1(cfg: ExperimentConfig, out=None):
 
 def _f1_grid_tune(scores: np.ndarray, labels: np.ndarray, spec: CmmSpec, n_t: int = 100):
     """Best deterministic threshold among n_t uniformly spaced values in [0, 1]."""
-    order = np.argsort(scores, kind="stable")
-    s = scores[order]
-    y = labels[order]
-    n = s.size
-    cum_pos = np.concatenate(([0], np.cumsum(y, dtype=np.int64)))
-    npos = int(cum_pos[-1])
-    nneg = n - npos
+    sample = SortedSample(scores, labels)
     ts = np.linspace(0.0, 1.0, n_t)
-    j = np.searchsorted(s, ts, side="right")  # scores <= t are classified 0
-    cp = cum_pos[j]
-    cn = j - cp
-    tn = cn / n
-    fp = (nneg - cn) / n
-    fn = cp / n
-    tp = (npos - cp) / n
-    vals = np.asarray(_cmm_values(spec, tn, fp, fn, tp))
+    j = np.searchsorted(sample.scores, ts, side="right")  # scores <= t are classified 0
+    vals = np.asarray(_cmm_values(spec, *sample.cells(j)))
     best = int(np.argmax(vals))
     return float(ts[best]), float(vals[best])
 

@@ -7,10 +7,13 @@ rows the canonically earliest wins.  This makes predictions a pure function
 of the training set — permuting training rows cannot change any prediction.
 
 In one dimension the canonical rule makes every neighborhood a contiguous
-window of the sorted covariates, so batch prediction reduces to a single
-``searchsorted`` against precomputed window-boundary sums plus label prefix
-sums: O((n + m) log n) overall, exact, no distance matrix.  Several k share
-the sorted covariates and the prefix sums; only the boundary sums are per k.
+window of the sorted covariates, except that a window starting inside a run
+of equal values takes that run's earliest copies.  Batch prediction reduces
+to a single ``searchsorted`` against precomputed window-boundary sums plus
+label prefix sums (and the run bounds, built only when a value repeats):
+O((n + m) log n) overall, exact, no distance matrix.  Several k share the
+sorted covariates, prefix sums and run bounds; only the boundary sums are
+per k.
 
 In more dimensions, exact squared distances are computed in query blocks
 whose ``(rows, n, d)`` temporary stays under a fixed element budget.  Each
@@ -80,6 +83,7 @@ class KnnModel:
     k: int
     _prefix: np.ndarray = field(repr=False, default=None)
     _h: np.ndarray = field(repr=False, default=None)
+    _runs: np.ndarray = field(repr=False, default=None)
 
     @classmethod
     def fit(cls, covariates, labels, k: int) -> "KnnModel":
@@ -100,12 +104,18 @@ class KnnModel:
         order = np.lexsort(tuple(x[:, j] for j in range(x.shape[1] - 1, -1, -1)))
         xs = np.ascontiguousarray(x[order])
         ys = y[order].astype(np.float64)
-        prefix = h = None
+        prefix = h = runs = None
         if xs.shape[1] == 1:
             flat = xs[:, 0]
             prefix = np.concatenate(([0.0], np.cumsum(ys)))
             h = flat[: n - k] + flat[k:]
-        return cls(x=xs, y=ys, k=k, _prefix=prefix, _h=h)
+            first = np.concatenate(([True], flat[1:] != flat[:-1]))
+            if not first.all():
+                # Row i lies in the run of equal values [runs[0, i], runs[1, i]).
+                starts = np.flatnonzero(first)
+                run_of = np.cumsum(first) - 1
+                runs = np.stack((starts, np.append(starts[1:], n)))[:, run_of]
+        return cls(x=xs, y=ys, k=k, _prefix=prefix, _h=h, _runs=runs)
 
     @property
     def n(self) -> int:
@@ -177,12 +187,20 @@ class KnnModel:
         # keeps the left (earlier) point, hence side="left".
         # A list, not a preallocated (len(ks), m) array: the extra live
         # buffer measurably slowed single-k predict on large query sets.
-        flat = self.x[:, 0]
+        # A window [s, s+k) that starts inside a run of equal values [a, e)
+        # holds that run's later copies; the canonical rule wants its
+        # earliest ones, so the run part [s, b) is read as [a, a + b - s).
+        flat, cum = self.x[:, 0], self._prefix
         rows = []
         for k in ks:
             h = self._h if k == self.k else flat[: self.n - k] + flat[k:]
             s = np.searchsorted(h, 2.0 * q, side="left")
-            rows.append((self._prefix[s + k] - self._prefix[s]) / k)
+            if self._runs is None:
+                rows.append((cum[s + k] - cum[s]) / k)
+                continue
+            a, e = self._runs[:, s]
+            b = np.minimum(e, s + k)
+            rows.append((cum[s + k] - cum[b] + cum[a + b - s] - cum[a]) / k)
         return rows
 
     def _path_nd(self, q: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:

@@ -261,7 +261,7 @@ class RocCurve:
 
 
 def roc_and_auroc(scores, labels) -> RocCurve:
-    """ROC curve and area for real scores against binary labels.
+    """ROC curve and area for finite real scores against binary labels.
 
     Requires at least one positive and one negative label.  Higher scores
     rank as more positive; ties are grouped as described on
@@ -275,6 +275,8 @@ def roc_and_auroc(scores, labels) -> RocCurve:
         raise ParameterDomainError(
             f"scores and labels differ in length ({s.size} vs {y.size})"
         )
+    if not np.isfinite(s).all():
+        raise ParameterDomainError("ROC scores must be finite")
     if not np.all((y == 0) | (y == 1)):
         raise ParameterDomainError("labels must be 0/1")
     y = y.astype(np.int64)

@@ -1,16 +1,15 @@
 """Exact threshold search for confusion-matrix measures.
 
-The empirical optimizers exploit the fact that on a finite sample the only
-classifications a stochastic threshold can produce are the "prefixes" of
-the sample sorted by (score ascending, draw descending): prefix j labels
-the first j sorted samples 0 and the rest 1.  Sweeping all n + 1 prefixes
-with cumulative counts is O(n log n) and *exactly* optimal — no grid is
-involved.  A quadratic brute-force twin re-materializes every prefix from
-scratch and is kept as an independent oracle.
-
-Confusion cells are always formed as integer counts divided by n after the
-same shared sort, so the sweep and the oracle evaluate measures on
-bit-identical inputs and must agree exactly, not approximately.
+On a finite sample the only classifications a stochastic threshold can
+produce are the "prefixes" of the sample sorted by (score ascending, draw
+descending): prefix j labels the first j sorted samples 0 and the rest 1.
+:class:`SortedSample` is that sort plus the cumulative positive count, and
+gives the confusion cells at any prefix indices as integer counts divided
+by n.  The stochastic sweep reads all n + 1 prefixes, the deterministic
+search only the cuts between distinct scores: O(n log n) and *exactly*
+optimal, with no grid.  A quadratic brute-force twin sorts on its own and
+re-materializes every prefix from scratch, so it is an independent oracle
+that evaluates measures on bit-identical cells and must agree exactly.
 """
 
 from __future__ import annotations
@@ -56,44 +55,55 @@ class ThresholdSearchResult:
             raise ParameterDomainError(f"prefix index {j!r} must be >= 0")
 
 
-def _sorted_instance(samples, *, require_draws: bool):
-    scores, labels, draws = as_sample_arrays(samples, require_draws=require_draws)
-    if draws is None:
-        draws = np.zeros_like(scores)
-    order = np.lexsort((-draws, scores))
-    return scores[order], labels[order], draws[order]
+class SortedSample:
+    """A sample in sweep order with its cumulative positive count.
 
+    Rows sort by score ascending, then draw descending, then original index
+    — the order of ``np.lexsort((-draws, scores))`` — by two stable
+    argsorts; a packed (score, draw) key could not separate draws closer
+    than an ulp.  Without draws the order is one stable argsort by score.
+    """
 
-def _prefix_cells(y_sorted: np.ndarray):
-    """Confusion cells (tn, fp, fn, tp) for every prefix, as counts / n."""
-    n = y_sorted.size
-    cum_pos = np.concatenate(([0], np.cumsum(y_sorted, dtype=np.int64)))
-    npos = int(cum_pos[-1])
-    nneg = n - npos
-    j = np.arange(n + 1, dtype=np.int64)
-    cum_neg = j - cum_pos
-    tn = cum_neg / n
-    fp = (nneg - cum_neg) / n
-    fn = cum_pos / n
-    tp = (npos - cum_pos) / n
-    return tn, fp, fn, tp
+    def __init__(self, scores: np.ndarray, labels: np.ndarray, draws=None):
+        if draws is None:
+            order = np.argsort(scores, kind="stable")
+        else:
+            by_draw = np.argsort(-draws, kind="stable")
+            order = by_draw[np.argsort(scores[by_draw], kind="stable")]
+        self.scores = scores[order]
+        self.draws = None if draws is None else draws[order]
+        self.cum_pos = np.zeros(scores.size + 1, dtype=np.int64)
+        np.cumsum(labels[order], out=self.cum_pos[1:])
+
+    def cells(self, j: np.ndarray):
+        """Confusion cells (tn, fp, fn, tp) at prefix indices j, as counts / n."""
+        n = self.scores.size
+        npos = int(self.cum_pos[-1])
+        cum_pos = self.cum_pos[j]
+        cum_neg = j - cum_pos
+        return cum_neg / n, (n - npos - cum_neg) / n, cum_pos / n, (npos - cum_pos) / n
+
+    def deterministic_candidates(self) -> np.ndarray:
+        """Prefixes ``score > t`` alone realizes: 0 if every score is positive,
+        each cut between distinct scores, and n (everything labeled 0).
+        """
+        s = self.scores
+        return np.flatnonzero(np.concatenate(([s[0] > 0.0], s[1:] != s[:-1], [True])))
 
 
 def _prefix_threshold(
-    j: int, s: np.ndarray, z: np.ndarray, *, stochastic: bool
+    j: int, s: np.ndarray, z: np.ndarray | None
 ) -> StochasticThreshold:
-    """Threshold reproducing prefix j on the sorted sample.
+    """Threshold reproducing prefix j on the sorted scores s and draws z.
 
     Prefix 0 (everything labeled 1) maps to t = 0 with p = 1 in the
     stochastic search — p = 0 could not re-admit a sample whose score is
-    exactly 0 — and to (0, 0) in the deterministic search, which only
-    offers prefix 0 when all scores are positive.
+    exactly 0 — and to (0, 0) in the deterministic search (``z`` is None),
+    which only offers prefix 0 when all scores are positive.
     """
     if j == 0:
-        return StochasticThreshold(0.0, 1.0 if stochastic else 0.0)
-    t = float(s[j - 1])
-    p = float(z[j - 1]) if stochastic else 0.0
-    return StochasticThreshold(t, p)
+        return StochasticThreshold(0.0, 0.0 if z is None else 1.0)
+    return StochasticThreshold(float(s[j - 1]), 0.0 if z is None else float(z[j - 1]))
 
 
 def optimize_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
@@ -105,12 +115,12 @@ def optimize_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
     winning classification whenever no other sample shares that exact
     (score, draw) pair.
     """
-    s, y, z = _sorted_instance(samples, require_draws=True)
-    tn, fp, fn, tp = _prefix_cells(y)
-    vals = np.asarray(_cmm_values(spec, tn, fp, fn, tp))
+    sample = SortedSample(*as_sample_arrays(samples, require_draws=True))
+    cells = sample.cells(np.arange(sample.scores.size + 1))
+    vals = np.asarray(_cmm_values(spec, *cells))
     best = int(np.argmax(vals))
     return ThresholdSearchResult(
-        threshold=_prefix_threshold(best, s, z, stochastic=True),
+        threshold=_prefix_threshold(best, sample.scores, sample.draws),
         metric_value=float(vals[best]),
         classification_prefix_index=best,
     )
@@ -119,16 +129,18 @@ def optimize_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
 def brute_force_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
     """Quadratic oracle twin of :func:`optimize_threshold`.
 
-    Materializes each prefix labeling explicitly and recomputes its
-    confusion matrix from scratch — no cumulative counts — then evaluates
-    the measure through the public scalar path.  Intended for n <= 10^4.
+    Sorts by its own ``np.lexsort``, materializes each prefix labeling and
+    recomputes its confusion matrix from scratch — no cumulative counts —
+    then evaluates the measure through the public scalar path (n <= 10^4).
     """
-    s, y, z = _sorted_instance(samples, require_draws=True)
-    n = s.size
+    scores, labels, draws = as_sample_arrays(samples, require_draws=True)
+    n = scores.size
     if n > 10_000:
         raise ParameterDomainError(
             f"brute-force search is quadratic; n={n} exceeds 10000"
         )
+    order = np.lexsort((-draws, scores))
+    s, y, z = scores[order], labels[order], draws[order]
     best_j = -1
     best_val = -np.inf
     for j in range(n + 1):
@@ -144,7 +156,7 @@ def brute_force_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
             best_val = val
             best_j = j
     return ThresholdSearchResult(
-        threshold=_prefix_threshold(best_j, s, z, stochastic=True),
+        threshold=_prefix_threshold(best_j, s, z),
         metric_value=best_val,
         classification_prefix_index=best_j,
     )
@@ -157,19 +169,17 @@ def optimize_threshold_deterministic(samples, spec: CmmSpec) -> ThresholdSearchR
     distinct-score group boundaries, the all-0 labeling, and the all-1
     labeling when every score is positive.  Same tie-breaking as the
     stochastic search; its value can never exceed the stochastic one.
+    Draws, when given, are checked but not sorted on: the order inside a
+    tie group cannot change the cells at a group boundary.
     """
-    s, y, z = _sorted_instance(samples, require_draws=False)
-    n = s.size
-    tn, fp, fn, tp = _prefix_cells(y)
-    vals = np.asarray(_cmm_values(spec, tn, fp, fn, tp))
-    cand = [0] if s[0] > 0.0 else []
-    cand.extend(j for j in range(1, n) if s[j] != s[j - 1])
-    cand.append(n)
-    cand = np.asarray(cand, dtype=np.int64)
-    best = int(cand[np.argmax(vals[cand])])
+    sample = SortedSample(*as_sample_arrays(samples)[:2])
+    cand = sample.deterministic_candidates()
+    vals = np.asarray(_cmm_values(spec, *sample.cells(cand)))
+    i = int(np.argmax(vals))
+    best = int(cand[i])
     return ThresholdSearchResult(
-        threshold=_prefix_threshold(best, s, z, stochastic=False),
-        metric_value=float(vals[best]),
+        threshold=_prefix_threshold(best, sample.scores, None),
+        metric_value=float(vals[i]),
         classification_prefix_index=best,
     )
 

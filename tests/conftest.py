@@ -32,3 +32,8 @@ def argsort_knn_reference(model, queries, k: int) -> np.ndarray:
         d2 = ((row - model.x) ** 2).sum(axis=1)
         out[i] = model.y[np.argsort(d2, kind="stable")[:k]].mean()
     return out
+
+
+def lexsort_sweep_reference(scores, draws) -> np.ndarray:
+    """Sweep order by one lexsort: score ascending, draw descending, index."""
+    return np.lexsort((-np.asarray(draws), np.asarray(scores)))

@@ -93,19 +93,35 @@ def test_permutation_invariance_with_label_consistent_duplicates(rng):
 
 
 def test_fast_path_agrees_with_generic_distance_search(rng):
-    # Distinct dyadic training values with half-step queries: every
-    # distance comparison is exact, so equidistant pairs are true ties,
-    # and with distinct values both paths resolve them leftward.  (With
-    # duplicated tied values the paths may legitimately pick different
-    # copies of the same value.)
-    x = rng.permutation(65)[:80 // 2] / 64.0
+    # Dyadic training values, some repeated, with half-step queries: every
+    # distance comparison is exact, so equidistant rows are true ties and
+    # both paths must pick the canonically earliest of them.
+    distinct = rng.permutation(65)[:40] / 64.0
+    x = np.concatenate((distinct, rng.choice(distinct[:12], size=20)))
     y = rng.integers(0, 2, size=x.size)
     queries = np.concatenate((rng.integers(0, 129, size=60) / 128.0, x[:10]))
-    for k in (1, 3, 7, x.size):
-        fast = KnnModel.fit(x, y, k).predict(queries)
-        padded = KnnModel.fit(np.c_[x, np.zeros(x.size)], y, k)
-        generic = padded.predict(np.c_[queries, np.zeros(queries.size)])
-        assert np.array_equal(fast, generic)
+    ks = (1, 3, 7, 25, x.size)
+    padded = KnnModel.fit(np.c_[x, np.zeros(x.size)], y, 1)
+    generic = padded.predict_path(np.c_[queries, np.zeros(queries.size)], ks)
+    assert np.array_equal(KnnModel.fit(x, y, 1).predict_path(queries, ks), generic)
+    for k, row in zip(ks, generic):
+        assert np.array_equal(KnnModel.fit(x, y, k).predict(queries), row)
+
+
+@pytest.mark.parametrize(
+    "x, y, k, query, want",
+    [
+        # 0.0 and 1.0 are equidistant from 0.5: the first copy of 0.0 wins.
+        ([0.0, 0.0, 1.0], [0, 1, 0], 1, 0.5, 0.0),
+        # 1.0 is nearest, then the first copy of 0.0.
+        ([0.0, 0.0, 0.0, 1.0], [1, 0, 0, 0], 2, 0.6, 0.5),
+    ],
+)
+def test_repeated_values_keep_their_earliest_copies(x, y, k, query, want):
+    assert KnnModel.fit(x, y, k).predict(query) == want
+    assert KnnModel.fit(x, y, len(x)).predict_path([query], (k,))[0, 0] == want
+    padded = KnnModel.fit(np.c_[x, np.zeros(len(x))], y, k)
+    assert padded.predict([query, 0.0]) == want
 
 
 def test_window_boundary_tie_keeps_left_window():
@@ -165,8 +181,8 @@ def test_predict_path_matches_argsort_reference_on_ties(rng, tiny_blocks):
 
 
 def test_predict_path_one_dimension(rng):
-    # Distinct dyadic values: the window search and the distance sort
-    # agree exactly (see test_fast_path_agrees_with_generic_distance_search).
+    # Dyadic values: the window search and the distance sort agree
+    # exactly (see test_fast_path_agrees_with_generic_distance_search).
     x = rng.permutation(65)[:40] / 64.0
     model = KnnModel.fit(x, rng.integers(0, 2, x.size), 7)
     queries = np.concatenate((rng.integers(0, 129, size=50) / 128.0, x[:10]))

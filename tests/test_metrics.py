@@ -206,6 +206,13 @@ def test_roc_rejects_degenerate_labels():
         roc_and_auroc([0.1, 0.9, 0.4], [1, 0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_roc_rejects_non_finite_scores(bad):
+    # A NaN would otherwise sort last and be ranked as the least positive.
+    with pytest.raises(ParameterDomainError, match="finite"):
+        roc_and_auroc([0.2, bad, 0.7, 0.1], [0, 1, 1, 0])
+
+
 def test_roc_matches_rank_statistic(rng):
     # AUROC equals the tie-adjusted probability that a positive outranks a negative.
     scores = rng.integers(0, 6, size=60) / 5.0

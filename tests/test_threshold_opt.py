@@ -19,12 +19,15 @@ from stochthresh import (
     representative_specs,
 )
 from stochthresh.errors import ParameterDomainError
+from stochthresh.threshold_opt import SortedSample
 from stochthresh.synth import (
     exp1_problem,
     exp2_nonuci_problem,
     generate,
     singleton_problem,
 )
+
+from conftest import lexsort_sweep_reference
 
 ACC = CmmSpec("accuracy")
 PRODUCT = CmmSpec("tp_tn_product")
@@ -132,6 +135,66 @@ def test_result_validation():
             metric_value=1.0,
             classification_prefix_index=-1,
         )
+
+
+# ---------------------------------------------------------------------------
+# sorted-prefix kernel
+
+
+def kernel_order(scores: np.ndarray, draws) -> np.ndarray:
+    """The kernel's row order, read back from one-hot labels' prefix counts."""
+    order = np.empty(scores.size, dtype=np.int64)
+    for i in range(scores.size):
+        labels = np.zeros(scores.size, dtype=np.int64)
+        labels[i] = 1
+        order[int(np.argmax(SortedSample(scores, labels, draws).cum_pos)) - 1] = i
+    return order
+
+
+# Lattices with an ulp neighbour: ties everywhere, and two draws that a
+# packed (score, draw) float key would merge.
+TIE_SCORES = st.sampled_from([0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 1.0])
+TIE_DRAWS = st.sampled_from([0.0, 0.5, np.nextafter(0.5, 0.0), 1.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(pairs=st.lists(st.tuples(TIE_SCORES, TIE_DRAWS), min_size=1, max_size=30))
+def test_kernel_order_equals_lexsort(pairs):
+    scores = np.array([p[0] for p in pairs])
+    draws = np.array([p[1] for p in pairs])
+    want = lexsort_sweep_reference(scores, draws)
+    assert np.array_equal(kernel_order(scores, draws), want)
+    assert np.array_equal(kernel_order(scores, None), np.argsort(scores, kind="stable"))
+    sample = SortedSample(scores, np.ones(scores.size, dtype=np.int64), draws)
+    assert np.array_equal(sample.scores, scores[want])
+    assert np.array_equal(sample.draws, draws[want])
+
+
+def generator_candidates(s: np.ndarray) -> list[int]:
+    """Deterministic candidates as a loop over the sorted scores."""
+    cand = [0] if s[0] > 0.0 else []
+    cand.extend(j for j in range(1, s.size) if s[j] != s[j - 1])
+    cand.append(s.size)
+    return cand
+
+
+def test_deterministic_candidates_equal_the_loop(rng):
+    cases = [np.array([0.0]), np.array([0.3]), np.array([0.0, 0.0, 0.5]),
+             np.array([0.2, 0.2]), np.array([0.0, 0.25, 0.25, 1.0])]
+    cases += [rng.integers(0, 5, size=int(n)) / 4.0 for n in rng.integers(1, 40, 30)]
+    for scores in cases:
+        sample = SortedSample(scores, rng.integers(0, 2, scores.size))
+        got = sample.deterministic_candidates()
+        assert got.dtype == np.int64
+        assert got.tolist() == generator_candidates(sample.scores)
+
+
+def test_deterministic_search_ignores_draws(rng):
+    for _ in range(40):
+        scores, labels, draws = random_tied_instance(rng, int(rng.integers(1, 40)))
+        spec = representative_specs()[int(rng.integers(0, 14))]
+        with_draws = optimize_threshold_deterministic((scores, labels, draws), spec)
+        assert with_draws == optimize_threshold_deterministic((scores, labels), spec)
 
 
 # ---------------------------------------------------------------------------
