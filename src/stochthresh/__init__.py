@@ -54,17 +54,15 @@ from .threshold_opt import (
 from .knn import (
     KnnModel,
     KSelectionRule,
+    K_RULES,
     average_error,
-    experiment1_rule,
-    experiment2_rule,
+    k_rule,
     select_k,
     uniform_error,
 )
 from .synth import (
     SyntheticProblem,
     constant_problem,
-    custom_problem,
-    eval_eta,
     exp1_problem,
     exp2_nonuci_problem,
     exp2_uci_problem,
@@ -118,12 +116,12 @@ __all__ = [
     "ThresholdSearchResult", "optimize_threshold", "brute_force_threshold",
     "optimize_threshold_deterministic", "optimize_population_threshold",
     # knn
-    "KnnModel", "KSelectionRule", "select_k",
-    "experiment1_rule", "experiment2_rule", "uniform_error", "average_error",
+    "KnnModel", "KSelectionRule", "K_RULES", "k_rule", "select_k",
+    "uniform_error", "average_error",
     # synth
     "SyntheticProblem", "exp1_problem", "exp2_uci_problem",
     "exp2_nonuci_problem", "singleton_problem", "constant_problem",
-    "custom_problem", "generate", "eval_eta",
+    "generate",
     # bounds
     "BoundInputs", "UniformErrorBound", "shattering_bound",
     "uniform_error_bound", "estimation_error_bound", "regret_bound",

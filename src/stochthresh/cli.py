@@ -33,7 +33,7 @@ from .experiments import (
     run_fraud_pipeline,
 )
 from .io import load_csv, save_csv
-from .knn import KnnModel, KSelectionRule, select_k
+from .knn import K_RULES, KnnModel, k_rule, select_k
 from .metrics import CmmSpec
 from .synth import (
     constant_problem,
@@ -132,8 +132,8 @@ def _experiment_options(fn):
     fn = click.option("--n-grid", callback=_parse_int_list, default=None,
                       help="Comma list of training sizes.")(fn)
     fn = click.option("--test-size", type=int, default=None)(fn)
-    fn = click.option("--k-rule", type=click.Choice(["exp1", "exp2", "theorem", "extreme"]),
-                      default=None)(fn)
+    fn = click.option("--k-rule", "rule_name", type=click.Choice(K_RULES), default=None,
+                      help="Neighborhood-size rule; defaults to the experiment's own.")(fn)
     fn = click.option("--grid", type=int, default=None,
                       help="Population-optimum search grid per axis.")(fn)
     fn = click.option("--workers", type=int, default=None)(fn)
@@ -142,9 +142,25 @@ def _experiment_options(fn):
     return fn
 
 
-def _echo_exp_summary(summary_rows, fmt) -> None:
-    for row in summary_rows:
-        click.echo(fmt(row))
+def _experiment_config(experiment, *, config_path, seed, trials, n_grid, test_size,
+                       rule_name, grid, workers, metric, score_source) -> ExperimentConfig:
+    """One ExperimentConfig from flags, then the --config file, then defaults."""
+    config = _load_config(config_path)
+    grid = int(_pick(grid, config, "grid", 401))
+    return ExperimentConfig(
+        experiment=experiment,
+        n_grid=tuple(_pick(n_grid, config, "n_grid", default_n_grid())),
+        trials=int(_pick(trials, config, "trials", 100)),
+        master_seed=int(_pick(seed, config, "seed", 0)),
+        metric=(metric if metric is not None
+                else CmmSpec.parse(str(config.get("metric", "tp_tn_product")))),
+        k_rule=str(_pick(rule_name, config, "k_rule", "")),
+        score_source=str(_pick(score_source, config, "score_source", "knn")),
+        test_size=int(_pick(test_size, config, "test_size", 1000)),
+        workers=int(_pick(workers, config, "workers", 1)),
+        grid_t=grid,
+        grid_p=grid,
+    )
 
 
 @experiment.command("exp1")
@@ -154,58 +170,28 @@ def _echo_exp_summary(summary_rows, fmt) -> None:
 @click.option("--score-source", type=click.Choice(["knn", "eta"]), default=None,
               help="Tune on regressor scores (knn) or on true regression values (eta).")
 @_friendly
-def experiment_exp1(config_path, seed, trials, n_grid, test_size, k_rule, grid,
-                    workers, out, metric, score_source):
+def experiment_exp1(out, **options):
     """Balanced plateaus: stochastic vs deterministic threshold regret."""
-    config = _load_config(config_path)
-    cfg = ExperimentConfig(
-        experiment="exp1",
-        n_grid=tuple(_pick(n_grid, config, "n_grid", default_n_grid())),
-        trials=int(_pick(trials, config, "trials", 100)),
-        master_seed=int(_pick(seed, config, "seed", 0)),
-        metric=(metric if metric is not None
-                else CmmSpec.parse(str(config.get("metric", "tp_tn_product")))),
-        k_rule=str(_pick(k_rule, config, "k_rule", "exp1")),
-        score_source=str(_pick(score_source, config, "score_source", "knn")),
-        test_size=int(_pick(test_size, config, "test_size", 1000)),
-        workers=int(_pick(workers, config, "workers", 1)),
-        grid_t=int(_pick(grid, config, "grid", 401)),
-        grid_p=int(_pick(grid, config, "grid", 401)),
-    )
-    _, summary = run_experiment1(cfg, out=out)
-    _echo_exp_summary(
-        summary,
-        lambda r: f"n={r[0]} {r[1]}: mean_regret={r[4]:.6f} ci95={r[5]:.6f}",
-    )
+    _, summary = run_experiment1(_experiment_config("exp1", **options), out=out)
+    for r in summary:
+        click.echo(f"n={r[0]} {r[1]}: mean_regret={r[4]:.6f} ci95={r[5]:.6f}")
 
 
 @experiment.command("exp2")
 @_experiment_options
 @_friendly
-def experiment_exp2(config_path, seed, trials, n_grid, test_size, k_rule, grid,
-                    workers, out):
+def experiment_exp2(out, **options):
     """Shrinking imbalance r = n^-1/2: error norms and F1 regret."""
-    config = _load_config(config_path)
-    cfg = ExperimentConfig(
-        experiment="exp2",
-        n_grid=tuple(_pick(n_grid, config, "n_grid", default_n_grid())),
-        trials=int(_pick(trials, config, "trials", 100)),
-        master_seed=int(_pick(seed, config, "seed", 0)),
-        metric=CmmSpec("f_beta", 1.0),
-        k_rule=str(_pick(k_rule, config, "k_rule", "exp2")),
-        test_size=int(_pick(test_size, config, "test_size", 1000)),
-        workers=int(_pick(workers, config, "workers", 1)),
-        grid_t=int(_pick(grid, config, "grid", 401)),
-        grid_p=int(_pick(grid, config, "grid", 401)),
+    # exp2 always tunes F1 on k-NN scores; a --config file sets neither.
+    cfg = _experiment_config(
+        "exp2", metric=CmmSpec("f_beta", 1.0), score_source="knn", **options
     )
     _, summary = run_experiment2(cfg, out=out)
-    _echo_exp_summary(
-        summary,
-        lambda r: (
+    for r in summary:
+        click.echo(
             f"n={r[0]} eta={r[1]}: mean_linf={r[5]:.6f} mean_l1={r[7]:.6f} "
             f"mean_f1_regret={r[9]:.6f}"
-        ),
-    )
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -324,31 +310,20 @@ def tune_threshold(data_path, metric, deterministic, seed):
 @click.option("--draw-column", type=str, default=None,
               help="Column of stored draws to exclude from the features.")
 @click.option("--k", type=int, default=None)
-@click.option("--k-rule", type=click.Choice(["exp1", "exp2", "theorem", "extreme"]),
-              default=None)
+@click.option("--k-rule", "rule_name", type=click.Choice(K_RULES), default=None)
 @click.option("--rule-r", type=float, default=1.0,
               help="Imbalance degree fed to the k rule.")
 @click.option("--rule-alpha", type=float, default=1.0)
 @click.option("--query", "queries", multiple=True,
               help="Query point, comma-separated coordinates; repeatable.")
 @_friendly
-def fit_knn(data_path, label_column, draw_column, k, k_rule, rule_r, rule_alpha, queries):
+def fit_knn(data_path, label_column, draw_column, k, rule_name, rule_r, rule_alpha, queries):
     """Fit a k-NN regressor on a CSV and print predictions as JSON."""
-    if (k is None) == (k_rule is None):
+    if (k is None) == (rule_name is None):
         raise click.UsageError("provide exactly one of --k / --k-rule")
     ds = load_csv(data_path, label_column=label_column, draw_column=draw_column)
     if k is None:
-        if k_rule == "exp1":
-            rule = KSelectionRule(alpha=rule_alpha, d=ds.d, r=1.0,
-                                  regime="balanced", drop_log=True)
-        elif k_rule == "exp2":
-            rule = KSelectionRule(alpha=rule_alpha, d=ds.d, r=rule_r,
-                                  regime="uci", drop_log=True)
-        elif k_rule == "theorem":
-            rule = KSelectionRule(alpha=rule_alpha, d=ds.d, r=rule_r, regime="uci")
-        else:
-            rule = KSelectionRule(regime="extreme")
-        k = select_k(rule, ds.n)
+        k = select_k(k_rule(rule_name, r=rule_r, alpha=rule_alpha, d=ds.d), ds.n)
     model = KnnModel.fit(ds.covariates, ds.labels, k)
     preds = []
     for q in queries:
@@ -396,6 +371,7 @@ def bounds_cmd(n, k, r, alpha, l_const, d, p_star, delta, eps_star, c_margin,
     if n is None:
         raise click.UsageError("--n is required (flag or config)")
     k = _pick(k, config, "k", None)
+    sup_err = _pick(sup_err, config, "sup_err", None)
     out = {
         "n": int(n),
         "d": int(_pick(d, config, "d", 1)),
@@ -403,11 +379,11 @@ def bounds_cmd(n, k, r, alpha, l_const, d, p_star, delta, eps_star, c_margin,
     }
     out["estimation_error_bound"] = estimation_error_bound(out["n"], out["delta"])
     out["shattering_bound"] = shattering_bound(out["n"], out["d"])
-    inputs = None
-    if k is not None:
+    if k is not None or sup_err is not None:
+        # The regret bound does not read k, so a sup-error-only call uses k = 1.
         inputs = BoundInputs(
             n=out["n"],
-            k=int(k),
+            k=1 if k is None else int(k),
             r=float(_pick(r, config, "r", 1.0)),
             alpha=float(_pick(alpha, config, "alpha", 1.0)),
             L=float(_pick(l_const, config, "L", 1.0)),
@@ -419,31 +395,17 @@ def bounds_cmd(n, k, r, alpha, l_const, d, p_star, delta, eps_star, c_margin,
             beta_margin=float(_pick(beta_margin, config, "beta_margin", 1.0)),
             L_M=float(_pick(l_metric, config, "L_M", 1.0)),
         )
-        ub = uniform_error_bound(inputs)
-        out["uniform_error_bound"] = {
-            "value": ub.value,
-            "bias_term": ub.bias_term,
-            "deviation_term": ub.deviation_term,
-            "variance_term": ub.variance_term,
-            "side_failure_probability": ub.side_failure_probability,
-        }
-    sup_err = _pick(sup_err, config, "sup_err", None)
-    if sup_err is not None:
-        if inputs is None:
-            inputs = BoundInputs(
-                n=out["n"],
-                k=1,
-                r=float(_pick(r, config, "r", 1.0)),
-                alpha=float(_pick(alpha, config, "alpha", 1.0)),
-                L=float(_pick(l_const, config, "L", 1.0)),
-                d=out["d"],
-                p_star=float(_pick(p_star, config, "p_star", 1.0)),
-                delta=out["delta"],
-                C_margin=float(_pick(c_margin, config, "C_margin", 1.0)),
-                beta_margin=float(_pick(beta_margin, config, "beta_margin", 1.0)),
-                L_M=float(_pick(l_metric, config, "L_M", 1.0)),
-            )
-        out["regret_bound"] = regret_bound(inputs, float(sup_err))
+        if k is not None:
+            ub = uniform_error_bound(inputs)
+            out["uniform_error_bound"] = {
+                "value": ub.value,
+                "bias_term": ub.bias_term,
+                "deviation_term": ub.deviation_term,
+                "variance_term": ub.variance_term,
+                "side_failure_probability": ub.side_failure_probability,
+            }
+        if sup_err is not None:
+            out["regret_bound"] = regret_bound(inputs, float(sup_err))
     _echo_json(out)
 
 

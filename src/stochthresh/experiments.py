@@ -23,8 +23,7 @@ from . import __version__
 from .classify import StochasticThreshold, empirical_confusion
 from .errors import ParameterDomainError
 from .io import LabeledDataset, SplitSpec, load_csv, split, write_results_csv, zscore
-from .knn import KnnModel, KSelectionRule, experiment1_rule, experiment2_rule, select_k
-from .knn import average_error, uniform_error
+from .knn import K_RULES, KnnModel, average_error, k_rule, select_k, uniform_error
 from .metrics import CmmSpec, evaluate_cmm, _cmm_values
 from .synth import exp1_problem, exp2_nonuci_problem, exp2_uci_problem
 from .synth import generate
@@ -47,8 +46,6 @@ __all__ = [
     "FRAUD_COLUMNS",
 ]
 
-EXPERIMENT_TAGS = {"exp1": 1, "exp2": 2, "fraud": 3}
-
 EXP1_COLUMNS = ("n", "trial", "seed", "k", "r", "metric", "method", "value", "regret")
 EXP1_SUMMARY_COLUMNS = ("n", "method", "trials", "mean_value", "mean_regret", "ci95_half")
 EXP2_COLUMNS = (
@@ -66,6 +63,8 @@ FRAUD_SUMMARY_COLUMNS = ("k", "method", "trials", "mean_f1", "se_f1")
 
 #: Grid resolution used when measuring regression error norms in experiments.
 ERROR_NORM_GRID = 10_000
+#: Number of uniformly spaced thresholds the exp2 deterministic F1 tuner tries.
+F1_THRESHOLD_GRID = 100
 
 
 def default_n_grid() -> tuple[int, ...]:
@@ -110,12 +109,10 @@ class ExperimentConfig:
             raise ParameterDomainError(
                 f"score_source {self.score_source!r} not one of knn/eta"
             )
-        default_rule = "exp1" if self.experiment == "exp1" else "exp2"
-        rule = self.k_rule or default_rule
-        if rule not in ("exp1", "exp2", "theorem", "extreme"):
-            raise ParameterDomainError(
-                f"k_rule {rule!r} not one of exp1/exp2/theorem/extreme"
-            )
+        # Each experiment's default k rule carries the experiment's name.
+        rule = self.k_rule or self.experiment
+        if rule not in K_RULES:
+            raise ParameterDomainError(f"k_rule {rule!r} not one of {'/'.join(K_RULES)}")
         object.__setattr__(self, "k_rule", rule)
 
     def to_mapping(self) -> dict:
@@ -152,22 +149,33 @@ def _seed_key(master_seed: int, tag: int, n_index: int, trial: int) -> str:
     return f"{master_seed}:{tag}:{n_index}:{trial}"
 
 
-def _rule_for(name: str, r: float) -> KSelectionRule:
-    if name == "exp1":
-        return experiment1_rule()
-    if name == "exp2":
-        return experiment2_rule(r)
-    if name == "theorem":
-        return KSelectionRule(alpha=1.0, d=1, r=r, regime="uci", drop_log=False)
-    if name == "extreme":
-        return KSelectionRule(regime="extreme")
-    raise ParameterDomainError(f"unknown k rule {name!r}")
-
-
 def _ci95_half(values: np.ndarray) -> float:
     if values.size < 2:
         return 0.0
     return float(1.96 * values.std(ddof=1) / np.sqrt(values.size))
+
+
+def _standard_error(values: np.ndarray) -> float:
+    if values.size < 2:
+        return 0.0
+    return float(values.std(ddof=1) / np.sqrt(values.size))
+
+
+def _group_columns(rows, key_cols, value_cols) -> list[tuple[tuple, list[np.ndarray]]]:
+    """Group rows by their ``key_cols`` entries in one pass.
+
+    Returns one ``(first row, value arrays)`` pair per group, in first-seen
+    order, with one array per entry of ``value_cols`` holding the group's
+    values of that column in row order.
+    """
+    groups: dict[tuple, tuple[tuple, list[list]]] = {}
+    for row in rows:
+        key = tuple(row[c] for c in key_cols)
+        if key not in groups:
+            groups[key] = (row, [[] for _ in value_cols])
+        for values, c in zip(groups[key][1], value_cols):
+            values.append(row[c])
+    return [(first, [np.array(v) for v in values]) for first, values in groups.values()]
 
 
 def _run_jobs(fn, jobs: list, workers: int) -> list:
@@ -201,12 +209,12 @@ def _maybe_write(out, columns, rows, summary_columns, summary_rows, metadata) ->
 
 
 def _exp1_trial(args) -> list[tuple]:
-    (master_seed, n_index, n, trial, spec, k_rule, score_source, test_size, m_star) = args
+    (master_seed, n_index, n, trial, spec, rule, score_source, test_size, m_star) = args
     problem = exp1_problem()
     ss = trial_seed_sequence(master_seed, 1, n_index, trial)
     train_ss, test_ss = ss.spawn(2)
     train = generate(problem, n, train_ss)
-    k = select_k(_rule_for(k_rule, problem.r), n)
+    k = select_k(k_rule(rule, problem.r), n)
     xs = train.covariates[:, 0]
     if score_source == "knn":
         model = KnnModel.fit(train.covariates, train.labels, k)
@@ -256,32 +264,13 @@ def run_experiment1(cfg: ExperimentConfig, out=None):
     results = _run_jobs(_exp1_trial, jobs, cfg.workers)
     rows = [row for trial_rows in results for row in trial_rows]
 
-    summary_rows = []
-    arr = {
-        (n, method): np.array(
-            [r[8] for r in rows if r[0] == n and r[6] == method]
+    summary_rows = [
+        (
+            first[0], first[6], regrets.size,
+            float(values.mean()), float(regrets.mean()), _ci95_half(regrets),
         )
-        for n in cfg.n_grid
-        for method in ("stochastic", "deterministic")
-    }
-    vals = {
-        (n, method): np.array(
-            [r[7] for r in rows if r[0] == n and r[6] == method]
-        )
-        for n in cfg.n_grid
-        for method in ("stochastic", "deterministic")
-    }
-    for n in cfg.n_grid:
-        for method in ("stochastic", "deterministic"):
-            regrets = arr[(n, method)]
-            summary_rows.append(
-                (
-                    n, method, regrets.size,
-                    float(vals[(n, method)].mean()),
-                    float(regrets.mean()),
-                    _ci95_half(regrets),
-                )
-            )
+        for first, (values, regrets) in _group_columns(rows, (0, 6), (7, 8))
+    ]
 
     mapping = cfg.to_mapping()
     metadata = _base_metadata(mapping, cfg.master_seed)
@@ -294,10 +283,10 @@ def run_experiment1(cfg: ExperimentConfig, out=None):
 # Experiment 2: shrinking imbalance, error norms and F1 regret
 
 
-def _f1_grid_tune(scores: np.ndarray, labels: np.ndarray, spec: CmmSpec, n_t: int = 100):
-    """Best deterministic threshold among n_t uniformly spaced values in [0, 1]."""
+def _f1_grid_tune(scores: np.ndarray, labels: np.ndarray, spec: CmmSpec):
+    """Best deterministic threshold among the F1_THRESHOLD_GRID grid points of [0, 1]."""
     sample = SortedSample(scores, labels)
-    ts = np.linspace(0.0, 1.0, n_t)
+    ts = np.linspace(0.0, 1.0, F1_THRESHOLD_GRID)
     j = np.searchsorted(sample.scores, ts, side="right")  # scores <= t are classified 0
     vals = np.asarray(_cmm_values(spec, *sample.cells(j)))
     best = int(np.argmax(vals))
@@ -305,10 +294,10 @@ def _f1_grid_tune(scores: np.ndarray, labels: np.ndarray, spec: CmmSpec, n_t: in
 
 
 def _exp2_trial(args) -> list[tuple]:
-    (master_seed, n_index, n, trial, test_size, pop_f1_uci, pop_f1_nonuci) = args
+    (master_seed, n_index, n, trial, rule, test_size, pop_f1_uci, pop_f1_nonuci) = args
     spec = CmmSpec("f_beta", 1.0)
     r = float(n ** -0.5)
-    k = select_k(experiment2_rule(r), n)
+    k = select_k(k_rule(rule, r), n)
     ss = trial_seed_sequence(master_seed, 2, n_index, trial)
     streams = ss.spawn(4)
     key = _seed_key(master_seed, 2, n_index, trial)
@@ -360,7 +349,7 @@ def run_experiment2(cfg: ExperimentConfig, out=None):
         ).metric_value
     jobs = [
         (
-            cfg.master_seed, n_index, n, trial, cfg.test_size,
+            cfg.master_seed, n_index, n, trial, cfg.k_rule, cfg.test_size,
             pop[(n, "uci")], pop[(n, "nonuci")],
         )
         for n_index, n in enumerate(cfg.n_grid)
@@ -369,28 +358,21 @@ def run_experiment2(cfg: ExperimentConfig, out=None):
     results = _run_jobs(_exp2_trial, jobs, cfg.workers)
     rows = [row for trial_rows in results for row in trial_rows]
 
-    summary_rows = []
-    for n in cfg.n_grid:
-        for eta_name in ("uci", "nonuci"):
-            sel = [r for r in rows if r[0] == n and r[6] == eta_name]
-            linf = np.array([r[7] for r in sel])
-            l1 = np.array([r[8] for r in sel])
-            reg = np.array([r[9] for r in sel])
-            reg_s = np.array([r[10] for r in sel])
-            summary_rows.append(
-                (
-                    n, eta_name, len(sel), sel[0][3], sel[0][4],
-                    float(linf.mean()), _ci95_half(linf),
-                    float(l1.mean()), _ci95_half(l1),
-                    float(reg.mean()), _ci95_half(reg),
-                    float(reg_s.mean()), _ci95_half(reg_s),
-                )
-            )
+    summary_rows = [
+        (
+            first[0], first[6], linf.size, first[3], first[4],
+            float(linf.mean()), _ci95_half(linf),
+            float(l1.mean()), _ci95_half(l1),
+            float(reg.mean()), _ci95_half(reg),
+            float(reg_s.mean()), _ci95_half(reg_s),
+        )
+        for first, (linf, l1, reg, reg_s) in _group_columns(rows, (0, 6), (7, 8, 9, 10))
+    ]
 
     mapping = cfg.to_mapping()
     metadata = _base_metadata(mapping, cfg.master_seed)
     metadata["error_norm_grid"] = ERROR_NORM_GRID
-    metadata["f1_threshold_grid"] = 100
+    metadata["f1_threshold_grid"] = F1_THRESHOLD_GRID
     _maybe_write(out, EXP2_COLUMNS, rows, EXP2_SUMMARY_COLUMNS, summary_rows, metadata)
     return rows, summary_rows
 
@@ -483,12 +465,13 @@ def run_fraud_pipeline(
     results = _run_jobs(_fraud_trial, jobs, workers)
     rows = [row for trial_rows in results for row in trial_rows]
 
-    summary_rows = []
-    for k in sorted({r[2] for r in rows}):
-        for method in ("stochastic", "deterministic"):
-            f1s = np.array([r[5] for r in rows if r[2] == k and r[4] == method])
-            se = float(f1s.std(ddof=1) / np.sqrt(f1s.size)) if f1s.size > 1 else 0.0
-            summary_rows.append((k, method, f1s.size, float(f1s.mean()), se))
+    # Groups come in --k-list order; the summary lists k ascending, and the
+    # stable sort keeps stochastic ahead of deterministic within each k.
+    groups = sorted(_group_columns(rows, (2, 4), (5,)), key=lambda g: g[0][2])
+    summary_rows = [
+        (first[2], first[4], f1s.size, float(f1s.mean()), _standard_error(f1s))
+        for first, (f1s,) in groups
+    ]
 
     mapping = {
         "pipeline": "fraud",

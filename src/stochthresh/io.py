@@ -191,20 +191,12 @@ def load_csv(
 
 def save_csv(ds: LabeledDataset, path, include_draws: bool = True) -> None:
     """Write the dataset back out; floats use repr for exact round trips."""
-    path = Path(path)
-    with_draws = include_draws and ds.draws is not None
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = list(ds.feature_names) + ["label"]
-        if with_draws:
-            header.append("draw")
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [repr(float(v)) for v in ds.covariates[i]]
-            row.append(str(int(ds.labels[i])))
-            if with_draws:
-                row.append(repr(float(ds.draws[i])))
-            writer.writerow(row)
+    header = [*ds.feature_names, "label"]
+    columns = [*ds.covariates.T.tolist(), ds.labels.tolist()]
+    if include_draws and ds.draws is not None:
+        header.append("draw")
+        columns.append(ds.draws.tolist())
+    write_results_csv(path, header, zip(*columns), {})
 
 
 @dataclass(frozen=True)

@@ -44,9 +44,9 @@ from .errors import (
 __all__ = [
     "KnnModel",
     "KSelectionRule",
+    "K_RULES",
+    "k_rule",
     "select_k",
-    "experiment1_rule",
-    "experiment2_rule",
     "uniform_error",
     "average_error",
 ]
@@ -283,14 +283,31 @@ def select_k(rule: KSelectionRule, n: int) -> int:
     return int(min(max(k, 1), n))
 
 
-def experiment1_rule() -> KSelectionRule:
-    """Balanced floored power law: k = floor(n^(2/3))."""
-    return KSelectionRule(alpha=1.0, d=1, r=1.0, regime="balanced", drop_log=True)
+#: The fields each named k rule fixes; :func:`k_rule` fills the rest from
+#: its arguments.
+_K_RULE_FIELDS = {
+    "exp1": {"r": 1.0, "regime": "balanced", "drop_log": True},
+    "exp2": {"regime": "uci", "drop_log": True},
+    "theorem": {"regime": "uci", "drop_log": False},
+    "extreme": {"alpha": 1.0, "d": 1, "r": 1.0, "regime": "extreme"},
+}
+
+#: Names :func:`k_rule` accepts.
+K_RULES = tuple(_K_RULE_FIELDS)
 
 
-def experiment2_rule(r: float) -> KSelectionRule:
-    """Imbalance-scaled floored power law: k = floor(n^(2/3) r^(-1/3))."""
-    return KSelectionRule(alpha=1.0, d=1, r=r, regime="uci", drop_log=True)
+def k_rule(name: str, r: float = 1.0, alpha: float = 1.0, d: int = 1) -> KSelectionRule:
+    """The named k rule at imbalance r, smoothness alpha and dimension d.
+
+    ``exp1`` is the balanced floored power law floor(n^(2a/(2a+d))) and
+    ignores r; ``exp2`` scales it by r^(-d/(2a+d)); ``theorem`` is the
+    rounded (log n)-corrected rule; ``extreme`` is k = n and ignores alpha,
+    d and r.  At the defaults, ``exp1`` gives floor(n^(2/3)) and ``exp2``
+    floor(n^(2/3) r^(-1/3)).
+    """
+    if name not in _K_RULE_FIELDS:
+        raise ParameterDomainError(f"k rule {name!r} not one of {'/'.join(K_RULES)}")
+    return KSelectionRule(**{"alpha": alpha, "d": d, "r": r, **_K_RULE_FIELDS[name]})
 
 
 def _eval_grid(model: KnnModel, eta: RegressionFunctionSpec, grid: int) -> np.ndarray:

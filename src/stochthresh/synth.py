@@ -29,9 +29,7 @@ __all__ = [
     "exp2_nonuci_problem",
     "singleton_problem",
     "constant_problem",
-    "custom_problem",
     "generate",
-    "eval_eta",
 ]
 
 
@@ -102,11 +100,6 @@ def constant_problem(c: float) -> SyntheticProblem:
     return SyntheticProblem(name="constant", eta=eta)
 
 
-def custom_problem(eta: RegressionFunctionSpec, name: str = "custom") -> SyntheticProblem:
-    """Wrap an arbitrary closed-form regression function."""
-    return SyntheticProblem(name=name, eta=eta)
-
-
 def generate(problem: SyntheticProblem, n: int, seed) -> LabeledDataset:
     """Draw n rows (covariate, Bernoulli label, independent uniform draw).
 
@@ -130,8 +123,3 @@ def generate(problem: SyntheticProblem, n: int, seed) -> LabeledDataset:
     return LabeledDataset(
         covariates=x, labels=labels, draws=draws, feature_names=("x0",)
     )
-
-
-def eval_eta(problem: SyntheticProblem, x: float) -> float:
-    """Regression value at a single covariate; out-of-domain points raise."""
-    return float(problem.eta.evaluate(x))

@@ -26,7 +26,7 @@ from stochthresh.bounds import (
 )
 from stochthresh.classify import population_confusion_parts
 from stochthresh.experiments import ExperimentConfig, run_experiment1, run_experiment2
-from stochthresh.knn import KnnModel, experiment2_rule, select_k, uniform_error
+from stochthresh.knn import KnnModel, k_rule, select_k, uniform_error
 from stochthresh.metrics import (
     CmmSpec,
     ConfusionMatrix,
@@ -227,7 +227,7 @@ def test_criterion_5_bound_coverage_on_seeded_runs():
     # Part A: sup-error bound vs observed uniform estimation error.
     problem = exp2_uci_problem(0.05)
     n_a = 2000
-    k = select_k(experiment2_rule(0.05), n_a)
+    k = select_k(k_rule("exp2", 0.05), n_a)
     bound = uniform_error_bound(
         BoundInputs(n=n_a, k=k, r=0.05, eps_star=1.0)
     ).value

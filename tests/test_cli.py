@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from stochthresh.cli import main
 from stochthresh.io import load_csv, save_csv
+from stochthresh.knn import k_rule, select_k
 from stochthresh.metrics import CmmSpec
 from stochthresh.synth import exp1_problem, exp2_nonuci_problem, generate
 from stochthresh.threshold_opt import brute_force_threshold
@@ -131,6 +132,23 @@ def test_fit_knn_rule_based_k(runner, tmp_path):
     assert json.loads(result.output)["k"] == 21  # floor(100^(2/3))
 
 
+@pytest.mark.parametrize("rule", ["exp2", "theorem", "extreme"])
+def test_fit_knn_rule_reads_rule_options_and_dimension(runner, tmp_path, rule):
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(17)))
+    x = gen.random((300, 2))
+    p = write_csv(tmp_path / "d2.csv", ["x0", "x1", "label"],
+                  [[a, b, int(a > b)] for a, b in x.tolist()])
+    result = runner.invoke(
+        main,
+        ["fit-knn", "--data", str(p), "--k-rule", rule,
+         "--rule-r", "0.1", "--rule-alpha", "0.5"],
+    )
+    assert result.exit_code == 0, result.output
+    got = json.loads(result.output)
+    assert got["d"] == 2 and got["n"] == 300
+    assert got["k"] == select_k(k_rule(rule, r=0.1, alpha=0.5, d=2), 300)
+
+
 def test_fit_knn_usage_errors(runner, tmp_path):
     p = tmp_path / "d.csv"
     write_csv(p, ["x", "label"], [[0.1, 0], [0.4, 1]])
@@ -183,6 +201,24 @@ def test_bounds_uniform_block_and_regret(runner):
     assert json.loads(regret.output)["regret_bound"] == pytest.approx(
         0.8440390282599545, rel=1e-10
     )
+
+
+def test_bounds_regret_does_not_depend_on_k(runner):
+    without_k = runner.invoke(main, ["bounds", "--n", "800", "--sup-err", "0.1"])
+    with_k = runner.invoke(
+        main, ["bounds", "--n", "800", "--k", "34", "--r", "0.1", "--sup-err", "0.1"]
+    )
+    assert without_k.exit_code == 0 and with_k.exit_code == 0, with_k.output
+    assert (json.loads(without_k.output)["regret_bound"]
+            == json.loads(with_k.output)["regret_bound"])
+
+
+def test_bounds_checks_eps_star_with_sup_err_alone(runner):
+    result = runner.invoke(
+        main, ["bounds", "--n", "800", "--sup-err", "0.1", "--eps-star", "-1"]
+    )
+    assert result.exit_code == 1
+    assert "eps_star" in result.output
 
 
 def test_bounds_regime_violation_exits_one(runner):

@@ -20,7 +20,7 @@ from stochthresh.experiments import (
     _f1_grid_tune,
 )
 from stochthresh.io import save_csv
-from stochthresh.knn import KnnModel, experiment1_rule, experiment2_rule, select_k
+from stochthresh.knn import KnnModel, k_rule, select_k
 from stochthresh.metrics import CmmSpec, ConfusionMatrix, evaluate_cmm
 from stochthresh.synth import exp1_problem, exp2_nonuci_problem, generate
 from stochthresh.threshold_opt import optimize_population_threshold
@@ -107,7 +107,7 @@ def test_run_experiment1_row_schema_and_regret_identity():
     m_star = optimize_population_threshold(
         exp1_problem().eta, cfg.metric, cfg.grid_t, cfg.grid_p
     ).metric_value
-    expected_k = {20: select_k(experiment1_rule(), 20), 40: select_k(experiment1_rule(), 40)}
+    expected_k = {20: select_k(k_rule("exp1"), 20), 40: select_k(k_rule("exp1"), 40)}
     for row in rows:
         n, trial, key, k, r, metric, method, value, regret = row
         assert n in (20, 40) and trial in (0, 1, 2)
@@ -192,7 +192,7 @@ def test_run_experiment2_row_schema():
         n_index = 0 if n == 30 else 1
         assert key == f"0:2:{n_index}:{trial}"
         assert r == float(n) ** -0.5
-        assert k == select_k(experiment2_rule(r), n)
+        assert k == select_k(k_rule("exp2", r), n)
         assert metric == "f_beta:1"
         assert eta in ("uci", "nonuci")
         assert 0.0 <= l1 <= linf <= 1.0
@@ -202,6 +202,14 @@ def test_run_experiment2_row_schema():
     assert len(summary) == 4
     for srow in summary:
         assert srow[2] == 2  # trials
+
+
+def test_run_experiment2_applies_its_k_rule():
+    rows, summary = run_experiment2(ExperimentConfig(**SMALL_EXP2, k_rule="extreme"))
+    assert [row[3] for row in rows] == [row[0] for row in rows]  # k == n
+    assert [srow[3] for srow in summary] == [srow[0] for srow in summary]
+    rows, _ = run_experiment2(ExperimentConfig(**SMALL_EXP2, k_rule="exp1"))
+    assert [row[3] for row in rows] == [select_k(k_rule("exp1"), row[0]) for row in rows]
 
 
 def test_run_experiment2_deterministic_with_output(tmp_path):
@@ -362,3 +370,55 @@ def test_fraud_pipeline_validation(tmp_path):
         run_fraud_pipeline(path, k_values=())
     with pytest.raises(ParameterDomainError):
         run_fraud_pipeline(path, k_values=(0,))
+
+
+# ---------------------------------------------------------------------------
+# Summaries.
+# ---------------------------------------------------------------------------
+
+
+def _ci95_half_reference(values):
+    if values.size < 2:
+        return 0.0
+    return float(1.96 * values.std(ddof=1) / np.sqrt(values.size))
+
+
+def test_summaries_equal_per_group_scans(tmp_path):
+    """The shared group-by gives the summaries of a separate scan per group."""
+    rows, summary = run_experiment1(ExperimentConfig(**SMALL_EXP1))
+    want = []
+    for n in SMALL_EXP1["n_grid"]:
+        for method in ("stochastic", "deterministic"):
+            sel = [r for r in rows if r[0] == n and r[6] == method]
+            values = np.array([r[7] for r in sel])
+            regrets = np.array([r[8] for r in sel])
+            want.append((n, method, regrets.size, float(values.mean()),
+                         float(regrets.mean()), _ci95_half_reference(regrets)))
+    assert summary == want
+
+    rows, summary = run_experiment2(ExperimentConfig(**SMALL_EXP2))
+    want = []
+    for n in SMALL_EXP2["n_grid"]:
+        for eta in ("uci", "nonuci"):
+            sel = [r for r in rows if r[0] == n and r[6] == eta]
+            cols = [np.array([r[c] for r in sel]) for c in (7, 8, 9, 10)]
+            stats = [f(c) for c in cols for f in (lambda a: float(a.mean()),
+                                                   _ci95_half_reference)]
+            want.append((n, eta, len(sel), sel[0][3], sel[0][4], *stats))
+    assert summary == want
+
+    # An unsorted k list whose large entries clamp to the same k: the
+    # summary lists each k once, ascending, stochastic first.
+    path = _standin_csv(tmp_path, n=40, seed=5)
+    rows, summary = run_fraud_pipeline(path, trials=3, master_seed=0, k_values=(30, 2, 50))
+    want = []
+    for k in sorted({r[2] for r in rows}):
+        for method in ("stochastic", "deterministic"):
+            f1s = np.array([r[5] for r in rows if r[2] == k and r[4] == method])
+            se = float(f1s.std(ddof=1) / np.sqrt(f1s.size)) if f1s.size > 1 else 0.0
+            want.append((k, method, f1s.size, float(f1s.mean()), se))
+    assert [s[:3] for s in summary] == [
+        (2, "stochastic", 3), (2, "deterministic", 3),
+        (24, "stochastic", 6), (24, "deterministic", 6),
+    ]
+    assert summary == want

@@ -175,6 +175,22 @@ def test_save_load_round_trip_is_exact(tmp_path, data):
         assert loaded.draws is None
 
 
+def test_save_csv_exact_text(tmp_path):
+    ds = LabeledDataset(
+        covariates=[[0.1, -2.0], [1e-300, 3.0]],
+        labels=[1, 0],
+        draws=[0.5, 1.0 / 3.0],
+        feature_names=("a", "b"),
+    )
+    path = tmp_path / "two.csv"
+    save_csv(ds, path)
+    assert path.read_bytes() == (
+        b"a,b,label,draw\r\n0.1,-2.0,1,0.5\r\n1e-300,3.0,0,0.3333333333333333\r\n"
+    )
+    save_csv(ds, path, include_draws=False)
+    assert path.read_bytes() == b"a,b,label\r\n0.1,-2.0,1\r\n1e-300,3.0,0\r\n"
+
+
 def test_save_csv_can_exclude_draws(tmp_path):
     ds = LabeledDataset(covariates=[1.0], labels=[1], draws=[0.5])
     path = tmp_path / "nodraw.csv"

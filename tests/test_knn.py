@@ -10,8 +10,7 @@ from stochthresh import (
     KnnModel,
     KSelectionRule,
     average_error,
-    experiment1_rule,
-    experiment2_rule,
+    k_rule,
     select_k,
     uniform_error,
     uniform_error_bound,
@@ -275,15 +274,36 @@ def test_fit_and_predict_validation(rng):
 
 
 def test_imbalance_scaled_rule_values():
-    assert select_k(experiment2_rule(0.01), 10_000) == 2154
+    assert select_k(k_rule("exp2", 0.01), 10_000) == 2154
     # r = n^{-1/2} turns the rule into floor(n^{5/6}) up to float rounding.
-    assert select_k(experiment2_rule(1000 ** -0.5), 1000) == 316
-    assert select_k(experiment2_rule(500 ** -0.5), 500) == 177
+    assert select_k(k_rule("exp2", 1000 ** -0.5), 1000) == 316
+    assert select_k(k_rule("exp2", 500 ** -0.5), 500) == 177
 
 
 def test_balanced_rule_values():
-    assert select_k(experiment1_rule(), 100) == 21
-    assert select_k(experiment1_rule(), 10_000) == 464
+    assert select_k(k_rule("exp1"), 100) == 21
+    assert select_k(k_rule("exp1"), 10_000) == 464
+
+
+def test_named_rule_table():
+    assert knn.K_RULES == ("exp1", "exp2", "theorem", "extreme")
+    assert k_rule("exp1", r=0.1, alpha=0.5, d=2) == KSelectionRule(
+        alpha=0.5, d=2, r=1.0, regime="balanced", drop_log=True
+    )
+    assert k_rule("exp2", r=0.1, alpha=0.5, d=2) == KSelectionRule(
+        alpha=0.5, d=2, r=0.1, regime="uci", drop_log=True
+    )
+    assert k_rule("theorem", r=0.1, alpha=0.5, d=2) == KSelectionRule(
+        alpha=0.5, d=2, r=0.1, regime="uci", drop_log=False
+    )
+    # extreme ignores alpha, d and r, so values its regime never reads pass.
+    assert k_rule("extreme", r=2.0, alpha=0.0, d=0) == KSelectionRule(regime="extreme")
+    # exp1 ignores r the same way.
+    assert k_rule("exp1", r=2.0) == k_rule("exp1")
+    with pytest.raises(ParameterDomainError):
+        k_rule("exp2", r=2.0)
+    with pytest.raises(ParameterDomainError, match="exp1/exp2/theorem/extreme"):
+        k_rule("balanced")
 
 
 def test_extreme_rule_uses_everything():
@@ -304,7 +324,7 @@ def test_log_corrected_rule_dominates_floored_rule():
 def test_rule_clamps_to_sample_size():
     rule = KSelectionRule(alpha=1.0, d=1, r=1e-6, regime="uci", drop_log=True)
     assert select_k(rule, 10) == 10
-    assert select_k(experiment1_rule(), 1) == 1
+    assert select_k(k_rule("exp1"), 1) == 1
 
 
 def test_rule_validation():
@@ -319,7 +339,7 @@ def test_rule_validation():
     with pytest.raises(ParameterDomainError):
         KSelectionRule(regime="other")
     with pytest.raises(ParameterDomainError):
-        select_k(experiment1_rule(), 0)
+        select_k(k_rule("exp1"), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +377,7 @@ def test_observed_uniform_error_stays_below_closed_form_bound():
     r = 0.01
     problem = exp2_uci_problem(r)
     n = 10_000
-    k = select_k(experiment2_rule(r), n)
+    k = select_k(k_rule("exp2", r), n)
     train = generate(problem, n, 12345)
     model = KnnModel.fit(train.covariates, train.labels, k)
     observed = uniform_error(model, problem.eta)

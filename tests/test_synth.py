@@ -5,9 +5,8 @@ import pytest
 
 from stochthresh.errors import ParameterDomainError
 from stochthresh.synth import (
+    SyntheticProblem,
     constant_problem,
-    custom_problem,
-    eval_eta,
     exp1_problem,
     exp2_nonuci_problem,
     exp2_uci_problem,
@@ -32,43 +31,43 @@ def test_imbalance_degree_is_sup_of_regression_function():
 
 def test_three_plateau_problem_values():
     p = exp1_problem()
-    assert eval_eta(p, 0.0) == 0.0
-    assert eval_eta(p, 0.5) == 0.5
-    assert eval_eta(p, 1.0) == 1.0
-    assert eval_eta(p, 0.2) == 0.0
-    assert eval_eta(p, 0.9) == 1.0
+    assert p.eta.evaluate(0.0) == 0.0
+    assert p.eta.evaluate(0.5) == 0.5
+    assert p.eta.evaluate(1.0) == 1.0
+    assert p.eta.evaluate(0.2) == 0.0
+    assert p.eta.evaluate(0.9) == 1.0
 
 
 def test_linear_ramp_problem_values():
     p = exp2_uci_problem(0.2)
-    assert eval_eta(p, 0.0) == 0.2
-    assert eval_eta(p, 1.0) == 0.0
-    assert eval_eta(p, 0.5) == pytest.approx(0.1, abs=1e-15)
+    assert p.eta.evaluate(0.0) == 0.2
+    assert p.eta.evaluate(1.0) == 0.0
+    assert p.eta.evaluate(0.5) == pytest.approx(0.1, abs=1e-15)
 
 
 def test_spike_problem_values():
     p = exp2_nonuci_problem(0.2)
-    assert eval_eta(p, 0.0) == 1.0
-    assert eval_eta(p, 0.1) == 0.5  # halfway down the spike
-    assert eval_eta(p, 0.2) == 0.0
-    assert eval_eta(p, 0.7) == 0.0
+    assert p.eta.evaluate(0.0) == 1.0
+    assert p.eta.evaluate(0.1) == 0.5  # halfway down the spike
+    assert p.eta.evaluate(0.2) == 0.0
+    assert p.eta.evaluate(0.7) == 0.0
     # Full-width spike is a single ramp over the whole domain.
     wide = exp2_nonuci_problem(1.0)
     assert wide.r == 1.0
-    assert eval_eta(wide, 0.5) == 0.5
+    assert wide.eta.evaluate(0.5) == 0.5
 
 
 def test_singleton_and_constant_values():
-    assert eval_eta(singleton_problem(0.7), 0.0) == 0.7
-    assert eval_eta(constant_problem(0.25), 0.83) == 0.25
+    assert singleton_problem(0.7).eta.evaluate(0.0) == 0.7
+    assert constant_problem(0.25).eta.evaluate(0.83) == 0.25
 
 
 def test_custom_problem_wraps_spec():
     eta = RegressionFunctionSpec(pieces=(Piece(0.0, 1.0, 0.4, 0.4),))
-    p = custom_problem(eta, name="flat")
+    p = SyntheticProblem(name="flat", eta=eta)
     assert p.name == "flat"
     assert p.r == 0.4
-    assert eval_eta(p, 0.3) == 0.4
+    assert p.eta.evaluate(0.3) == 0.4
 
 
 def test_problem_parameter_validation():
