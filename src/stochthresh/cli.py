@@ -9,6 +9,7 @@ supplies defaults that explicit flags override.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import json
 from pathlib import Path
@@ -82,7 +83,17 @@ def _parse_int_list(ctx, param, value):
     return items
 
 
-def _load_config(path):
+#: The --config keys each command reads.  exp2 fixes its metric and scores;
+#: the bounds keys are BoundInputs' fields plus the regret bound's input.
+EXP2_CONFIG_KEYS = frozenset({"n_grid", "trials", "seed", "k_rule", "test_size", "workers"})
+EXP1_CONFIG_KEYS = EXP2_CONFIG_KEYS | {"metric", "score_source"}
+FRAUD_CONFIG_KEYS = frozenset({"label_column", "draw_column", "trials", "seed", "k_list",
+                               "downsample", "stratified", "workers"})
+BOUNDS_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(BoundInputs)) | {"sup_err"}
+
+
+def _load_config(path, allowed: frozenset):
+    """The --config JSON object; a key outside ``allowed`` exits 1 naming it."""
     if path is None:
         return {}
     try:
@@ -94,6 +105,12 @@ def _load_config(path):
         raise click.ClickException(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise click.ClickException(f"{path}: config must be a JSON object")
+    unknown = sorted(set(cfg) - allowed)
+    if unknown:
+        raise click.ClickException(
+            f"{path}: unknown config key {unknown[0]!r}; "
+            f"allowed: {', '.join(sorted(allowed))}"
+        )
     return cfg
 
 
@@ -134,19 +151,16 @@ def _experiment_options(fn):
     fn = click.option("--test-size", type=int, default=None)(fn)
     fn = click.option("--k-rule", "rule_name", type=click.Choice(K_RULES), default=None,
                       help="Neighborhood-size rule; defaults to the experiment's own.")(fn)
-    fn = click.option("--grid", type=int, default=None,
-                      help="Population-optimum search grid per axis.")(fn)
     fn = click.option("--workers", type=int, default=None)(fn)
     fn = click.option("--out", type=str, default=None,
                       help="Results CSV path; a *_summary.csv lands beside it.")(fn)
     return fn
 
 
-def _experiment_config(experiment, *, config_path, seed, trials, n_grid, test_size,
-                       rule_name, grid, workers, metric, score_source) -> ExperimentConfig:
+def _experiment_config(experiment, allowed, *, config_path, seed, trials, n_grid,
+                       test_size, rule_name, workers, metric, score_source) -> ExperimentConfig:
     """One ExperimentConfig from flags, then the --config file, then defaults."""
-    config = _load_config(config_path)
-    grid = int(_pick(grid, config, "grid", 401))
+    config = _load_config(config_path, allowed)
     return ExperimentConfig(
         experiment=experiment,
         n_grid=tuple(_pick(n_grid, config, "n_grid", default_n_grid())),
@@ -158,8 +172,6 @@ def _experiment_config(experiment, *, config_path, seed, trials, n_grid, test_si
         score_source=str(_pick(score_source, config, "score_source", "knn")),
         test_size=int(_pick(test_size, config, "test_size", 1000)),
         workers=int(_pick(workers, config, "workers", 1)),
-        grid_t=grid,
-        grid_p=grid,
     )
 
 
@@ -172,7 +184,8 @@ def _experiment_config(experiment, *, config_path, seed, trials, n_grid, test_si
 @_friendly
 def experiment_exp1(out, **options):
     """Balanced plateaus: stochastic vs deterministic threshold regret."""
-    _, summary = run_experiment1(_experiment_config("exp1", **options), out=out)
+    cfg = _experiment_config("exp1", EXP1_CONFIG_KEYS, **options)
+    _, summary = run_experiment1(cfg, out=out)
     for r in summary:
         click.echo(f"n={r[0]} {r[1]}: mean_regret={r[4]:.6f} ci95={r[5]:.6f}")
 
@@ -183,9 +196,8 @@ def experiment_exp1(out, **options):
 def experiment_exp2(out, **options):
     """Shrinking imbalance r = n^-1/2: error norms and F1 regret."""
     # exp2 always tunes F1 on k-NN scores; a --config file sets neither.
-    cfg = _experiment_config(
-        "exp2", metric=CmmSpec("f_beta", 1.0), score_source="knn", **options
-    )
+    cfg = _experiment_config("exp2", EXP2_CONFIG_KEYS, metric=CmmSpec("f_beta", 1.0),
+                             score_source="knn", **options)
     _, summary = run_experiment2(cfg, out=out)
     for r in summary:
         click.echo(
@@ -218,7 +230,7 @@ def experiment_exp2(out, **options):
 def fraud(data_path, label_column, draw_column, trials, seed, k_list, downsample,
           stratified, workers, out, config_path):
     """Imbalanced-data pipeline: z-score, split 60/20/20, tune per k, test F1."""
-    config = _load_config(config_path)
+    config = _load_config(config_path, FRAUD_CONFIG_KEYS)
     rows, summary = run_fraud_pipeline(
         data_path,
         label_column=str(_pick(label_column, config, "label_column", "label")),
@@ -366,46 +378,38 @@ def fit_knn(data_path, label_column, draw_column, k, rule_name, rule_r, rule_alp
 def bounds_cmd(n, k, r, alpha, l_const, d, p_star, delta, eps_star, c_margin,
                beta_margin, l_metric, sup_err, config_path):
     """Evaluate the closed-form bounds; prints a JSON record."""
-    config = _load_config(config_path)
+    config = _load_config(config_path, BOUNDS_CONFIG_KEYS)
     n = _pick(n, config, "n", None)
     if n is None:
         raise click.UsageError("--n is required (flag or config)")
     k = _pick(k, config, "k", None)
     sup_err = _pick(sup_err, config, "sup_err", None)
+    # Checks every parameter, also unread ones; the regret bound ignores k.
+    inputs = BoundInputs(
+        n=int(n),
+        k=1 if k is None else int(k),
+        r=float(_pick(r, config, "r", 1.0)),
+        alpha=float(_pick(alpha, config, "alpha", 1.0)),
+        L=float(_pick(l_const, config, "L", 1.0)),
+        d=int(_pick(d, config, "d", 1)),
+        p_star=float(_pick(p_star, config, "p_star", 1.0)),
+        delta=float(_pick(delta, config, "delta", 0.05)),
+        eps_star=_pick(eps_star, config, "eps_star", None),
+        C_margin=float(_pick(c_margin, config, "C_margin", 1.0)),
+        beta_margin=float(_pick(beta_margin, config, "beta_margin", 1.0)),
+        L_M=float(_pick(l_metric, config, "L_M", 1.0)),
+    )
     out = {
-        "n": int(n),
-        "d": int(_pick(d, config, "d", 1)),
-        "delta": float(_pick(delta, config, "delta", 0.05)),
+        "n": inputs.n,
+        "d": inputs.d,
+        "delta": inputs.delta,
+        "estimation_error_bound": estimation_error_bound(inputs.n, inputs.delta),
+        "shattering_bound": shattering_bound(inputs.n, inputs.d),
     }
-    out["estimation_error_bound"] = estimation_error_bound(out["n"], out["delta"])
-    out["shattering_bound"] = shattering_bound(out["n"], out["d"])
-    if k is not None or sup_err is not None:
-        # The regret bound does not read k, so a sup-error-only call uses k = 1.
-        inputs = BoundInputs(
-            n=out["n"],
-            k=1 if k is None else int(k),
-            r=float(_pick(r, config, "r", 1.0)),
-            alpha=float(_pick(alpha, config, "alpha", 1.0)),
-            L=float(_pick(l_const, config, "L", 1.0)),
-            d=out["d"],
-            p_star=float(_pick(p_star, config, "p_star", 1.0)),
-            delta=out["delta"],
-            eps_star=_pick(eps_star, config, "eps_star", None),
-            C_margin=float(_pick(c_margin, config, "C_margin", 1.0)),
-            beta_margin=float(_pick(beta_margin, config, "beta_margin", 1.0)),
-            L_M=float(_pick(l_metric, config, "L_M", 1.0)),
-        )
-        if k is not None:
-            ub = uniform_error_bound(inputs)
-            out["uniform_error_bound"] = {
-                "value": ub.value,
-                "bias_term": ub.bias_term,
-                "deviation_term": ub.deviation_term,
-                "variance_term": ub.variance_term,
-                "side_failure_probability": ub.side_failure_probability,
-            }
-        if sup_err is not None:
-            out["regret_bound"] = regret_bound(inputs, float(sup_err))
+    if k is not None:
+        out["uniform_error_bound"] = dataclasses.asdict(uniform_error_bound(inputs))
+    if sup_err is not None:
+        out["regret_bound"] = regret_bound(inputs, float(sup_err))
     _echo_json(out)
 
 

@@ -20,15 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classify import StochasticThreshold, empirical_confusion
+from .classify import empirical_confusion
 from .errors import ParameterDomainError
 from .io import LabeledDataset, SplitSpec, load_csv, split, write_results_csv, zscore
 from .knn import K_RULES, KnnModel, average_error, k_rule, select_k, uniform_error
-from .metrics import CmmSpec, evaluate_cmm, _cmm_values
+from .metrics import CmmSpec, evaluate_cmm
 from .synth import exp1_problem, exp2_nonuci_problem, exp2_uci_problem
 from .synth import generate
 from .threshold_opt import (
-    SortedSample,
     optimize_population_threshold,
     optimize_threshold,
     optimize_threshold_deterministic,
@@ -63,8 +62,6 @@ FRAUD_SUMMARY_COLUMNS = ("k", "method", "trials", "mean_f1", "se_f1")
 
 #: Grid resolution used when measuring regression error norms in experiments.
 ERROR_NORM_GRID = 10_000
-#: Number of uniformly spaced thresholds the exp2 deterministic F1 tuner tries.
-F1_THRESHOLD_GRID = 100
 
 
 def default_n_grid() -> tuple[int, ...]:
@@ -85,8 +82,6 @@ class ExperimentConfig:
     score_source: str = "knn"
     test_size: int = 1000
     workers: int = 1
-    grid_t: int = 401
-    grid_p: int = 401
 
     def __post_init__(self) -> None:
         if self.experiment not in ("exp1", "exp2"):
@@ -125,8 +120,6 @@ class ExperimentConfig:
             "k_rule": self.k_rule,
             "score_source": self.score_source,
             "test_size": self.test_size,
-            "grid_t": self.grid_t,
-            "grid_p": self.grid_p,
         }
 
 
@@ -250,9 +243,7 @@ def run_experiment1(cfg: ExperimentConfig, out=None):
     for the generating problem.
     """
     problem = exp1_problem()
-    m_star = optimize_population_threshold(
-        problem.eta, cfg.metric, cfg.grid_t, cfg.grid_p
-    ).metric_value
+    m_star = optimize_population_threshold(problem.eta, cfg.metric).metric_value
     jobs = [
         (
             cfg.master_seed, n_index, n, trial, cfg.metric, cfg.k_rule,
@@ -283,16 +274,6 @@ def run_experiment1(cfg: ExperimentConfig, out=None):
 # Experiment 2: shrinking imbalance, error norms and F1 regret
 
 
-def _f1_grid_tune(scores: np.ndarray, labels: np.ndarray, spec: CmmSpec):
-    """Best deterministic threshold among the F1_THRESHOLD_GRID grid points of [0, 1]."""
-    sample = SortedSample(scores, labels)
-    ts = np.linspace(0.0, 1.0, F1_THRESHOLD_GRID)
-    j = np.searchsorted(sample.scores, ts, side="right")  # scores <= t are classified 0
-    vals = np.asarray(_cmm_values(spec, *sample.cells(j)))
-    best = int(np.argmax(vals))
-    return float(ts[best]), float(vals[best])
-
-
 def _exp2_trial(args) -> list[tuple]:
     (master_seed, n_index, n, trial, rule, test_size, pop_f1_uci, pop_f1_nonuci) = args
     spec = CmmSpec("f_beta", 1.0)
@@ -313,14 +294,12 @@ def _exp2_trial(args) -> list[tuple]:
 
         xs = train.covariates[:, 0]
         scores = model.predict(xs)
-        t_det, _ = _f1_grid_tune(scores, train.labels, spec)
+        det = optimize_threshold_deterministic((scores, train.labels), spec)
         stoch = optimize_threshold((scores, train.labels, train.draws), spec)
 
         test = generate(problem, test_size, test_ss)
         tscores = model.predict(test.covariates[:, 0])
-        det_c = empirical_confusion(
-            StochasticThreshold(t_det, 0.0), (tscores, test.labels, None)
-        )
+        det_c = empirical_confusion(det.threshold, (tscores, test.labels, None))
         sto_c = empirical_confusion(
             stoch.threshold, (tscores, test.labels, test.draws)
         )
@@ -336,17 +315,16 @@ def _exp2_trial(args) -> list[tuple]:
 
 
 def run_experiment2(cfg: ExperimentConfig, out=None):
-    """Error norms and F1 regret as imbalance shrinks with n (r = n^-1/2)."""
+    """Error norms and F1 regret as imbalance shrinks with n (r = n^-1/2).
+
+    Regret is measured against the exact population F1 optimum.
+    """
     spec = CmmSpec("f_beta", 1.0)
-    pop: dict[tuple[int, str], float] = {}
-    for n in cfg.n_grid:
-        r = float(n ** -0.5)
-        pop[(n, "uci")] = optimize_population_threshold(
-            exp2_uci_problem(r).eta, spec, cfg.grid_t, cfg.grid_p
-        ).metric_value
-        pop[(n, "nonuci")] = optimize_population_threshold(
-            exp2_nonuci_problem(r).eta, spec, cfg.grid_t, cfg.grid_p
-        ).metric_value
+    pop = {
+        (n, name): optimize_population_threshold(problem(n ** -0.5).eta, spec).metric_value
+        for n in cfg.n_grid
+        for name, problem in (("uci", exp2_uci_problem), ("nonuci", exp2_nonuci_problem))
+    }
     jobs = [
         (
             cfg.master_seed, n_index, n, trial, cfg.k_rule, cfg.test_size,
@@ -372,7 +350,6 @@ def run_experiment2(cfg: ExperimentConfig, out=None):
     mapping = cfg.to_mapping()
     metadata = _base_metadata(mapping, cfg.master_seed)
     metadata["error_norm_grid"] = ERROR_NORM_GRID
-    metadata["f1_threshold_grid"] = F1_THRESHOLD_GRID
     _maybe_write(out, EXP2_COLUMNS, rows, EXP2_SUMMARY_COLUMNS, summary_rows, metadata)
     return rows, summary_rows
 

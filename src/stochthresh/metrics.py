@@ -149,6 +149,24 @@ class CmmSpec:
         return f"{self.kind}:{self.param:g}"
 
 
+def _cmm_fraction(spec: CmmSpec, tn, fp, fn, tp):
+    """``(num, den)`` of a ratio kind (mcc: ``num / sqrt(den)``), else None.
+
+    Cells may also be numpy polynomials, which the population search uses.
+    """
+    kind = spec.kind
+    if kind == "precision":
+        return tp, tp + fp
+    if kind == "recall":
+        return tp, tp + fn
+    if kind == "f_beta":
+        b2 = spec.param * spec.param
+        return (1.0 + b2) * tp, (1.0 + b2) * tp + fp + b2 * fn
+    if kind == "mcc":
+        return tp * tn - fp * fn, (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
+    return None
+
+
 def _cmm_values(spec: CmmSpec, tn, fp, fn, tp):
     """Evaluate the measure on cells given as floats or aligned arrays.
 
@@ -166,20 +184,10 @@ def _cmm_values(spec: CmmSpec, tn, fp, fn, tp):
         return tp * tn
     if kind == "tp_pow_theta_tn":
         return np.maximum(tp, 0.0) ** spec.param * tn
-    if kind == "precision":
-        num, den = tp, tp + fp
-    elif kind == "recall":
-        num, den = tp, tp + fn
-    elif kind == "f_beta":
-        b2 = spec.param * spec.param
-        num = (1.0 + b2) * tp
-        den = (1.0 + b2) * tp + fp + b2 * fn
-    elif kind == "mcc":
-        den = np.sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
-        num = tp * tn - fp * fn
-    else:  # pragma: no cover - kinds are validated at construction
-        raise ParameterDomainError(f"unknown measure kind {kind!r}")
+    num, den = _cmm_fraction(spec, tn, fp, fn, tp)
     with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "mcc":  # a product rounded below 0 yields nan, hence 0
+            den = np.sqrt(den)
         raw = np.divide(num, den)  # ufunc: scalar 0/0 yields nan, not a raise
     return np.where(den > 0.0, raw, 0.0)
 

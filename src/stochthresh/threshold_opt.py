@@ -10,6 +10,13 @@ search only the cuts between distinct scores: O(n log n) and *exactly*
 optimal, with no grid.  A quadratic brute-force twin sorts on its own and
 re-materializes every prefix from scratch, so it is an independent oracle
 that evaluates measures on bit-identical cells and must agree exactly.
+
+The population search is exact too.  The population cells are linear in
+p on the tie set of a breakpoint (eta's piece values or atom, 0 and 1),
+and of degree <= 2 in t between two breakpoints, so it checks each
+breakpoint with p = 0, 1 and every stationary p; every stationary t
+inside an interval; and each interval's one-sided ends (``nextafter``),
+where a supremum such as precision's at the top of eta is never attained.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .classify import (
     population_confusion_parts,
 )
 from .errors import ParameterDomainError
-from .metrics import CmmSpec, ConfusionMatrix, _cmm_values, evaluate_cmm
+from .metrics import CmmSpec, ConfusionMatrix, _cmm_fraction, _cmm_values, evaluate_cmm
 
 __all__ = [
     "ThresholdSearchResult",
@@ -184,83 +191,84 @@ def optimize_threshold_deterministic(samples, spec: CmmSpec) -> ThresholdSearchR
     )
 
 
-def _golden_section_max(fun, lo: float, hi: float, iters: int = 80):
-    """Golden-section maximization of a unimodal scalar function."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fun(d)
-    x = c if fc >= fd else d
-    return x, max(fc, fd)
+def _roots_in_open_unit(poly: np.poly1d) -> np.ndarray:
+    """Real roots of odd multiplicity of ``poly`` in (-1, 1), by bisection.
+
+    ``poly`` is monotone between consecutive roots of its derivative, so each
+    such interval holds at most one root (Rolle); no eigenvalue solver runs.
+    """
+    if poly.order < 1:
+        return np.empty(0)
+    cuts = np.concatenate(([-1.0], _roots_in_open_unit(poly.deriv()), [1.0]))
+    lo, hi = cuts[:-1], cuts[1:]
+    sign_lo = np.sign(poly(lo))
+    keep = sign_lo * np.sign(poly(hi)) < 0.0
+    lo, hi, sign_lo = lo[keep], hi[keep], sign_lo[keep]
+    for _ in range(64):  # 2 / 2^64 is below any ulp of the mapped threshold
+        mid = (lo + hi) / 2.0
+        left = np.sign(poly(mid)) != sign_lo
+        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+    return (lo + hi) / 2.0
+
+
+def _stationary_points(spec: CmmSpec, cells) -> np.ndarray:
+    """Stationary points in (-1, 1) of the measure on cells that are polynomials in u.
+
+    They are the roots of the quotient rule's numerator on ``_cmm_fraction``
+    (mcc: ``2 N' P - N P'``), of ``theta tp' tn + tp tn'`` for
+    ``tp^theta * tn``, or of a polynomial kind's derivative.
+    """
+    if spec.kind == "tp_pow_theta_tn":
+        tn, tp = cells[0], cells[3]
+        return _roots_in_open_unit(spec.param * tp.deriv() * tn + tp * tn.deriv())
+    fraction = _cmm_fraction(spec, *cells)
+    if fraction is None:
+        return _roots_in_open_unit(_cmm_values(spec, *cells).deriv())
+    num, den = fraction
+    c = 2.0 if spec.kind == "mcc" else 1.0
+    return _roots_in_open_unit(c * num.deriv() * den - num * den.deriv())
 
 
 def optimize_population_threshold(
-    eta: RegressionFunctionSpec,
-    spec: CmmSpec,
-    grid_t: int = 401,
-    grid_p: int = 401,
+    eta: RegressionFunctionSpec, spec: CmmSpec
 ) -> ThresholdSearchResult:
-    """Maximize the population measure over (t, p) for a closed-form eta.
+    """Exactly maximize the population measure over (t, p) for a closed-form eta.
 
-    Grid search over t and p, with the function's exact atom/plateau values
-    injected into the t-candidates so tie-dependent optima are hit exactly,
-    then one golden-section refinement pass in p at the best t.  Population
-    cells come from closed-form integration, not sampling.
+    Every candidate named in the module docstring is evaluated on the
+    closed-form cells; ties break toward the smallest t, then the smallest p.
     """
-    if grid_t < 2 or grid_p < 2:
-        raise ParameterDomainError("population search grids need >= 2 points")
-    extra_t: list[float] = []
-    if eta.atom is not None:
-        extra_t.append(float(eta.atom))
-    for pc in eta.pieces:
-        extra_t.extend((float(pc.v_lo), float(pc.v_hi)))
-    t_cand = np.unique(np.concatenate((np.linspace(0.0, 1.0, grid_t), extra_t)))
-    p_grid = np.linspace(0.0, 1.0, grid_p)
-
-    best_t = best_p = 0.0
-    best_val = -np.inf
-    best_parts = None
-    for t in t_cand:
-        base, tie = population_confusion_parts(eta, float(t))
-        tn = base[0] + p_grid * tie[0]
-        fp = base[1] + p_grid * tie[1]
-        fn = base[2] + p_grid * tie[2]
-        tp = base[3] + p_grid * tie[3]
-        vals = np.asarray(_cmm_values(spec, tn, fp, fn, tp))
-        k = int(np.argmax(vals))
-        if float(vals[k]) > best_val:
-            best_val = float(vals[k])
-            best_t = float(t)
-            best_p = float(p_grid[k])
-            best_parts = (base, tie)
-
-    base, tie = best_parts
-    if any(tie):
-
-        def measure_at_p(p: float) -> float:
-            cells = tuple(b + p * s for b, s in zip(base, tie))
-            return float(_cmm_values(spec, *cells))
-
-        h = 1.0 / (grid_p - 1)
-        lo = max(0.0, best_p - h)
-        hi = min(1.0, best_p + h)
-        p_ref, val_ref = _golden_section_max(measure_at_p, lo, hi)
-        if val_ref > best_val:
-            best_val = val_ref
-            best_p = float(p_ref)
-
+    values = [eta.atom] if eta.atom is not None else [
+        v for pc in eta.pieces for v in (pc.v_lo, pc.v_hi)
+    ]
+    breaks = np.unique(np.concatenate(([0.0, 1.0], values)))
+    cands = []  # (t, p, cells) by ascending t, then p
+    for i, a in enumerate(breaks):
+        # On the tie set at a the cells are linear in p = (1 + u) / 2.
+        base, tie = population_confusion_parts(eta, float(a))
+        lines = [np.poly1d([s / 2.0, c + s / 2.0]) for c, s in zip(base, tie)]
+        stationary_p = (1.0 + _stationary_points(spec, lines)) / 2.0
+        for p in np.concatenate(([0.0], stationary_p, [1.0])):
+            cands.append((a, p, [c + p * s for c, s in zip(base, tie)]))
+        if i + 1 == breaks.size:
+            break
+        # Inside (a, b) they are quadratic in t = mid + half * u; cells at
+        # u = -1/2, 0, 1/2 give the coefficients.
+        b = breaks[i + 1]
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        f_lo, f_mid, f_hi = (
+            np.array(population_confusion_parts(eta, float(mid + half * u))[0])
+            for u in (-0.5, 0.0, 0.5)
+        )
+        quad = np.stack((2.0 * (f_hi + f_lo - 2.0 * f_mid), f_hi - f_lo, f_mid))
+        quads = [np.poly1d(c) for c in quad.T]
+        stationary_t = np.clip(mid + half * _stationary_points(spec, quads), a, b)
+        for t in (np.nextafter(a, b), *stationary_t, np.nextafter(b, a)):
+            cands.append((t, 0.0, population_confusion_parts(eta, float(t))[0]))
+    ts, ps, cells = zip(*cands)
+    vals = np.asarray(_cmm_values(spec, *np.array(cells).T))
+    best = int(np.argmax(vals))
     return ThresholdSearchResult(
-        threshold=StochasticThreshold(best_t, best_p),
-        metric_value=best_val,
+        threshold=StochasticThreshold(float(ts[best]), float(ps[best])),
+        metric_value=float(vals[best]),
         classification_prefix_index=None,
     )

@@ -221,6 +221,15 @@ def test_bounds_checks_eps_star_with_sup_err_alone(runner):
     assert "eps_star" in result.output
 
 
+@pytest.mark.parametrize("flags", [
+    ["--eps-star", "-1", "--r", "7"], ["--alpha", "0"], ["--p-star", "2"],
+    ["--l-const", "0"], ["--c-margin", "-1"], ["--beta-margin", "0"], ["--l-metric", "0"],
+])
+def test_bounds_checks_every_parameter_without_k_or_sup_err(runner, flags):
+    result = runner.invoke(main, ["bounds", "--n", "800", *flags])
+    assert result.exit_code == 1, result.output
+
+
 def test_bounds_regime_violation_exits_one(runner):
     result = runner.invoke(
         main,
@@ -258,6 +267,58 @@ def test_invalid_config_json_exits_one(runner, tmp_path):
     arr = tmp_path / "arr.json"
     arr.write_text("[1,2]", encoding="utf-8")
     assert runner.invoke(main, ["bounds", "--config", str(arr), "--n", "10"]).exit_code == 1
+
+
+CONFIG_COMMANDS = {
+    "exp1": ["experiment", "exp1"],
+    "exp2": ["experiment", "exp2"],
+    "fraud": ["fraud", "--data", "missing.csv"],
+    "bounds": ["bounds", "--n", "800"],
+}
+
+
+@pytest.mark.parametrize("key", ["trails", "grid"])
+@pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+def test_unknown_config_key_exits_one_naming_it(runner, tmp_path, command, key):
+    # The small sizes keep a run short where the key used to be dropped.
+    cfg = tmp_path / "cfg.json"
+    small = {"n_grid": [20, 40], "test_size": 20} if command.startswith("exp") else {}
+    cfg.write_text(json.dumps({key: 1, **small}), encoding="utf-8")
+    result = runner.invoke(main, [*CONFIG_COMMANDS[command], "--config", str(cfg)])
+    assert result.exit_code == 1
+    assert repr(key) in result.output
+
+
+def test_exp2_config_rejects_the_keys_it_fixes(runner, tmp_path):
+    for key, value in (("metric", "accuracy"), ("score_source", "eta")):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value, "n_grid": [20, 40]}), encoding="utf-8")
+        result = runner.invoke(main, ["experiment", "exp2", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert repr(key) in result.output
+
+
+def test_config_accepts_every_key_its_command_reads(runner, tmp_path):
+    data = tmp_path / "d.csv"
+    save_csv(generate(exp2_nonuci_problem(0.3), 120, seed=4), data, include_draws=True)
+    experiment = {"n_grid": [20, 40], "trials": 1, "seed": 3, "k_rule": "theorem",
+                  "test_size": 20, "workers": 1}
+    cases = (
+        (["experiment", "exp1"], {**experiment, "metric": "accuracy", "score_source": "eta"}),
+        (["experiment", "exp2"], experiment),
+        (["fraud", "--data", str(data)],
+         {"label_column": "label", "draw_column": "draw", "trials": 1, "seed": 3,
+          "k_list": [2, 4], "downsample": 0.5, "stratified": True, "workers": 1}),
+        (["bounds"],
+         {"n": 800, "k": 34, "r": 0.1, "alpha": 1.0, "L": 1.0, "d": 1, "p_star": 1.0,
+          "delta": 0.05, "eps_star": 1.0, "C_margin": 1.0, "beta_margin": 1.0,
+          "L_M": 1.0, "sup_err": 0.1}),
+    )
+    cfg = tmp_path / "cfg.json"
+    for args, mapping in cases:
+        cfg.write_text(json.dumps(mapping), encoding="utf-8")
+        result = runner.invoke(main, [*args, "--config", str(cfg)])
+        assert result.exit_code == 0, (args, result.output)
 
 
 # ---------------------------------------------------------------------------

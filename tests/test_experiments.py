@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stochthresh.classify import StochasticThreshold, empirical_confusion
+from stochthresh.classify import empirical_confusion
 from stochthresh.errors import ParameterDomainError
 from stochthresh.experiments import (
     ERROR_NORM_GRID,
@@ -17,13 +17,21 @@ from stochthresh.experiments import (
     run_experiment2,
     run_fraud_pipeline,
     trial_seed_sequence,
-    _f1_grid_tune,
 )
 from stochthresh.io import save_csv
 from stochthresh.knn import KnnModel, k_rule, select_k
-from stochthresh.metrics import CmmSpec, ConfusionMatrix, evaluate_cmm
-from stochthresh.synth import exp1_problem, exp2_nonuci_problem, generate
-from stochthresh.threshold_opt import optimize_population_threshold
+from stochthresh.metrics import CmmSpec, evaluate_cmm
+from stochthresh.synth import (
+    exp1_problem,
+    exp2_nonuci_problem,
+    exp2_uci_problem,
+    generate,
+)
+from stochthresh.threshold_opt import (
+    optimize_population_threshold,
+    optimize_threshold,
+    optimize_threshold_deterministic,
+)
 
 from conftest import argsort_knn_reference, write_csv
 
@@ -104,9 +112,7 @@ def test_run_experiment1_row_schema_and_regret_identity():
     cfg = ExperimentConfig(**SMALL_EXP1)
     rows, summary = run_experiment1(cfg)
     assert len(rows) == 2 * 3 * 2  # n values x trials x methods
-    m_star = optimize_population_threshold(
-        exp1_problem().eta, cfg.metric, cfg.grid_t, cfg.grid_p
-    ).metric_value
+    m_star = optimize_population_threshold(exp1_problem().eta, cfg.metric).metric_value
     expected_k = {20: select_k(k_rule("exp1"), 20), 40: select_k(k_rule("exp1"), 40)}
     for row in rows:
         n, trial, key, k, r, metric, method, value, regret = row
@@ -222,44 +228,42 @@ def test_run_experiment2_deterministic_with_output(tmp_path):
     keys = {
         l[2:].split("=", 1)[0] for l in text.splitlines() if l.startswith("# ")
     }
-    assert {"error_norm_grid", "f1_threshold_grid", "config_sha256"} <= keys
+    assert {"error_norm_grid", "config_sha256"} <= keys
     header_line = [l for l in text.splitlines() if not l.startswith("#")][0]
     assert header_line == ",".join(EXP2_COLUMNS)
     assert (tmp_path / "exp2_summary.csv").exists()
     assert ERROR_NORM_GRID == 10_000
 
 
-# ---------------------------------------------------------------------------
-# Grid threshold tuner used by the shrinking-imbalance experiment.
-# ---------------------------------------------------------------------------
-
-
-def _naive_grid_tune(scores, labels, spec, n_t=100):
-    n = scores.size
-    best_t, best_v = 0.0, -np.inf
-    for t in np.linspace(0.0, 1.0, n_t):
-        pred = scores > t
-        cm = ConfusionMatrix(
-            tn=np.sum(~pred & (labels == 0)) / n,
-            fp=np.sum(pred & (labels == 0)) / n,
-            fn=np.sum(~pred & (labels == 1)) / n,
-            tp=np.sum(pred & (labels == 1)) / n,
+def test_run_experiment2_rows_replay_the_exact_tuners():
+    # Each regret column is the population F1 optimum minus the test F1 of
+    # the threshold the exact search tunes on the trial's training scores.
+    spec = CmmSpec("f_beta", 1.0)
+    cfg = ExperimentConfig(experiment="exp2", n_grid=(100, 1000), trials=3, test_size=200)
+    rows, _ = run_experiment2(cfg)
+    for row in rows:
+        n, trial, _key, k, r, _metric, eta_name, _linf, _l1, reg_d, reg_s = row
+        n_index = cfg.n_grid.index(n)
+        streams = trial_seed_sequence(0, 2, n_index, trial).spawn(4)
+        if eta_name == "uci":
+            problem, (train_ss, test_ss) = exp2_uci_problem(r), streams[0:2]
+        else:
+            problem, (train_ss, test_ss) = exp2_nonuci_problem(r), streams[2:4]
+        train = generate(problem, n, train_ss)
+        test = generate(problem, cfg.test_size, test_ss)
+        model = KnnModel.fit(train.covariates, train.labels, k)
+        scores = model.predict(train.covariates[:, 0])
+        tscores = model.predict(test.covariates[:, 0])
+        det = optimize_threshold_deterministic((scores, train.labels), spec)
+        sto = optimize_threshold((scores, train.labels, train.draws), spec)
+        pop = optimize_population_threshold(problem.eta, spec).metric_value
+        f1_d = evaluate_cmm(
+            spec, empirical_confusion(det.threshold, (tscores, test.labels, None))
         )
-        v = evaluate_cmm(spec, cm)
-        if v > best_v:
-            best_t, best_v = float(t), float(v)
-    return best_t, best_v
-
-
-def test_f1_grid_tune_matches_naive_loop(rng):
-    for spec in (CmmSpec("f_beta", 1.0), CmmSpec("accuracy")):
-        for _ in range(5):
-            n = int(rng.integers(5, 60))
-            scores = rng.integers(0, 11, size=n) / 10.0  # force ties
-            labels = rng.integers(0, 2, size=n)
-            got = _f1_grid_tune(scores, labels, spec)
-            want = _naive_grid_tune(scores, labels, spec)
-            assert got == want
+        f1_s = evaluate_cmm(
+            spec, empirical_confusion(sto.threshold, (tscores, test.labels, test.draws))
+        )
+        assert (reg_d, reg_s) == (pop - f1_d, pop - f1_s), row
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,18 @@ from stochthresh import (
     optimize_population_threshold,
     optimize_threshold,
     optimize_threshold_deterministic,
+    population_confusion,
+    population_confusion_parts,
     representative_specs,
 )
+from stochthresh.classify import Piece, RegressionFunctionSpec
 from stochthresh.errors import ParameterDomainError
+from stochthresh.metrics import _cmm_values
 from stochthresh.threshold_opt import SortedSample
 from stochthresh.synth import (
     exp1_problem,
     exp2_nonuci_problem,
+    exp2_uci_problem,
     generate,
     singleton_problem,
 )
@@ -238,36 +243,90 @@ def test_deterministic_offers_all_one_only_for_positive_scores():
 # ---------------------------------------------------------------------------
 # population search
 
+LINEAR_FRACTIONAL = ("accuracy", "weighted_accuracy", "precision", "recall", "f_beta")
+
+
+def random_plateau_eta(gen: np.random.Generator) -> RegressionFunctionSpec:
+    """Four pieces: plateaus on the quarter lattice, slopes ending on it or not.
+
+    Slopes that end on a plateau's value make breakpoints shared by a tie
+    set and a sloped piece.
+    """
+    knots = np.sort(gen.choice(np.arange(1, 16), size=3, replace=False)) / 16.0
+    edges = np.concatenate(([0.0], knots, [1.0]))
+    pieces = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if gen.random() < 0.5:
+            v = gen.integers(0, 5) / 4.0
+            pieces.append(Piece(lo, hi, v, v))
+        elif gen.random() < 0.5:
+            v0, v1 = gen.integers(0, 5, size=2) / 4.0
+            pieces.append(Piece(lo, hi, v0, v1))
+        else:
+            v0, v1 = gen.random(2)
+            pieces.append(Piece(lo, hi, v0, v1))
+    return RegressionFunctionSpec(pieces=tuple(pieces))
+
+
+def grid_cells(eta: RegressionFunctionSpec, n_t: int = 40_001) -> np.ndarray:
+    """Cells (tn, fp, fn, tp) on an n_t-point t grid plus eta's values, with a
+    101-point p grid wherever t carries tie mass; shape (4, m)."""
+    values = [v for pc in eta.pieces for v in (pc.v_lo, pc.v_hi)]
+    ps = np.linspace(0.0, 1.0, 101)
+    base_cols, tie_cols = [], []
+    for t in np.unique(np.concatenate((np.linspace(0.0, 1.0, n_t), values))):
+        base, tie = population_confusion_parts(eta, float(t))
+        (tie_cols if any(tie) else base_cols).append(base + tie)  # 8 numbers
+    cols = np.array(base_cols)[:, :4].T
+    if tie_cols:
+        ties = np.array(tie_cols)
+        on_ties = ties[:, :4, None] + ps * ties[:, 4:, None]
+        cols = np.concatenate((cols, on_ties.transpose(1, 0, 2).reshape(4, -1)), axis=1)
+    return cols
+
+
+def test_population_search_beats_a_fine_grid():
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(20261018)))
+    etas = [random_plateau_eta(gen) for _ in range(8)]
+    etas += [exp1_problem().eta, exp2_uci_problem(0.01).eta, exp2_nonuci_problem(0.1).eta]
+    for eta in etas:
+        cells = grid_cells(eta)
+        for spec in representative_specs():
+            res = optimize_population_threshold(eta, spec)
+            grid_best = float(np.max(_cmm_values(spec, *cells)))
+            assert res.metric_value >= grid_best - 1e-12, (eta, spec)
+            # The reported (t, p) attains the reported value.
+            c = population_confusion(eta, res.threshold)
+            assert evaluate_cmm(spec, c) == res.metric_value
+            # A linear-fractional measure is monotone in p on a tie set.
+            if spec.kind in LINEAR_FRACTIONAL:
+                assert res.threshold.p in (0.0, 1.0), (eta, spec)
+
 
 def test_singleton_optimum_matches_closed_form():
     eta = singleton_problem(0.5).eta
-    for theta, value_tol in ((0.5, None), (1.0, 1e-4), (2.0, None)):
+    for theta in (0.5, 1.0, 2.0, 3.7):
         res = optimize_population_threshold(eta, CmmSpec("tp_pow_theta_tn", theta))
         assert res.threshold.t == 0.5
-        assert res.threshold.p == pytest.approx(theta / (theta + 1), abs=0.01)
+        assert abs(res.threshold.p - theta / (theta + 1)) <= 1e-9
         assert res.classification_prefix_index is None
-        if value_tol is not None:
-            # (p * 0.5)^theta * (1 - p) * 0.5 at p = 1/2 for theta = 1.
-            assert res.metric_value == pytest.approx(0.0625, abs=value_tol)
+    # (p * 0.5)^theta * (1 - p) * 0.5 at p = 1/2 for theta = 1.
+    assert optimize_population_threshold(
+        eta, CmmSpec("tp_pow_theta_tn", 1.0)
+    ).metric_value == pytest.approx(0.0625, abs=1e-15)
 
 
 def test_three_plateau_population_optimum_is_stochastic():
     res = optimize_population_threshold(exp1_problem().eta, PRODUCT)
-    assert res.threshold.t == 0.5
-    assert res.threshold.p == pytest.approx(0.5, abs=0.01)
-    assert res.metric_value == pytest.approx(25 / 144, abs=1e-4)
+    assert (res.threshold.t, res.threshold.p) == (0.5, 0.5)
+    assert res.metric_value == pytest.approx(25 / 144, abs=1e-16)
 
 
 def test_spike_population_f1_matches_closed_form():
     # For the spike shape the best cut c solves (1-c/r) with u = 1 - t:
     # u^2 + u - 1 = 0, giving F1* = 3 - sqrt(5) independent of r.
-    for r in (0.1, 0.5):
+    for r in (0.01, 0.1, 0.5):
         res = optimize_population_threshold(
             exp2_nonuci_problem(r).eta, CmmSpec("f_beta", 1.0)
         )
-        assert res.metric_value == pytest.approx(3.0 - np.sqrt(5.0), abs=1e-4)
-
-
-def test_population_grid_validation():
-    with pytest.raises(ParameterDomainError):
-        optimize_population_threshold(exp1_problem().eta, PRODUCT, grid_t=1)
+        assert abs(res.metric_value - (3.0 - np.sqrt(5.0))) <= 1e-12
