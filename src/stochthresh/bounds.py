@@ -34,12 +34,13 @@ class BoundInputs:
     ``eps_star`` (the margin radius in which the regime condition
     k/n <= p_star * eps_star^d / 2 must hold) has no principled default and
     is treated as user input: when omitted, the regime condition is not
-    checked and the caller vouches for it.
+    checked and the caller vouches for it.  ``k`` and ``r`` default to 1,
+    which is enough for the bounds that do not read them.
     """
 
     n: int
-    k: int
-    r: float
+    k: int = 1
+    r: float = 1.0
     alpha: float = 1.0
     L: float = 1.0
     d: int = 1

@@ -3,7 +3,10 @@
 Usage errors (bad flags, malformed option values) exit with code 2; data
 and domain errors (missing files, schema violations, infeasible parameter
 combinations) exit with code 1 and a message.  A ``--config`` JSON file
-supplies defaults that explicit flags override.
+supplies defaults that explicit flags override.  Its keys are the option
+names with underscores, and each value is parsed by its flag's own parser,
+so a malformed value exits 2 naming the flag, exactly as on the command
+line; an unreadable file or an unknown key exits 1.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .bounds import (
 from .errors import SchemaError, StochthreshError
 from .experiments import (
     ExperimentConfig,
-    default_n_grid,
     run_experiment1,
     run_experiment2,
     run_fraud_pipeline,
@@ -71,55 +73,62 @@ def _parse_metric(ctx, param, value):
         raise click.UsageError(f"--metric: {exc}") from exc
 
 
-def _parse_int_list(ctx, param, value):
-    if value is None:
-        return None
-    try:
-        items = tuple(int(v) for v in value.replace(" ", "").split(",") if v)
-    except ValueError as exc:
-        raise click.UsageError(f"{param.opts[0]}: {value!r} is not a comma list of ints") from exc
-    if not items:
-        raise click.UsageError(f"{param.opts[0]}: empty list")
-    return items
+class _CommaList(click.ParamType):
+    """A comma list such as ``2,4``, or a JSON list of numbers from --config."""
+
+    def __init__(self, item: type) -> None:
+        self.item = item
+        self.name = f"{item.__name__},..."
+
+    def convert(self, value, param, ctx):
+        parts = value.replace(" ", "").split(",") if isinstance(value, str) else value
+        try:
+            # Items go through str(), so a JSON 2.5 or true fails as it would as a flag.
+            items = tuple(self.item(str(v)) for v in parts if v != "")
+        except (TypeError, ValueError):
+            self.fail(f"{value!r} is not a comma list of {self.item.__name__}s", param, ctx)
+        if not items:
+            self.fail("empty list", param, ctx)
+        return items
 
 
-#: The --config keys each command reads.  exp2 fixes its metric and scores;
-#: the bounds keys are BoundInputs' fields plus the regret bound's input.
-EXP2_CONFIG_KEYS = frozenset({"n_grid", "trials", "seed", "k_rule", "test_size", "workers"})
-EXP1_CONFIG_KEYS = EXP2_CONFIG_KEYS | {"metric", "score_source"}
-FRAUD_CONFIG_KEYS = frozenset({"label_column", "draw_column", "trials", "seed", "k_list",
-                               "downsample", "stratified", "workers"})
-BOUNDS_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(BoundInputs)) | {"sup_err"}
+def _config_defaults(ctx, param, path):
+    """Make the --config JSON object the command's option defaults.
 
-
-def _load_config(path, allowed: frozenset):
-    """The --config JSON object; a key outside ``allowed`` exits 1 naming it."""
+    Click then parses each value with the matching flag's type and
+    callback.  Unreadable files and keys that name no option of the
+    command (``config``, ``out`` and ``data`` are flag-only) exit 1.
+    """
     if path is None:
-        return {}
+        return
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise click.ClickException(str(exc)) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise click.ClickException(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise click.ClickException(f"{path}: config must be a JSON object")
+    allowed = {p.name for p in ctx.command.params} - {"config", "out", "data"}
     unknown = sorted(set(cfg) - allowed)
     if unknown:
         raise click.ClickException(
             f"{path}: unknown config key {unknown[0]!r}; "
             f"allowed: {', '.join(sorted(allowed))}"
         )
-    return cfg
+    ctx.default_map = cfg
 
 
-def _pick(flag_value, config, key, default):
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
+_config_option = click.option(
+    "--config", type=str, is_eager=True, expose_value=False, callback=_config_defaults,
+    help="JSON file of option defaults; flags override.",
+)
+
+
+def _given(options: dict, **library_names) -> dict:
+    """The options that were set, keyed by library name; the rest keep the library default."""
+    return {library_names.get(k, k): v for k, v in options.items() if v is not None}
 
 
 def _echo_json(obj) -> None:
@@ -142,37 +151,18 @@ def experiment() -> None:
 
 
 def _experiment_options(fn):
-    fn = click.option("--config", "config_path", type=str, default=None,
-                      help="JSON file with defaults; flags override.")(fn)
+    fn = _config_option(fn)
     fn = click.option("--seed", type=int, default=None, help="Master seed.")(fn)
     fn = click.option("--trials", type=int, default=None, help="Trials per n.")(fn)
-    fn = click.option("--n-grid", callback=_parse_int_list, default=None,
+    fn = click.option("--n-grid", type=_CommaList(int), default=None,
                       help="Comma list of training sizes.")(fn)
     fn = click.option("--test-size", type=int, default=None)(fn)
-    fn = click.option("--k-rule", "rule_name", type=click.Choice(K_RULES), default=None,
+    fn = click.option("--k-rule", type=click.Choice(K_RULES), default=None,
                       help="Neighborhood-size rule; defaults to the experiment's own.")(fn)
     fn = click.option("--workers", type=int, default=None)(fn)
     fn = click.option("--out", type=str, default=None,
                       help="Results CSV path; a *_summary.csv lands beside it.")(fn)
     return fn
-
-
-def _experiment_config(experiment, allowed, *, config_path, seed, trials, n_grid,
-                       test_size, rule_name, workers, metric, score_source) -> ExperimentConfig:
-    """One ExperimentConfig from flags, then the --config file, then defaults."""
-    config = _load_config(config_path, allowed)
-    return ExperimentConfig(
-        experiment=experiment,
-        n_grid=tuple(_pick(n_grid, config, "n_grid", default_n_grid())),
-        trials=int(_pick(trials, config, "trials", 100)),
-        master_seed=int(_pick(seed, config, "seed", 0)),
-        metric=(metric if metric is not None
-                else CmmSpec.parse(str(config.get("metric", "tp_tn_product")))),
-        k_rule=str(_pick(rule_name, config, "k_rule", "")),
-        score_source=str(_pick(score_source, config, "score_source", "knn")),
-        test_size=int(_pick(test_size, config, "test_size", 1000)),
-        workers=int(_pick(workers, config, "workers", 1)),
-    )
 
 
 @experiment.command("exp1")
@@ -184,7 +174,7 @@ def _experiment_config(experiment, allowed, *, config_path, seed, trials, n_grid
 @_friendly
 def experiment_exp1(out, **options):
     """Balanced plateaus: stochastic vs deterministic threshold regret."""
-    cfg = _experiment_config("exp1", EXP1_CONFIG_KEYS, **options)
+    cfg = ExperimentConfig("exp1", **_given(options, seed="master_seed"))
     _, summary = run_experiment1(cfg, out=out)
     for r in summary:
         click.echo(f"n={r[0]} {r[1]}: mean_regret={r[4]:.6f} ci95={r[5]:.6f}")
@@ -195,9 +185,9 @@ def experiment_exp1(out, **options):
 @_friendly
 def experiment_exp2(out, **options):
     """Shrinking imbalance r = n^-1/2: error norms and F1 regret."""
-    # exp2 always tunes F1 on k-NN scores; a --config file sets neither.
-    cfg = _experiment_config("exp2", EXP2_CONFIG_KEYS, metric=CmmSpec("f_beta", 1.0),
-                             score_source="knn", **options)
+    # exp2 always tunes F1 on k-NN scores; the metric enters config_sha256.
+    cfg = ExperimentConfig("exp2", metric=CmmSpec("f_beta", 1.0),
+                           **_given(options, seed="master_seed"))
     _, summary = run_experiment2(cfg, out=out)
     for r in summary:
         click.echo(
@@ -211,37 +201,28 @@ def experiment_exp2(out, **options):
 
 
 @main.command()
-@click.option("--data", "data_path", type=str, required=True,
+@click.option("--data", type=str, required=True,
               help="CSV with features and a binary label column.")
 @click.option("--label-column", type=str, default=None)
 @click.option("--draw-column", type=str, default=None,
               help="Optional column of stored uniform draws.")
 @click.option("--trials", type=int, default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--k-list", callback=_parse_int_list, default=None,
+@click.option("--k-list", type=_CommaList(int), default=None,
               help="Comma list of neighborhood sizes.")
 @click.option("--downsample", type=float, default=None,
               help="Keep this fraction of negative rows before splitting.")
 @click.option("--stratified/--no-stratified", default=None)
 @click.option("--workers", type=int, default=None)
 @click.option("--out", type=str, default=None)
-@click.option("--config", "config_path", type=str, default=None)
+@_config_option
 @_friendly
-def fraud(data_path, label_column, draw_column, trials, seed, k_list, downsample,
-          stratified, workers, out, config_path):
-    """Imbalanced-data pipeline: z-score, split 60/20/20, tune per k, test F1."""
-    config = _load_config(config_path, FRAUD_CONFIG_KEYS)
-    rows, summary = run_fraud_pipeline(
-        data_path,
-        label_column=str(_pick(label_column, config, "label_column", "label")),
-        draw_column=_pick(draw_column, config, "draw_column", None),
-        trials=int(_pick(trials, config, "trials", 20)),
-        master_seed=int(_pick(seed, config, "seed", 0)),
-        k_values=tuple(_pick(k_list, config, "k_list", (2, 4, 8, 16, 32, 64, 128))),
-        downsample_negative_ratio=_pick(downsample, config, "downsample", None),
-        stratified=bool(_pick(stratified, config, "stratified", False)),
-        workers=int(_pick(workers, config, "workers", 1)),
-        out=out,
+def fraud(data, out, **options):
+    """Imbalanced-data pipeline: split 60/20/20, z-score on train, tune per k, test F1."""
+    _, summary = run_fraud_pipeline(
+        data, out=out,
+        **_given(options, seed="master_seed", k_list="k_values",
+                 downsample="downsample_negative_ratio"),
     )
     for row in summary:
         click.echo(f"k={row[0]} {row[1]}: mean_f1={row[3]:.6f} se={row[4]:.6f}")
@@ -326,7 +307,7 @@ def tune_threshold(data_path, metric, deterministic, seed):
 @click.option("--rule-r", type=float, default=1.0,
               help="Imbalance degree fed to the k rule.")
 @click.option("--rule-alpha", type=float, default=1.0)
-@click.option("--query", "queries", multiple=True,
+@click.option("--query", "queries", type=_CommaList(float), multiple=True,
               help="Query point, comma-separated coordinates; repeatable.")
 @_friendly
 def fit_knn(data_path, label_column, draw_column, k, rule_name, rule_r, rule_alpha, queries):
@@ -338,14 +319,10 @@ def fit_knn(data_path, label_column, draw_column, k, rule_name, rule_r, rule_alp
         k = select_k(k_rule(rule_name, r=rule_r, alpha=rule_alpha, d=ds.d), ds.n)
     model = KnnModel.fit(ds.covariates, ds.labels, k)
     preds = []
-    for q in queries:
-        try:
-            point = [float(v) for v in q.replace(" ", "").split(",") if v]
-        except ValueError as exc:
-            raise click.UsageError(f"--query: {q!r} is not numeric") from exc
+    for point in map(list, queries):
         if len(point) != ds.d:
             raise click.UsageError(
-                f"--query: {q!r} has {len(point)} coordinates, data has d={ds.d}"
+                f"--query: {point} has {len(point)} coordinates, data has d={ds.d}"
             )
         value = model.predict(point[0]) if ds.d == 1 else model.predict(point)
         preds.append({"query": point, "prediction": float(value)})
@@ -357,48 +334,28 @@ def fit_knn(data_path, label_column, draw_column, k, rule_name, rule_r, rule_alp
 
 
 @main.command("bounds")
-@click.option("--n", type=int, default=None)
+@click.option("--n", type=int, required=True)
 @click.option("--k", type=int, default=None)
 @click.option("--r", type=float, default=None)
 @click.option("--alpha", type=float, default=None)
-@click.option("--l-const", "l_const", type=float, default=None,
+@click.option("--l-const", "L", type=float, default=None,
               help="Smoothness constant of the regression shape.")
 @click.option("--d", type=int, default=None)
 @click.option("--p-star", type=float, default=None)
 @click.option("--delta", type=float, default=None)
 @click.option("--eps-star", type=float, default=None)
-@click.option("--c-margin", type=float, default=None)
+@click.option("--c-margin", "C_margin", type=float, default=None)
 @click.option("--beta-margin", type=float, default=None)
-@click.option("--l-metric", type=float, default=None,
+@click.option("--l-metric", "L_M", type=float, default=None,
               help="Lipschitz constant of the measure.")
 @click.option("--sup-err", type=float, default=None,
               help="Regression sup-error to feed the regret bound.")
-@click.option("--config", "config_path", type=str, default=None)
+@_config_option
 @_friendly
-def bounds_cmd(n, k, r, alpha, l_const, d, p_star, delta, eps_star, c_margin,
-               beta_margin, l_metric, sup_err, config_path):
+def bounds_cmd(sup_err, **options):
     """Evaluate the closed-form bounds; prints a JSON record."""
-    config = _load_config(config_path, BOUNDS_CONFIG_KEYS)
-    n = _pick(n, config, "n", None)
-    if n is None:
-        raise click.UsageError("--n is required (flag or config)")
-    k = _pick(k, config, "k", None)
-    sup_err = _pick(sup_err, config, "sup_err", None)
     # Checks every parameter, also unread ones; the regret bound ignores k.
-    inputs = BoundInputs(
-        n=int(n),
-        k=1 if k is None else int(k),
-        r=float(_pick(r, config, "r", 1.0)),
-        alpha=float(_pick(alpha, config, "alpha", 1.0)),
-        L=float(_pick(l_const, config, "L", 1.0)),
-        d=int(_pick(d, config, "d", 1)),
-        p_star=float(_pick(p_star, config, "p_star", 1.0)),
-        delta=float(_pick(delta, config, "delta", 0.05)),
-        eps_star=_pick(eps_star, config, "eps_star", None),
-        C_margin=float(_pick(c_margin, config, "C_margin", 1.0)),
-        beta_margin=float(_pick(beta_margin, config, "beta_margin", 1.0)),
-        L_M=float(_pick(l_metric, config, "L_M", 1.0)),
-    )
+    inputs = BoundInputs(**_given(options))
     out = {
         "n": inputs.n,
         "d": inputs.d,
@@ -406,10 +363,10 @@ def bounds_cmd(n, k, r, alpha, l_const, d, p_star, delta, eps_star, c_margin,
         "estimation_error_bound": estimation_error_bound(inputs.n, inputs.delta),
         "shattering_bound": shattering_bound(inputs.n, inputs.d),
     }
-    if k is not None:
+    if options["k"] is not None:
         out["uniform_error_bound"] = dataclasses.asdict(uniform_error_bound(inputs))
     if sup_err is not None:
-        out["regret_bound"] = regret_bound(inputs, float(sup_err))
+        out["regret_bound"] = regret_bound(inputs, sup_err)
     _echo_json(out)
 
 

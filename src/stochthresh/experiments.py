@@ -359,12 +359,11 @@ def run_experiment2(cfg: ExperimentConfig, out=None):
 
 
 def _fraud_trial(args) -> list[tuple]:
-    (std, master_seed, trial, k_values, fractions, stratified, ratio) = args
+    (data, master_seed, trial, k_values, fractions, stratified, ratio) = args
     spec = CmmSpec("f_beta", 1.0)
     ss = trial_seed_sequence(master_seed, 3, 0, trial)
     split_ss, draw_ss = ss.spawn(2)
     split_seed = int(split_ss.generate_state(1, np.uint64)[0])
-    data = std
     if data.draws is None:
         rng = np.random.Generator(np.random.Philox(draw_ss))
         data = LabeledDataset(
@@ -380,6 +379,9 @@ def _fraud_trial(args) -> list[tuple]:
         downsample_negative_ratio=ratio,
     )
     train, val, test = split(data, spec_split)
+    # Standardize with training statistics only, so nothing of val or test leaks in.
+    train, transform = zscore(train)
+    val, test = transform.apply(val), transform.apply(test)
     kept_pos = train.positive_count + val.positive_count + test.positive_count
     kept_n = train.n + val.n + test.n
     imbalance = (kept_n - kept_pos) / kept_pos if kept_pos else float("inf")
@@ -420,21 +422,21 @@ def run_fraud_pipeline(
     workers: int = 1,
     out=None,
 ):
-    """Load, standardize, split, tune per k on validation, score on test.
+    """Load, split, standardize, tune per k on validation, score on test.
 
-    F1 is the fixed pipeline metric.  Stochastic tuning uses the exact
-    sweep on validation scores; deterministic tuning sweeps the same
-    candidates with p = 0.  Returns (rows, summary_rows).
+    Each trial fits the z-score on its training split and applies it to
+    validation and test.  F1 is the fixed pipeline metric.  Stochastic
+    tuning uses the exact sweep on validation scores; deterministic tuning
+    sweeps the same candidates with p = 0.  Returns (rows, summary_rows).
     """
     if trials < 1:
         raise ParameterDomainError(f"trials={trials!r} must be >= 1")
     if not k_values or any(k < 1 for k in k_values):
         raise ParameterDomainError(f"k_values {k_values!r} must be positive")
     ds = load_csv(data_path, label_column=label_column, draw_column=draw_column)
-    std, _transform = zscore(ds)
     jobs = [
         (
-            std, master_seed, trial, tuple(int(k) for k in k_values),
+            ds, master_seed, trial, tuple(int(k) for k in k_values),
             tuple(fractions), bool(stratified), downsample_negative_ratio,
         )
         for trial in range(trials)
@@ -462,7 +464,9 @@ def run_fraud_pipeline(
         "metric": "f_beta:1",
     }
     metadata = _base_metadata(mapping, master_seed)
-    metadata["zscore"] = "per-feature, population sd (ddof=0), fitted on the full dataset"
+    metadata["zscore"] = (
+        "per-feature, population sd (ddof=0), fitted on each trial's training split"
+    )
     metadata["data_path"] = Path(data_path).name
     _maybe_write(out, FRAUD_COLUMNS, rows, FRAUD_SUMMARY_COLUMNS, summary_rows, metadata)
     return rows, summary_rows

@@ -68,7 +68,8 @@ class LabeledDataset:
                 raise ShapeError(
                     f"{x.shape[0]} rows but {z.shape[0]} draws"
                 )
-            if z.size and (z.min() < 0.0 or z.max() > 1.0):
+            # NaN fails both comparisons, so it is rejected too.
+            if z.size and not (z.min() >= 0.0 and z.max() <= 1.0):
                 raise SchemaError("draws must lie in [0, 1]")
         names = self.feature_names
         if names is None:

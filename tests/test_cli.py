@@ -277,7 +277,7 @@ CONFIG_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("key", ["trails", "grid"])
+@pytest.mark.parametrize("key", ["trails", "grid", "out"])
 @pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
 def test_unknown_config_key_exits_one_naming_it(runner, tmp_path, command, key):
     # The small sizes keep a run short where the key used to be dropped.
@@ -319,6 +319,52 @@ def test_config_accepts_every_key_its_command_reads(runner, tmp_path):
         cfg.write_text(json.dumps(mapping), encoding="utf-8")
         result = runner.invoke(main, [*args, "--config", str(cfg)])
         assert result.exit_code == 0, (args, result.output)
+
+
+@pytest.mark.parametrize("args, mapping, flag", [
+    (["experiment", "exp1"], {"n_grid": 100}, "--n-grid"),
+    (["experiment", "exp1"], {"trials": "x"}, "--trials"),
+    (["bounds"], {"n": 800, "r": "abc"}, "--r"),
+], ids=["exp1-n_grid", "exp1-trials", "bounds-r"])
+def test_malformed_config_value_is_a_usage_error_naming_the_flag(
+    runner, tmp_path, args, mapping, flag
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(mapping), encoding="utf-8")
+    result = runner.invoke(main, [*args, "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{flag}'" in result.output
+    assert "Traceback" not in result.output
+
+
+def _written_files(runner, tmp_path, name, args):
+    out = tmp_path / name / "run.csv"
+    out.parent.mkdir()
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return [out.read_bytes(), (out.parent / "run_summary.csv").read_bytes()]
+
+
+def _fraud_data(tmp_path):
+    data = tmp_path / "d.csv"
+    save_csv(generate(exp2_nonuci_problem(0.3), 120, seed=4), data, include_draws=False)
+    return ["fraud", "--data", str(data), "--trials", "2"]
+
+
+@pytest.mark.parametrize("command, mapping, flags", [
+    ("exp1", {"n_grid": [20, 40], "trials": 2, "metric": "accuracy"},
+     ["--n-grid", "20,40", "--trials", "2", "--metric", "accuracy"]),
+    ("fraud", {"k_list": "2,4"}, ["--k-list", "2,4"]),
+    ("fraud", {"k_list": [2, 4], "downsample": 0.5},
+     ["--k-list", "2,4", "--downsample", "0.5"]),
+], ids=["exp1", "fraud-k_list-text", "fraud-k_list-downsample"])
+def test_config_values_write_the_same_files_as_flags(runner, tmp_path, command, mapping, flags):
+    args = ["experiment", "exp1"] if command == "exp1" else _fraud_data(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(mapping), encoding="utf-8")
+    from_flags = _written_files(runner, tmp_path, "flags", [*args, *flags])
+    from_config = _written_files(runner, tmp_path, "config", [*args, "--config", str(cfg)])
+    assert from_config == from_flags
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stochthresh import experiments
 from stochthresh.classify import empirical_confusion
 from stochthresh.errors import ParameterDomainError
 from stochthresh.experiments import (
@@ -18,7 +19,7 @@ from stochthresh.experiments import (
     run_fraud_pipeline,
     trial_seed_sequence,
 )
-from stochthresh.io import save_csv
+from stochthresh.io import save_csv, zscore
 from stochthresh.knn import KnnModel, k_rule, select_k
 from stochthresh.metrics import CmmSpec, evaluate_cmm
 from stochthresh.synth import (
@@ -364,6 +365,18 @@ def test_fraud_pipeline_writes_files(tmp_path):
         l[2:].split("=", 1)[0] for l in text.splitlines() if l.startswith("# ")
     }
     assert {"config_sha256", "data_path", "zscore"} <= keys
+
+
+def test_fraud_pipeline_fits_zscore_on_training_split(tmp_path, monkeypatch):
+    fitted = []
+
+    def recording_zscore(ds):
+        fitted.append(ds.n)
+        return zscore(ds)
+
+    monkeypatch.setattr(experiments, "zscore", recording_zscore)
+    run_fraud_pipeline(_standin_csv(tmp_path), trials=2, master_seed=1, k_values=(4,))
+    assert fitted == [240, 240]  # the 60 % training split of 400 rows, per trial
 
 
 def test_fraud_pipeline_validation(tmp_path):

@@ -60,6 +60,10 @@ def test_dataset_validation():
         LabeledDataset(covariates=[1.0, 2.0], labels=[0, 1], draws=[0.5, 1.5])
     with pytest.raises(SchemaError):
         LabeledDataset(covariates=[[1.0, 2.0]], labels=[1], feature_names=("a",))
+    # A NaN draw would save to a CSV that load_csv then rejects.
+    for draws in ([np.nan, 0.5], [0.5, np.nan]):
+        with pytest.raises(SchemaError, match=r"draws must lie in \[0, 1\]"):
+            LabeledDataset(covariates=[[0.1], [0.2]], labels=[1, 0], draws=draws)
 
 
 def test_dataset_subset_keeps_order_and_draws():
