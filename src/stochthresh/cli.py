@@ -185,9 +185,7 @@ def experiment_exp1(out, **options):
 @_friendly
 def experiment_exp2(out, **options):
     """Shrinking imbalance r = n^-1/2: error norms and F1 regret."""
-    # exp2 always tunes F1 on k-NN scores; the metric enters config_sha256.
-    cfg = ExperimentConfig("exp2", metric=CmmSpec("f_beta", 1.0),
-                           **_given(options, seed="master_seed"))
+    cfg = ExperimentConfig("exp2", **_given(options, seed="master_seed"))
     _, summary = run_experiment2(cfg, out=out)
     for r in summary:
         click.echo(

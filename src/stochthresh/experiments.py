@@ -11,10 +11,11 @@ timestamps) so byte equality is meaningful across reruns.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__
 from .classify import empirical_confusion
 from .errors import ParameterDomainError
-from .io import LabeledDataset, SplitSpec, load_csv, split, write_results_csv, zscore
+from .io import SplitSpec, load_csv, split, write_results_csv, zscore
 from .knn import K_RULES, KnnModel, average_error, k_rule, select_k, uniform_error
 from .metrics import CmmSpec, evaluate_cmm
 from .synth import exp1_problem, exp2_nonuci_problem, exp2_uci_problem
@@ -63,6 +64,9 @@ FRAUD_SUMMARY_COLUMNS = ("k", "method", "trials", "mean_f1", "se_f1")
 #: Grid resolution used when measuring regression error norms in experiments.
 ERROR_NORM_GRID = 10_000
 
+#: The measure exp2 and the fraud pipeline tune and score.
+F1 = CmmSpec("f_beta", 1.0)
+
 
 def default_n_grid() -> tuple[int, ...]:
     """Ten log-spaced training sizes from 10^2 to 10^4."""
@@ -77,7 +81,7 @@ class ExperimentConfig:
     n_grid: tuple[int, ...] = field(default_factory=default_n_grid)
     trials: int = 100
     master_seed: int = 0
-    metric: CmmSpec = CmmSpec("tp_tn_product")
+    metric: CmmSpec | None = None
     k_rule: str = ""
     score_source: str = "knn"
     test_size: int = 1000
@@ -109,6 +113,14 @@ class ExperimentConfig:
         if rule not in K_RULES:
             raise ParameterDomainError(f"k_rule {rule!r} not one of {'/'.join(K_RULES)}")
         object.__setattr__(self, "k_rule", rule)
+        # exp2 tunes F1 on k-NN scores; it has no other measure or score source.
+        metric = self.metric or (F1 if self.experiment == "exp2" else CmmSpec("tp_tn_product"))
+        if self.experiment == "exp2" and (metric != F1 or self.score_source != "knn"):
+            raise ParameterDomainError(
+                f"exp2 tunes {F1.label()} on knn scores, not {metric.label()} "
+                f"on {self.score_source} scores"
+            )
+        object.__setattr__(self, "metric", metric)
 
     def to_mapping(self) -> dict:
         return {
@@ -171,11 +183,13 @@ def _group_columns(rows, key_cols, value_cols) -> list[tuple[tuple, list[np.ndar
     return [(first, [np.array(v) for v in values]) for first, values in groups.values()]
 
 
-def _run_jobs(fn, jobs: list, workers: int) -> list:
+def _run_jobs(trial, jobs: list, workers: int) -> list[tuple]:
+    """Run ``trial`` on each job and concatenate the rows, in job order."""
     if workers <= 1:
-        return [fn(job) for job in jobs]
+        return [row for job in jobs for row in trial(job)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
+        chunksize = max(1, len(jobs) // (4 * workers))
+        return [row for rows in pool.map(trial, jobs, chunksize=chunksize) for row in rows]
 
 
 def _base_metadata(cfg_mapping: dict, master_seed: int) -> dict:
@@ -198,40 +212,61 @@ def _maybe_write(out, columns, rows, summary_columns, summary_rows, metadata) ->
 
 
 # ---------------------------------------------------------------------------
+# The step every trial shares: tune on one sample, score on held-out rows
+
+
+def _test_values(spec: CmmSpec, tune, test) -> tuple[float, float]:
+    """Test values of the stochastic and the deterministic threshold tuned on ``tune``.
+
+    ``tune`` and ``test`` are ``(scores, labels, draws)`` triples.  The
+    deterministic threshold has p = 0, so it is tuned and tested without draws.
+    """
+    stoch = optimize_threshold(tune, spec)
+    det = optimize_threshold_deterministic(tune[:2], spec)
+    return (
+        evaluate_cmm(spec, empirical_confusion(stoch.threshold, test)),
+        evaluate_cmm(spec, empirical_confusion(det.threshold, (*test[:2], None))),
+    )
+
+
+def _synthetic_trial(cfg: ExperimentConfig, problem, n: int, k: int, streams):
+    """Train on ``n`` rows of ``problem``, test on ``cfg.test_size`` rows.
+
+    Scores come from a k-NN fit on the training rows, or are eta itself when
+    ``cfg.score_source`` is ``"eta"`` (the model is then None).  ``streams``
+    are the training and test seed sequences.  Returns ``(model,
+    _test_values(...))``.
+    """
+    train_ss, test_ss = streams
+    train = generate(problem, n, train_ss)
+    test = generate(problem, cfg.test_size, test_ss)
+    if cfg.score_source == "knn":
+        model = KnnModel.fit(train.covariates, train.labels, k)
+        score = model.predict
+    else:
+        model, score = None, problem.eta.evaluate
+    return model, _test_values(
+        cfg.metric,
+        (score(train.covariates[:, 0]), train.labels, train.draws),
+        (score(test.covariates[:, 0]), test.labels, test.draws),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Experiment 1: balanced plateaus, stochastic vs deterministic regret
 
 
-def _exp1_trial(args) -> list[tuple]:
-    (master_seed, n_index, n, trial, spec, rule, score_source, test_size, m_star) = args
+def _exp1_trial(cfg: ExperimentConfig, m_star: float, job) -> list[tuple]:
+    n_index, n, trial = job
     problem = exp1_problem()
-    ss = trial_seed_sequence(master_seed, 1, n_index, trial)
-    train_ss, test_ss = ss.spawn(2)
-    train = generate(problem, n, train_ss)
-    k = select_k(k_rule(rule, problem.r), n)
-    xs = train.covariates[:, 0]
-    if score_source == "knn":
-        model = KnnModel.fit(train.covariates, train.labels, k)
-        scores = model.predict(xs)
-    else:
-        model = None
-        scores = problem.eta.evaluate(xs)
-    stoch = optimize_threshold((scores, train.labels, train.draws), spec)
-    det = optimize_threshold_deterministic((scores, train.labels), spec)
-
-    test = generate(problem, test_size, test_ss)
-    tq = test.covariates[:, 0]
-    tscores = model.predict(tq) if model is not None else problem.eta.evaluate(tq)
-    val_s = evaluate_cmm(
-        spec, empirical_confusion(stoch.threshold, (tscores, test.labels, test.draws))
-    )
-    val_d = evaluate_cmm(
-        spec, empirical_confusion(det.threshold, (tscores, test.labels, None))
-    )
-    key = _seed_key(master_seed, 1, n_index, trial)
-    label = spec.label()
+    k = select_k(k_rule(cfg.k_rule, problem.r), n)
+    streams = trial_seed_sequence(cfg.master_seed, 1, n_index, trial).spawn(2)
+    _, values = _synthetic_trial(cfg, problem, n, k, streams)
+    key = _seed_key(cfg.master_seed, 1, n_index, trial)
+    label = cfg.metric.label()
     return [
-        (n, trial, key, k, problem.r, label, "stochastic", val_s, m_star - val_s),
-        (n, trial, key, k, problem.r, label, "deterministic", val_d, m_star - val_d),
+        (n, trial, key, k, problem.r, label, method, value, m_star - value)
+        for method, value in zip(("stochastic", "deterministic"), values)
     ]
 
 
@@ -242,18 +277,12 @@ def run_experiment1(cfg: ExperimentConfig, out=None):
     Regret is measured against the exact population optimum of the metric
     for the generating problem.
     """
-    problem = exp1_problem()
-    m_star = optimize_population_threshold(problem.eta, cfg.metric).metric_value
-    jobs = [
-        (
-            cfg.master_seed, n_index, n, trial, cfg.metric, cfg.k_rule,
-            cfg.score_source, cfg.test_size, m_star,
-        )
-        for n_index, n in enumerate(cfg.n_grid)
-        for trial in range(cfg.trials)
-    ]
-    results = _run_jobs(_exp1_trial, jobs, cfg.workers)
-    rows = [row for trial_rows in results for row in trial_rows]
+    if cfg.experiment != "exp1":
+        raise ParameterDomainError(f"run_experiment1 needs an exp1 config, not {cfg.experiment}")
+    m_star = optimize_population_threshold(exp1_problem().eta, cfg.metric).metric_value
+    trial = functools.partial(_exp1_trial, cfg, m_star)
+    jobs = [(i, n, t) for i, n in enumerate(cfg.n_grid) for t in range(cfg.trials)]
+    rows = _run_jobs(trial, jobs, cfg.workers)
 
     summary_rows = [
         (
@@ -274,41 +303,25 @@ def run_experiment1(cfg: ExperimentConfig, out=None):
 # Experiment 2: shrinking imbalance, error norms and F1 regret
 
 
-def _exp2_trial(args) -> list[tuple]:
-    (master_seed, n_index, n, trial, rule, test_size, pop_f1_uci, pop_f1_nonuci) = args
-    spec = CmmSpec("f_beta", 1.0)
+def _exp2_trial(cfg: ExperimentConfig, pop_f1: dict, job) -> list[tuple]:
+    n_index, n, trial = job
     r = float(n ** -0.5)
-    k = select_k(k_rule(rule, r), n)
-    ss = trial_seed_sequence(master_seed, 2, n_index, trial)
-    streams = ss.spawn(4)
-    key = _seed_key(master_seed, 2, n_index, trial)
+    k = select_k(k_rule(cfg.k_rule, r), n)
+    streams = trial_seed_sequence(cfg.master_seed, 2, n_index, trial).spawn(4)
+    key = _seed_key(cfg.master_seed, 2, n_index, trial)
     rows = []
-    for eta_name, problem, pop_f1, (train_ss, test_ss) in (
-        ("uci", exp2_uci_problem(r), pop_f1_uci, streams[0:2]),
-        ("nonuci", exp2_nonuci_problem(r), pop_f1_nonuci, streams[2:4]),
+    for eta_name, problem, eta_streams in (
+        ("uci", exp2_uci_problem(r), streams[0:2]),
+        ("nonuci", exp2_nonuci_problem(r), streams[2:4]),
     ):
-        train = generate(problem, n, train_ss)
-        model = KnnModel.fit(train.covariates, train.labels, k)
+        model, (f1_sto, f1_det) = _synthetic_trial(cfg, problem, n, k, eta_streams)
         linf = uniform_error(model, problem.eta, ERROR_NORM_GRID)
         l1 = average_error(model, problem.eta, ERROR_NORM_GRID)
-
-        xs = train.covariates[:, 0]
-        scores = model.predict(xs)
-        det = optimize_threshold_deterministic((scores, train.labels), spec)
-        stoch = optimize_threshold((scores, train.labels, train.draws), spec)
-
-        test = generate(problem, test_size, test_ss)
-        tscores = model.predict(test.covariates[:, 0])
-        det_c = empirical_confusion(det.threshold, (tscores, test.labels, None))
-        sto_c = empirical_confusion(
-            stoch.threshold, (tscores, test.labels, test.draws)
-        )
-        f1_det = evaluate_cmm(spec, det_c)
-        f1_sto = evaluate_cmm(spec, sto_c)
+        pop = pop_f1[(n, eta_name)]
         rows.append(
             (
-                n, trial, key, k, r, spec.label(), eta_name,
-                linf, l1, pop_f1 - f1_det, pop_f1 - f1_sto,
+                n, trial, key, k, r, cfg.metric.label(), eta_name,
+                linf, l1, pop - f1_det, pop - f1_sto,
             )
         )
     return rows
@@ -319,22 +332,16 @@ def run_experiment2(cfg: ExperimentConfig, out=None):
 
     Regret is measured against the exact population F1 optimum.
     """
-    spec = CmmSpec("f_beta", 1.0)
-    pop = {
-        (n, name): optimize_population_threshold(problem(n ** -0.5).eta, spec).metric_value
+    if cfg.experiment != "exp2":
+        raise ParameterDomainError(f"run_experiment2 needs an exp2 config, not {cfg.experiment}")
+    pop_f1 = {
+        (n, name): optimize_population_threshold(problem(n ** -0.5).eta, cfg.metric).metric_value
         for n in cfg.n_grid
         for name, problem in (("uci", exp2_uci_problem), ("nonuci", exp2_nonuci_problem))
     }
-    jobs = [
-        (
-            cfg.master_seed, n_index, n, trial, cfg.k_rule, cfg.test_size,
-            pop[(n, "uci")], pop[(n, "nonuci")],
-        )
-        for n_index, n in enumerate(cfg.n_grid)
-        for trial in range(cfg.trials)
-    ]
-    results = _run_jobs(_exp2_trial, jobs, cfg.workers)
-    rows = [row for trial_rows in results for row in trial_rows]
+    trial = functools.partial(_exp2_trial, cfg, pop_f1)
+    jobs = [(i, n, t) for i, n in enumerate(cfg.n_grid) for t in range(cfg.trials)]
+    rows = _run_jobs(trial, jobs, cfg.workers)
 
     summary_rows = [
         (
@@ -358,27 +365,25 @@ def run_experiment2(cfg: ExperimentConfig, out=None):
 # Imbalanced-data pipeline on a CSV dataset
 
 
-def _fraud_trial(args) -> list[tuple]:
-    (data, master_seed, trial, k_values, fractions, stratified, ratio) = args
-    spec = CmmSpec("f_beta", 1.0)
+def _fraud_trial(data, master_seed, k_values, plan: SplitSpec, trial) -> list[tuple]:
     ss = trial_seed_sequence(master_seed, 3, 0, trial)
     split_ss, draw_ss = ss.spawn(2)
     split_seed = int(split_ss.generate_state(1, np.uint64)[0])
     if data.draws is None:
         rng = np.random.Generator(np.random.Philox(draw_ss))
-        data = LabeledDataset(
-            covariates=data.covariates,
-            labels=data.labels,
-            draws=rng.random(data.n),
-            feature_names=data.feature_names,
+        data = replace(data, draws=rng.random(data.n))
+    train, val, test = split(data, replace(plan, seed=split_seed))
+    # A feature constant on the training split adds the same term to a query's
+    # distance from every training row and leaves the canonical order as it
+    # is, so it cannot change any neighbour set; it is dropped, since it cannot
+    # be standardized.  With no varying feature, zscore rejects the data.
+    varies = np.any(train.covariates != train.covariates[0], axis=0)
+    if varies.any() and not varies.all():
+        names = tuple(name for name, v in zip(train.feature_names, varies) if v)
+        train, val, test = (
+            replace(ds, covariates=ds.covariates[:, varies], feature_names=names)
+            for ds in (train, val, test)
         )
-    spec_split = SplitSpec(
-        fractions=fractions,
-        seed=split_seed,
-        stratified=stratified,
-        downsample_negative_ratio=ratio,
-    )
-    train, val, test = split(data, spec_split)
     # Standardize with training statistics only, so nothing of val or test leaks in.
     train, transform = zscore(train)
     val, test = transform.apply(val), transform.apply(test)
@@ -394,15 +399,10 @@ def _fraud_trial(args) -> list[tuple]:
     val_path = model.predict_path(val.covariates, k_effs)
     test_path = model.predict_path(test.covariates, k_effs)
     for k_eff, val_scores, test_scores in zip(k_effs, val_path, test_path):
-        sto = optimize_threshold((val_scores, val.labels, val.draws), spec)
-        det = optimize_threshold_deterministic((val_scores, val.labels), spec)
-        f1_s = evaluate_cmm(
-            spec,
-            empirical_confusion(sto.threshold, (test_scores, test.labels, test.draws)),
-        )
-        f1_d = evaluate_cmm(
-            spec,
-            empirical_confusion(det.threshold, (test_scores, test.labels, None)),
+        f1_s, f1_d = _test_values(
+            F1,
+            (val_scores, val.labels, val.draws),
+            (test_scores, test.labels, test.draws),
         )
         rows.append((trial, key, k_eff, imbalance, "stochastic", f1_s))
         rows.append((trial, key, k_eff, imbalance, "deterministic", f1_d))
@@ -417,32 +417,29 @@ def run_fraud_pipeline(
     master_seed: int = 0,
     k_values: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128),
     downsample_negative_ratio: float | None = None,
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
     stratified: bool = False,
     workers: int = 1,
     out=None,
 ):
     """Load, split, standardize, tune per k on validation, score on test.
 
-    Each trial fits the z-score on its training split and applies it to
-    validation and test.  F1 is the fixed pipeline metric.  Stochastic
-    tuning uses the exact sweep on validation scores; deterministic tuning
-    sweeps the same candidates with p = 0.  Returns (rows, summary_rows).
+    Each trial splits the rows a fixed 60/20/20, drops the features constant
+    on its training split, and fits the z-score on that split.  F1 is the
+    fixed pipeline metric.  Stochastic tuning uses the exact sweep on
+    validation scores; deterministic tuning sweeps the same candidates with
+    p = 0.  Returns (rows, summary_rows).
     """
     if trials < 1:
         raise ParameterDomainError(f"trials={trials!r} must be >= 1")
     if not k_values or any(k < 1 for k in k_values):
         raise ParameterDomainError(f"k_values {k_values!r} must be positive")
     ds = load_csv(data_path, label_column=label_column, draw_column=draw_column)
-    jobs = [
-        (
-            ds, master_seed, trial, tuple(int(k) for k in k_values),
-            tuple(fractions), bool(stratified), downsample_negative_ratio,
-        )
-        for trial in range(trials)
-    ]
-    results = _run_jobs(_fraud_trial, jobs, workers)
-    rows = [row for trial_rows in results for row in trial_rows]
+    plan = SplitSpec(stratified=bool(stratified),
+                     downsample_negative_ratio=downsample_negative_ratio)
+    trial = functools.partial(
+        _fraud_trial, ds, master_seed, tuple(int(k) for k in k_values), plan
+    )
+    rows = _run_jobs(trial, list(range(trials)), workers)
 
     # Groups come in --k-list order; the summary lists k ascending, and the
     # stable sort keeps stochastic ahead of deterministic within each k.
@@ -459,9 +456,9 @@ def run_fraud_pipeline(
         "master_seed": master_seed,
         "k_values": list(k_values),
         "downsample_negative_ratio": downsample_negative_ratio,
-        "fractions": list(fractions),
+        "fractions": list(plan.fractions),
         "stratified": bool(stratified),
-        "metric": "f_beta:1",
+        "metric": F1.label(),
     }
     metadata = _base_metadata(mapping, master_seed)
     metadata["zscore"] = (

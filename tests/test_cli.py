@@ -474,6 +474,23 @@ def test_fraud_command_smoke_and_missing_file(runner, tmp_path):
     assert all("mean_f1=" in l for l in lines)
 
 
+def test_fraud_runs_when_a_feature_is_constant_on_a_training_split(runner, tmp_path):
+    # x1 is 1 on one row only, so it is constant on any training split
+    # without that row (here on trial 0's); the trial drops it, not the run.
+    gen = np.random.default_rng(11)
+    x0 = gen.standard_normal(200)
+    labels = (gen.random(200) < 1.0 / (1.0 + np.exp(-2.0 * x0))).astype(int)
+    data = write_csv(
+        tmp_path / "rare.csv", ["x0", "x1", "label"],
+        [[repr(a), int(i == 2), int(y)] for i, (a, y) in enumerate(zip(x0.tolist(), labels))],
+    )
+    result = runner.invoke(
+        main, ["fraud", "--data", str(data), "--trials", "3", "--k-list", "2,4"]
+    )
+    assert result.exit_code == 0, result.output
+    assert len([l for l in result.output.splitlines() if l.startswith("k=")]) == 4
+
+
 def test_fraud_bad_k_list(runner, tmp_path):
     data = tmp_path / "d.csv"
     save_csv(generate(exp2_nonuci_problem(0.3), 60, seed=4), data, include_draws=False)

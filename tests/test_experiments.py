@@ -56,6 +56,7 @@ def test_experiment_config_defaults_and_rule_selection():
     c3 = ExperimentConfig(experiment="exp1", n_grid=(10, 20), k_rule="extreme")
     assert c3.k_rule == "extreme"
     assert c1.n_grid == (10, 20)
+    assert (c1.metric.label(), c2.metric.label()) == ("tp_tn_product", "f_beta:1")
 
 
 def test_experiment_config_validation():
@@ -70,10 +71,19 @@ def test_experiment_config_validation():
         dict(workers=0),
         dict(score_source="other"),
         dict(k_rule="bogus"),
+        dict(experiment="exp2", metric=CmmSpec("accuracy")),
+        dict(experiment="exp2", score_source="eta"),
     ]
     for kwargs in bad:
         with pytest.raises(ParameterDomainError):
             ExperimentConfig(**kwargs)
+
+
+def test_each_driver_rejects_the_other_experiments_config():
+    with pytest.raises(ParameterDomainError, match="needs an exp1 config"):
+        run_experiment1(ExperimentConfig(experiment="exp2", n_grid=(20, 40), trials=1))
+    with pytest.raises(ParameterDomainError, match="needs an exp2 config"):
+        run_experiment2(ExperimentConfig(experiment="exp1", n_grid=(20, 40), trials=1))
 
 
 def test_config_hash_is_canonical():
@@ -377,6 +387,39 @@ def test_fraud_pipeline_fits_zscore_on_training_split(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "zscore", recording_zscore)
     run_fraud_pipeline(_standin_csv(tmp_path), trials=2, master_seed=1, k_values=(4,))
     assert fitted == [240, 240]  # the 60 % training split of 400 rows, per trial
+
+
+def test_fraud_pipeline_drops_a_feature_constant_on_every_row(tmp_path):
+    gen = np.random.default_rng(3)
+    x = gen.standard_normal((200, 2))
+    labels = (gen.random(200) < 1.0 / (1.0 + np.exp(-x.sum(axis=1)))).astype(int)
+    table = [[*map(repr, row), int(y)] for row, y in zip(x.tolist(), labels)]
+    d2 = write_csv(tmp_path / "d2.csv", ["f0", "f1", "label"], table)
+    with_const = write_csv(
+        tmp_path / "d2c.csv", ["f0", "c", "f1", "label"],
+        [[row[0], "1.0", *row[1:]] for row in table],
+    )
+    rows, summary = run_fraud_pipeline(d2, trials=3, master_seed=2, k_values=(2, 8))
+    assert run_fraud_pipeline(
+        with_const, trials=3, master_seed=2, k_values=(2, 8)
+    ) == (rows, summary)
+
+
+def test_fraud_pipeline_config_hash_at_defaults(tmp_path):
+    out = tmp_path / "fraud.csv"
+    run_fraud_pipeline(_standin_csv(tmp_path), out=out)
+    want = config_hash({
+        "pipeline": "fraud",
+        "label_column": "label",
+        "trials": 20,
+        "master_seed": 0,
+        "k_values": [2, 4, 8, 16, 32, 64, 128],
+        "downsample_negative_ratio": None,
+        "fractions": [0.6, 0.2, 0.2],
+        "stratified": False,
+        "metric": "f_beta:1",
+    })
+    assert f"# config_sha256={want}" in out.read_text(encoding="utf-8").splitlines()
 
 
 def test_fraud_pipeline_validation(tmp_path):
