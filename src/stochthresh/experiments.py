@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .classify import empirical_confusion
 from .errors import ParameterDomainError
-from .io import SplitSpec, load_csv, split, write_results_csv, zscore
+from .io import SplitSpec, load_csv, split, varying_features, write_results_csv, zscore
 from .knn import K_RULES, KnnModel, average_error, k_rule, select_k, uniform_error
 from .metrics import CmmSpec, evaluate_cmm
 from .synth import exp1_problem, exp2_nonuci_problem, exp2_uci_problem
@@ -377,7 +377,7 @@ def _fraud_trial(data, master_seed, k_values, plan: SplitSpec, trial) -> list[tu
     # distance from every training row and leaves the canonical order as it
     # is, so it cannot change any neighbour set; it is dropped, since it cannot
     # be standardized.  With no varying feature, zscore rejects the data.
-    varies = np.any(train.covariates != train.covariates[0], axis=0)
+    varies = varying_features(train.covariates)
     if varies.any() and not varies.all():
         names = tuple(name for name, v in zip(train.feature_names, varies) if v)
         train, val, test = (

@@ -1,7 +1,10 @@
 """Dataset container, CSV round-tripping, standardization and splitting.
 
 CSV files are UTF-8 with a header row.  Floats are written with ``repr`` so
-a save/load round trip reproduces every value bit-for-bit.  Datasets may
+a save/load round trip reproduces every value bit-for-bit.  Loading parses
+the data rows with one ``np.loadtxt`` pass and keeps its arrays only when
+they provably equal the row-by-row ``csv`` parse; otherwise that parse
+reruns and decides the result or the error.  Datasets may
 carry a stored uniform draw per row (used by stochastic thresholds to make
 tie-breaking reproducible); the draw column is opt-in by name on load so it
 is never confused with a feature.
@@ -32,6 +35,7 @@ __all__ = [
     "load_csv",
     "save_csv",
     "zscore",
+    "varying_features",
     "split",
     "write_results_csv",
 ]
@@ -115,31 +119,122 @@ def load_csv(
     All columns except the label (and the optional draw column) are features,
     kept in header order.  Labels must be exactly 0 or 1; missing cells and
     unparsable numbers raise with the offending line number.
+
+    The row-by-row ``csv`` parse decides every result and every error.  One
+    ``np.loadtxt`` pass over the data rows stands in for it only when it
+    provably gives the same arrays (see :func:`_load_vectorized`); in any
+    other case the row parse reruns on the file.  The one check loadtxt does
+    not share is ``csv.field_size_limit()``: a numeric cell longer than it
+    loads instead of raising ``csv.Error``.
     """
     path = Path(path)
+    ds = _load_vectorized(path, label_column, draw_column)
+    return ds if ds is not None else _load_rows(path, label_column, draw_column)
+
+
+def _read_header(
+    reader, path: Path, label_column: str, draw_column: str | None
+) -> tuple[list[str], int, int | None, list[int]]:
+    """(header, label index, draw index or None, feature indices) of a CSV."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file, expected a header row") from None
+    header = [h.strip() for h in header]
+    if label_column not in header:
+        raise SchemaError(
+            f"{path}: no {label_column!r} column in header {header}"
+        )
+    if draw_column is not None and draw_column not in header:
+        raise SchemaError(
+            f"{path}: no {draw_column!r} column in header {header}"
+        )
+    label_i = header.index(label_column)
+    draw_i = header.index(draw_column) if draw_column is not None else None
+    feature_is = [
+        i for i in range(len(header)) if i != label_i and i != draw_i
+    ]
+    if not feature_is:
+        raise SchemaError(f"{path}: no feature columns besides {label_column!r}")
+    return header, label_i, draw_i, feature_is
+
+
+def _line_count(text: str) -> int:
+    r"""Lines of non-empty text as a ``newline=""`` file splits it: at \n, \r, \r\n."""
+    n = text.count("\n")
+    if "\r" in text:
+        n += text.count("\r") - text.count("\r\n")
+    if not text.endswith(("\n", "\r")):
+        n += 1  # an unterminated last line
+    return n
+
+
+def _load_vectorized(
+    path: Path, label_column: str, draw_column: str | None
+) -> LabeledDataset | None:
+    """The dataset by one ``np.loadtxt`` pass, or None to leave it to the rows.
+
+    Both parsers split unquoted lines at commas and convert each stripped
+    cell with the same correctly rounded string-to-double routine; loadtxt
+    only accepts less (no ``1_0``, no non-ASCII digits).  So its arrays are
+    the row parse's, bit for bit, once these hold: the file can be read
+    twice; no data cell holds a quote; every line is a row of
+    ``len(header)`` cells (loadtxt skips blank lines, which the rows
+    reject); labels are 0 or 1 and draws lie in [0, 1], NaN excluded.
+    """
+    with path.open(newline="", encoding="utf-8") as fh:
+        if not fh.seekable():
+            return None
+        reader = csv.reader(fh)
+        header, label_i, draw_i, feature_is = _read_header(
+            reader, path, label_column, draw_column
+        )
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            return None
+        # No data, or a blank first data line (loadtxt would skip it, or warn
+        # when every line is blank): the row parse raises on either.
+        if text[:1] in ("", "\n", "\r") or '"' in text:
+            return None
+        lines = _line_count(text)
+        del text  # freed before loadtxt allocates the arrays
+        fh.seek(0)
+        try:
+            values = np.loadtxt(
+                fh, delimiter=",", comments=None, dtype=np.float64,
+                ndmin=2, skiprows=reader.line_num,
+            )
+        except ValueError:
+            return None
+    if values.shape != (lines, len(header)):
+        return None
+    labels = values[:, label_i]
+    if not np.all((labels == 0.0) | (labels == 1.0)):
+        return None
+    draws = None
+    if draw_i is not None:
+        draws = values[:, draw_i].copy()
+        # NaN fails both comparisons.
+        if not (draws.min() >= 0.0 and draws.max() <= 1.0):
+            return None
+    return LabeledDataset(
+        covariates=np.ascontiguousarray(values[:, feature_is]),
+        labels=labels.astype(np.int64),
+        draws=draws,
+        feature_names=tuple(header[i] for i in feature_is),
+    )
+
+
+def _load_rows(
+    path: Path, label_column: str, draw_column: str | None
+) -> LabeledDataset:
+    """The row-by-row ``csv`` parse that decides :func:`load_csv`."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        if label_column not in header:
-            raise SchemaError(
-                f"{path}: no {label_column!r} column in header {header}"
-            )
-        if draw_column is not None and draw_column not in header:
-            raise SchemaError(
-                f"{path}: no {draw_column!r} column in header {header}"
-            )
-        label_i = header.index(label_column)
-        draw_i = header.index(draw_column) if draw_column is not None else None
-        feature_is = [
-            i for i in range(len(header)) if i != label_i and i != draw_i
-        ]
-        if not feature_is:
-            raise SchemaError(f"{path}: no feature columns besides {label_column!r}")
-
+        header, label_i, draw_i, feature_is = _read_header(
+            reader, path, label_column, draw_column
+        )
         rows: list[list[float]] = []
         labels: list[int] = []
         draws: list[float] = []
@@ -224,11 +319,17 @@ class ZScoreTransform:
         )
 
 
+def varying_features(covariates: np.ndarray) -> np.ndarray:
+    """Per column of an (n, d) matrix: does any value differ from row 0's?"""
+    return np.any(covariates != covariates[0], axis=0)
+
+
 def zscore(ds: LabeledDataset) -> tuple[LabeledDataset, ZScoreTransform]:
     """Standardize features to mean 0, sd 1; labels and draws pass through."""
     means = ds.covariates.mean(axis=0)
     sds = ds.covariates.std(axis=0)
-    flat = np.flatnonzero(sds == 0.0)
+    # A constant column's mean can round, leaving a tiny nonzero sd behind.
+    flat = np.flatnonzero(~varying_features(ds.covariates) | (sds == 0.0))
     if flat.size:
         name = ds.feature_names[int(flat[0])]
         raise DegenerateFeatureError(

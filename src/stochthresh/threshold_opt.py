@@ -66,16 +66,23 @@ class SortedSample:
     """A sample in sweep order with its cumulative positive count.
 
     Rows sort by score ascending, then draw descending, then original index
-    — the order of ``np.lexsort((-draws, scores))`` — by two stable
-    argsorts; a packed (score, draw) key could not separate draws closer
-    than an ulp.  Without draws the order is one stable argsort by score.
+    — the order of ``np.lexsort((-draws, scores))`` — by a draw argsort and
+    then a stable score argsort; a packed (score, draw) key could not
+    separate draws closer than an ulp.  The draw argsort is unstable, which
+    gives the stable order whenever no two draws compare equal; if two do
+    (``0.0 == -0.0`` included), it is redone stably.  Without draws the
+    order is one stable argsort by score.
     """
 
     def __init__(self, scores: np.ndarray, labels: np.ndarray, draws=None):
         if draws is None:
             order = np.argsort(scores, kind="stable")
         else:
-            by_draw = np.argsort(-draws, kind="stable")
+            neg = -draws
+            by_draw = np.argsort(neg)
+            sorted_neg = neg[by_draw]
+            if np.any(sorted_neg[1:] == sorted_neg[:-1]):
+                by_draw = np.argsort(neg, kind="stable")
             order = by_draw[np.argsort(scores[by_draw], kind="stable")]
         self.scores = scores[order]
         self.draws = None if draws is None else draws[order]

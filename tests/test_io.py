@@ -1,11 +1,15 @@
 """Tests for dataset I/O, standardization, and splitting."""
 
+import os
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import stochthresh.io
 from stochthresh.errors import (
     DegenerateFeatureError,
     DegenerateInputError,
@@ -22,6 +26,7 @@ from stochthresh.io import (
     load_csv,
     save_csv,
     split,
+    varying_features,
     write_results_csv,
     zscore,
 )
@@ -148,6 +153,122 @@ def test_load_csv_schema_errors(tmp_path):
         load_csv(p)
 
 
+def _outcome(load, path, draw_column):
+    """A loader's dataset, or the type and text of what it raised."""
+    try:
+        return load(path, "label", draw_column)
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+
+
+def _same_arrays(a, b) -> bool:
+    return (
+        a.dtype == b.dtype
+        and np.array_equal(a, b, equal_nan=True)
+        and a.tobytes() == b.tobytes()
+    )
+
+
+# (file text, draw column): each case the vectorized load has to get right or
+# hand to the row parse.
+LOAD_CASES = {
+    "blank line mid-file": ("x,label\n0.5,1\n\n0.25,0\n", None),
+    "blank lines only": ("x,label\n\n\n", None),
+    "whitespace-only line": ("x,label\n0.5,1\n  \n", None),
+    "crlf": ("x,label,draw\r\n0.5,1,0.25\r\n0.1,0,0.75\r\n", "draw"),
+    "bare cr": ("x,label\r0.5,1\r0.25,0\r", None),
+    "no final newline": ("x,label\n0.5,1\n0.25,0", None),
+    "quoted cell": ('x,label\n"0.5",1\n0.25,0\n', None),
+    "quoted header": ('"x","label"\n0.5,1\n0.25,0\n', None),
+    "underscore digits": ("x,label\n1_0,1\n0.25,0\n", None),
+    "non-ascii digit": ("x,label\n٣,1\n0.25,0\n", None),
+    "extra field": ("x,label\n0.5,1\n0.25,0,7\n", None),
+    "trailing comma": ("x,label\n0.5,1,\n", None),
+    "decimal comma": ("x,label\n0,5,1\n", None),
+    "space-padded cells": ("x,y,label\n 0.5 , -2 , 1 \n\t0.25,3e-1\t,0\n", None),
+    "nan label": ("x,label\n0.5,1\n0.25,nan\n", None),
+    "label 2": ("x,label\n0.5,1\n0.25,2\n", None),
+    "negative zero label": ("x,label\n0.5,-0\n0.25,1.0\n", None),
+    "draw -0.0 and subnormals": (
+        "x,label,draw\n0.5,1,-0.0\n0.25,0,5e-324\n0.1,1,2.2250738585072009e-308\n"
+        "0.2,0,4.9406564584124654e-324\n",
+        "draw",
+    ),
+    "draw above 1": ("x,label,draw\n0.5,1,0.5\n0.25,0,1.0000000000000002\n", "draw"),
+    "nan draw": ("x,label,draw\n0.5,1,0.5\n0.25,0,nan\n", "draw"),
+    "inf and nan features": (
+        "x,y,label\ninf,nan,1\n-inf,-nan,0\n-Infinity,+nan,1\n", None
+    ),
+    "empty cell": ("x,y,label\n1.0,,1\n", None),
+    "header only": ("x,label\n", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOAD_CASES))
+def test_load_csv_equals_the_row_parse(tmp_path, name):
+    text, draw_column = LOAD_CASES[name]
+    path = tmp_path / "case.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning fails the case too
+        got = _outcome(load_csv, path, draw_column)
+    want = _outcome(stochthresh.io._load_rows, path, draw_column)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, LabeledDataset)
+    assert got.feature_names == want.feature_names
+    assert _same_arrays(got.covariates, want.covariates)
+    assert _same_arrays(got.labels, want.labels)
+    if draw_column is None:
+        assert got.draws is None and want.draws is None
+    else:
+        assert _same_arrays(got.draws, want.draws)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_csv_reads_a_pipe():
+    # A pipe is read once; the vectorized pass needs a second read.
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, b"x,label\n0.5,1\n0.25,0\n")
+        os.close(write_fd)
+        ds = load_csv(f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)
+    assert ds.covariates[:, 0].tolist() == [0.5, 0.25]
+    assert ds.labels.tolist() == [1, 0]
+
+
+def test_load_csv_takes_the_vectorized_path_on_numeric_tables(tmp_path, monkeypatch):
+    def no_row_parse(*args):
+        raise AssertionError("the row parse ran")
+
+    monkeypatch.setattr(stochthresh.io, "_load_rows", no_row_parse)
+    gen = np.random.default_rng(3)
+    # Scored, as a tuned sample is written: two-decimal scores, 9-digit draws.
+    score_txt = [repr(i / 100.0) for i in gen.integers(0, 101, 300).tolist()]
+    labels = gen.integers(0, 2, 300)
+    draw_txt = [f"0.{i:09d}" for i in gen.integers(0, 10**9, 300).tolist()]
+    lines = [f"{s},{y},{z}" for s, y, z in zip(score_txt, labels, draw_txt)]
+    for newline in ("\n", "\r\n"):
+        path = tmp_path / "tune.csv"
+        path.write_bytes(newline.join(["score,label,draw", *lines, ""]).encode())
+        ds = load_csv(path, draw_column="draw")
+        assert ds.covariates[:, 0].tolist() == [float(s) for s in score_txt]
+        assert ds.labels.tolist() == labels.tolist()
+        assert ds.draws.tolist() == [float(z) for z in draw_txt]
+    # Features in repr form, d = 3, as the fraud pipeline reads them.
+    x = gen.standard_normal((200, 3)) * [1.0, 1e-3, 1e5]
+    y = gen.integers(0, 2, 200)
+    path = write_csv(tmp_path / "fraud.csv", ["f0", "f1", "f2", "label"],
+                     [[*map(repr, row), int(lab)] for row, lab in zip(x.tolist(), y)])
+    ds = load_csv(path)
+    assert ds.covariates.tobytes() == x.tobytes()
+    assert ds.covariates.flags.c_contiguous
+    assert ds.labels.tolist() == y.tolist()
+
+
 @settings(
     deadline=None,
     max_examples=60,
@@ -234,6 +355,16 @@ def test_zscore_rejects_constant_feature():
         labels=[0, 1],
         feature_names=("ok", "flat"),
     )
+    with pytest.raises(DegenerateFeatureError, match="'flat'"):
+        zscore(ds)
+
+
+def test_zscore_rejects_constant_feature_whose_mean_rounds():
+    # 240 copies of 0.1 have mean 0.10000000000000002 and a tiny nonzero sd.
+    x = np.column_stack((np.arange(240.0), np.full(240, 0.1)))
+    assert x[:, 1].std() != 0.0
+    ds = LabeledDataset(covariates=x, labels=[0, 1] * 120, feature_names=("ok", "flat"))
+    assert varying_features(ds.covariates).tolist() == [True, False]
     with pytest.raises(DegenerateFeatureError, match="'flat'"):
         zscore(ds)
 

@@ -175,6 +175,27 @@ def test_kernel_order_equals_lexsort(pairs):
     assert np.array_equal(sample.draws, draws[want])
 
 
+@pytest.mark.parametrize("first, last", [(10, 15_000), (100, 19_000), (0, 19_999)])
+@pytest.mark.parametrize("pair", [(0.5, 0.5), (0.0, -0.0)])
+def test_kernel_order_with_one_equal_draw_pair_at_size(first, last, pair):
+    # Distinct draws but for one equal pair far apart, at a shared score, so
+    # only the pair's order tells an unstable draw sort from the stable one.
+    n = 20_000
+    gen = np.random.default_rng(11)
+    draws = (gen.permutation(n) + 1.0) / (n + 1.0)
+    draws[[first, last]] = pair
+    scores = gen.integers(0, 50, n) / 49.0
+    scores[last] = scores[first]
+    labels = gen.integers(0, 2, n)
+    labels[[first, last]] = (1, 0)
+    want = lexsort_sweep_reference(scores, draws)
+    sample = SortedSample(scores, labels, draws)
+    assert np.array_equal(sample.cum_pos[1:], np.cumsum(labels[want]))
+    # Bytes, since 0.0 == -0.0 hides a swapped pair from np.array_equal.
+    assert sample.draws.tobytes() == draws[want].tobytes()
+    assert np.array_equal(sample.scores, scores[want])
+
+
 def generator_candidates(s: np.ndarray) -> list[int]:
     """Deterministic candidates as a loop over the sorted scores."""
     cand = [0] if s[0] > 0.0 else []
