@@ -238,7 +238,9 @@ def _load_rows(
         rows: list[list[float]] = []
         labels: list[int] = []
         draws: list[float] = []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            # The physical line the row ends on; a quoted field may span lines.
+            line_no = reader.line_num
             if len(row) != len(header):
                 raise ParseError(
                     f"{path}: line {line_no}: expected {len(header)} fields, "

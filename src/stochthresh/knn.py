@@ -15,15 +15,21 @@ O((n + m) log n) overall, exact, no distance matrix.  Several k share the
 sorted covariates, prefix sums and run bounds; only the boundary sums are
 per k.
 
-In more dimensions, exact squared distances are computed in query blocks
-whose ``(rows, n, d)`` temporary stays under a fixed element budget.  Each
-distance row is partitioned to ``k_max``; the candidates are every training
-row strictly closer than the ``k_max``-th smallest distance plus the
-canonically earliest rows at exactly that distance, ordered by (distance,
-canonical index).  Cumulative label sums along that order give the
-prediction for every ``k <= k_max`` from one distance pass:
-:meth:`KnnModel.predict_path`.  Single-k :meth:`KnnModel.predict` is the
-one-element case.
+In more dimensions, query rows go in blocks of ``budget // (n * d)``
+rows, so a ``(rows, n, d)`` temporary stays under a fixed element budget;
+the few ``(rows, n)`` arrays of the filter below hold at most
+``budget / d`` elements each.
+Each block is filtered with one GEMM: the expanded squared distances
+``|q|^2 - 2 q.x + |x|^2`` are partitioned to ``k_max``, and every training
+row within a proven rounding-error slack of that ``k_max``-th value stays a
+candidate.  The candidates' exact squared distances ``((q - x)**2).sum()``
+are then recomputed, and the selection runs on them bit for bit as on the
+full distance row: every candidate strictly closer than the ``k_max``-th
+smallest distance plus the canonically earliest ones at exactly that
+distance, ordered by (distance, canonical index).  Cumulative label sums
+along that order give the prediction for every ``k <= k_max`` from one
+distance pass: :meth:`KnnModel.predict_path`.  Single-k
+:meth:`KnnModel.predict` is the one-element case.
 """
 
 from __future__ import annotations
@@ -55,6 +61,9 @@ __all__ = [
 #: Largest (query rows x training rows x d) distance temporary, in float64
 #: elements (8 MiB); a block always holds at least one query row.
 _BLOCK_ELEMENTS = 1 << 20
+
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
 
 
 def _check_k(k, n: int) -> int:
@@ -204,15 +213,34 @@ class KnnModel:
         return rows
 
     def _path_nd(self, q: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
-        m, n = q.shape[0], self.n
+        m, n, d = q.shape[0], self.n, self.d
         k_max = max(ks)
         cols_k = np.asarray(ks) - 1
         ks_f = np.asarray(ks, dtype=np.float64)
         out = np.empty((len(ks), m), dtype=np.float64)
-        chunk = max(1, _BLOCK_ELEMENTS // (n * self.d))
+        sq_x = np.einsum("ij,ij->i", self.x, self.x)
+        chunk = max(1, _BLOCK_ELEMENTS // (n * d))
         for i0 in range(0, m, chunk):
             block = q[i0 : i0 + chunk]
-            d2 = ((block[:, None, :] - self.x[None, :, :]) ** 2).sum(axis=2)
+            rows = block.shape[0]
+            admit = _gemm_filter(block, self.x, sq_x, k_max)
+            # Recheck: exact distances of the admitted columns only, one query
+            # per row in ascending canonical index, padded with NaN (which
+            # never compares true; each row admits at least k_max columns).
+            flat = np.flatnonzero(admit)
+            counts = np.diff(np.searchsorted(flat, np.arange(rows + 1) * n))
+            valid = np.arange(counts.max()) < counts[:, None]
+            cand = np.zeros(valid.shape, dtype=np.intp)
+            cand[valid] = flat % n
+            del admit, flat
+            # In place on the gathered rows: the one (rows, width, d)
+            # temporary, with the bits of ((block[:, None] - x) ** 2).sum().
+            xc = self.x[cand]
+            np.subtract(block[:, None, :], xc, out=xc)
+            np.square(xc, out=xc)
+            d2 = xc.sum(axis=2)
+            del xc
+            d2[~valid] = np.nan
             kth = np.partition(d2, k_max - 1, axis=1)[:, k_max - 1 : k_max]
             keep = d2 <= kth
             # Rows with more than k_max candidates tie at the k_max-th
@@ -224,17 +252,56 @@ class KnnModel:
                 eq = sub == sub_kth
                 room = k_max - lt.sum(axis=1, keepdims=True)
                 keep[over] = lt | (eq & (np.cumsum(eq, axis=1) <= room))
-            # np.nonzero walks rows in order, so candidates arrive in
+            # flatnonzero walks rows in order, so candidates arrive in
             # canonical index order and a stable sort by distance finishes
             # the (distance, index) order.
-            idx = np.nonzero(keep)[1].reshape(-1, k_max)
+            idx = (np.flatnonzero(keep) % keep.shape[1]).reshape(-1, k_max)
             order = np.argsort(
                 np.take_along_axis(d2, idx, axis=1), axis=1, kind="stable"
             )
+            idx = np.take_along_axis(cand, idx, axis=1)
             labels = self.y[np.take_along_axis(idx, order, axis=1)]
             cum = np.cumsum(labels, axis=1)
             out[:, i0 : i0 + chunk] = (cum[:, cols_k] / ks_f).T
         return out
+
+
+def _gemm_filter(
+    block: np.ndarray, x: np.ndarray, sq_x: np.ndarray, k_max: int
+) -> np.ndarray:
+    """Mask of the (query row, training row) pairs that may be k_max-nearest.
+
+    The mask admits every pair whose exact distance ``((q - x)**2).sum()``
+    is at most the k_max-th smallest of its query row.
+
+    Let D be a pair's true squared distance, u = eps / 2, R = |q| + max|x|
+    and gamma_j = j u / (1 - j u).  In any summation order, with or without
+    FMA (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3):
+    the exact expression d2 has |d2 - D| <= gamma_{d+2} D <= gamma_{d+2} R^2,
+    and the expansion e = |q|^2 - 2 q.x + |x|^2 has |e - D| <= gamma_{d+2} R^2.
+    So |e - d2| <= 2 gamma_{d+2} R^2, about (d + 2) eps R^2; the slack
+    (d + 4) eps R^2 also covers the rounding of |q|, max|x|, R^2 and the
+    bound's sum.  Underflow costs each of a pair's at most 9d operations no
+    more than one smallest normal, even where a kernel flushes subnormals to
+    zero; the 16 (d + 4) tiny term covers that.
+
+    The k_max smallest e each have d2 <= e_kth + slack, so the exact k_max-th
+    distance is at most that, and every pair at or below it has
+    e <= e_kth + 2 slack.  A row with a non-finite e gets an infinite bound
+    and admits every column, a NaN e too, since NaN fails ``e > bound``.
+    """
+    d = block.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_q = np.einsum("ij,ij->i", block, block)
+        e = (-2.0 * block) @ x.T  # scaling by -2 is exact
+        e += sq_q[:, None]
+        e += sq_x
+        radius = np.sqrt(sq_q) + np.sqrt(sq_x.max())
+        slack = (d + 4) * (_EPS * radius**2 + 16.0 * _TINY)
+        e_kth = np.partition(e, k_max - 1, axis=1)[:, k_max - 1]
+        bound = np.where(np.isfinite(e).all(axis=1), e_kth + 2.0 * slack, np.inf)
+        admit = e > bound[:, None]
+    return np.logical_not(admit, out=admit)
 
 
 @dataclass(frozen=True)

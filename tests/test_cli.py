@@ -491,6 +491,32 @@ def test_fraud_runs_when_a_feature_is_constant_on_a_training_split(runner, tmp_p
     assert len([l for l in result.output.splitlines() if l.startswith("k=")]) == 4
 
 
+def test_fraud_workers_write_identical_files_on_a_d3_table(runner, tmp_path):
+    # d = 3 reaches the n-d k-NN path (BLAS filter, exact recheck) in the
+    # pool workers.
+    gen = np.random.default_rng(5)
+    x = np.column_stack(
+        (gen.standard_normal(240), gen.standard_normal(240), gen.integers(0, 3, 240))
+    )
+    labels = (gen.random(240) < 1.0 / (1.0 + np.exp(1.5 - x @ [1.5, -1.0, 0.8])))
+    data = write_csv(
+        tmp_path / "d3.csv", ["f0", "f1", "f2", "label"],
+        [[*map(repr, row), int(y)] for row, y in zip(x.tolist(), labels)],
+    )
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"fraud_w{workers}.csv"
+        result = runner.invoke(
+            main,
+            ["fraud", "--data", str(data), "--trials", "4", "--k-list", "2,8,40",
+             "--seed", "3", "--workers", workers, "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        summary = out.with_name(out.stem + "_summary.csv")
+        outputs.append((out.read_bytes(), summary.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_fraud_bad_k_list(runner, tmp_path):
     data = tmp_path / "d.csv"
     save_csv(generate(exp2_nonuci_problem(0.3), 60, seed=4), data, include_draws=False)

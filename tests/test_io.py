@@ -132,6 +132,10 @@ def test_load_csv_reports_offending_line_numbers(tmp_path):
     p.write_text("x,label,draw\n1.0,0,1.5\n", encoding="utf-8")
     with pytest.raises(SchemaError, match=r"line 2.*draw"):
         load_csv(p, draw_column="draw")
+    # A quoted header cell spans physical lines 1 and 2; the bad label is on 4.
+    p.write_text('"x\ny",label\n1.0,0\n2.0,5\n', encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"line 4: label must be 0 or 1, got '5'"):
+        load_csv(p)
 
 
 def test_load_csv_schema_errors(tmp_path):

@@ -218,6 +218,8 @@ def test_single_k_predict_is_the_path_row(rng):
 
 
 def test_distance_block_size_counts_dimension(monkeypatch):
+    # Query rows per block = max(1, budget // (n * d)).  Each block is
+    # partitioned twice: all n filter distances, then its exact candidates.
     shapes = []
     real_partition = np.partition
 
@@ -230,11 +232,58 @@ def test_distance_block_size_counts_dimension(monkeypatch):
     rng = np.random.default_rng(0)
     model = KnnModel.fit(rng.random((20, 10)), rng.integers(0, 2, 20), 2)
     model.predict(rng.random((7, 10)))
-    assert shapes == [(3, 20), (3, 20), (1, 20)]
+    assert [s[0] for s in shapes] == [3, 3, 3, 3, 1, 1]
+    assert shapes[::2] == [(3, 20), (3, 20), (1, 20)]
     shapes.clear()
     model = KnnModel.fit(rng.random((100, 10)), rng.integers(0, 2, 100), 2)
     model.predict(rng.random((2, 10)))  # one row already exceeds the budget
-    assert shapes == [(1, 100), (1, 100)]
+    assert [s[0] for s in shapes] == [1, 1, 1, 1]
+    assert shapes[::2] == [(1, 100), (1, 100)]
+
+
+# The n-d path filters pairs by the BLAS expansion |q|^2 - 2 q.x + |x|^2 and
+# rechecks the survivors exactly; these cases stress the filter's slack.
+
+
+@pytest.mark.parametrize("d", [2, 3, 10])
+def test_predict_path_integer_lattice_with_duplicates(rng, tiny_blocks, d):
+    x = rng.integers(0, 3, size=(90, d)).astype(np.float64)
+    x = np.vstack((x, x[:30]))  # exact duplicate rows
+    y = rng.integers(0, 2, x.shape[0])
+    queries = np.vstack((rng.integers(-1, 4, size=(25, d)), x[:5])).astype(np.float64)
+    model = KnnModel.fit(x, y, 3)
+    for ks in ((1, 3, 8, 40), (119,), (2, 60)):
+        _assert_path_matches_reference(model, queries, ks)
+
+
+def test_predict_path_thirty_dimensions(rng, tiny_blocks):
+    model = KnnModel.fit(rng.standard_normal((300, 30)), rng.integers(0, 2, 300), 5)
+    queries = rng.standard_normal((40, 30))
+    _assert_path_matches_reference(model, queries, (1, 2, 5, 16, 64, 300))
+
+
+def test_predict_path_large_offsets(rng, tiny_blocks):
+    # |q|^2 and |x|^2 near 3e16 cancel to distances below 3: the expansion
+    # keeps almost no correct digit, so the slack admits every column.
+    x = 1e8 + rng.random((150, 3))
+    model = KnnModel.fit(x, rng.integers(0, 2, 150), 4)
+    queries = 1e8 + rng.random((30, 3))
+    _assert_path_matches_reference(model, queries, (1, 4, 9, 30))
+    # The same on a quarter-step lattice, where exact distances tie.
+    x = 1e8 + rng.integers(0, 5, size=(150, 3)) * 0.25
+    model = KnnModel.fit(x, rng.integers(0, 2, 150), 4)
+    queries = 1e8 + rng.integers(0, 9, size=(30, 3)) * 0.125
+    _assert_path_matches_reference(model, queries, (1, 4, 9, 30, 150))
+
+
+def test_predict_path_overflowing_squares(rng, tiny_blocks):
+    # Squares of coordinates near 1e155 overflow to inf in both the filter
+    # and the exact distances; every row of the filter then admits all columns.
+    x = rng.standard_normal((80, 4)) * 1e155
+    model = KnnModel.fit(x, rng.integers(0, 2, 80), 3)
+    queries = np.vstack((rng.standard_normal((20, 4)) * 1e155, x[:3]))
+    with np.errstate(over="ignore"):
+        _assert_path_matches_reference(model, queries, (1, 3, 10, 80))
 
 
 def test_predict_path_validation(rng):
