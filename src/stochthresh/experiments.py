@@ -11,6 +11,7 @@ timestamps) so byte equality is meaningful across reruns.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 import json
@@ -60,9 +61,6 @@ EXP2_SUMMARY_COLUMNS = (
 )
 FRAUD_COLUMNS = ("trial", "seed", "k", "imbalance_ratio", "method", "f1")
 FRAUD_SUMMARY_COLUMNS = ("k", "method", "trials", "mean_f1", "se_f1")
-
-#: Grid resolution used when measuring regression error norms in experiments.
-ERROR_NORM_GRID = 10_000
 
 #: The measure exp2 and the fraud pipeline tune and score.
 F1 = CmmSpec("f_beta", 1.0)
@@ -183,11 +181,26 @@ def _group_columns(rows, key_cols, value_cols) -> list[tuple[tuple, list[np.ndar
     return [(first, [np.array(v) for v in values]) for first, values in groups.values()]
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer: one thread for numpy's bundled OpenBLAS, if it has one.
+
+    Each worker's BLAS otherwise starts a thread per core, and the workers
+    oversubscribe the cores.  Results cannot depend on the thread count: the
+    GEMM filter of the n-d k-NN holds in any summation order.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        setter = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            setter(1)
+
+
 def _run_jobs(trial, jobs: list, workers: int) -> list[tuple]:
     """Run ``trial`` on each job and concatenate the rows, in job order."""
     if workers <= 1:
         return [row for job in jobs for row in trial(job)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
         chunksize = max(1, len(jobs) // (4 * workers))
         return [row for rows in pool.map(trial, jobs, chunksize=chunksize) for row in rows]
 
@@ -315,8 +328,8 @@ def _exp2_trial(cfg: ExperimentConfig, pop_f1: dict, job) -> list[tuple]:
         ("nonuci", exp2_nonuci_problem(r), streams[2:4]),
     ):
         model, (f1_sto, f1_det) = _synthetic_trial(cfg, problem, n, k, eta_streams)
-        linf = uniform_error(model, problem.eta, ERROR_NORM_GRID)
-        l1 = average_error(model, problem.eta, ERROR_NORM_GRID)
+        linf = uniform_error(model, problem.eta)
+        l1 = average_error(model, problem.eta)
         pop = pop_f1[(n, eta_name)]
         rows.append(
             (
@@ -356,7 +369,6 @@ def run_experiment2(cfg: ExperimentConfig, out=None):
 
     mapping = cfg.to_mapping()
     metadata = _base_metadata(mapping, cfg.master_seed)
-    metadata["error_norm_grid"] = ERROR_NORM_GRID
     _maybe_write(out, EXP2_COLUMNS, rows, EXP2_SUMMARY_COLUMNS, summary_rows, metadata)
     return rows, summary_rows
 

@@ -4,7 +4,9 @@ Predictions are averages of the k nearest training labels in Euclidean
 distance.  Distance ties are broken by *canonical order*: training rows are
 sorted by their covariate tuple (then original index), and among equidistant
 rows the canonically earliest wins.  This makes predictions a pure function
-of the training set — permuting training rows cannot change any prediction.
+of the training set — permuting training rows cannot change any prediction —
+unless equal covariates carry different labels: their copies are ordered by
+row index, so the input order then decides which of them are neighbors.
 
 In one dimension the canonical rule makes every neighborhood a contiguous
 window of the sorted covariates, except that a window starting inside a run
@@ -30,6 +32,16 @@ distance, ordered by (distance, canonical index).  Cumulative label sums
 along that order give the prediction for every ``k <= k_max`` from one
 distance pass: :meth:`KnnModel.predict_path`.  Single-k
 :meth:`KnnModel.predict` is the one-element case.
+
+The error norms of a 1-d model against a piecewise-linear eta
+(:func:`uniform_error`, :func:`average_error`) are exact, with no grid.
+Between consecutive breakpoints (eta's knots and the window-boundary
+midpoints ``h / 2``) the searchsorted window start, and so the prediction,
+is one constant, and eta is linear.  One ``predict`` at each interval's
+midpoint and at each breakpoint gives every value the closed forms need:
+the sup is an interval's end limit or a breakpoint's value, and the
+integral is a trapezoid per interval, or two triangles where the error
+changes sign.
 """
 
 from __future__ import annotations
@@ -377,47 +389,47 @@ def k_rule(name: str, r: float = 1.0, alpha: float = 1.0, d: int = 1) -> KSelect
     return KSelectionRule(**{"alpha": alpha, "d": d, "r": r, **_K_RULE_FIELDS[name]})
 
 
-def _eval_grid(model: KnnModel, eta: RegressionFunctionSpec, grid: int) -> np.ndarray:
+def _error_norms(model: KnnModel, eta: RegressionFunctionSpec) -> tuple[float, float]:
+    """Sup and integral of |prediction - eta| over [0, 1]; see the module notes."""
     if model.d != 1:
         raise UnsupportedSpecError("error norms are defined for d = 1 models only")
     if eta.atom is not None:
         raise UnsupportedSpecError(
             "error norms need a piecewise regression function on [0, 1]"
         )
-    if grid < 2:
-        raise ParameterDomainError(f"grid={grid!r} must be >= 2")
-    pts = [np.linspace(0.0, 1.0, grid)]
-    knots = np.asarray(eta.knots())
-    pts.append(knots)
-    interior = knots[(knots > 0.0) & (knots < 1.0)]
-    pts.append(np.nextafter(interior, -1.0))
-    pts.append(np.nextafter(interior, 2.0))
-    # Prediction value can only change across window-boundary midpoints.
-    mids = 0.5 * model._h
-    pts.append(mids)
-    pts.append(np.nextafter(mids, -1.0))
-    pts.append(np.nextafter(mids, 2.0))
-    merged = np.unique(np.clip(np.concatenate(pts), 0.0, 1.0))
-    return merged
+    b = np.unique(np.clip(np.concatenate((eta.knots(), 0.5 * model._h)), 0.0, 1.0))
+    left, right = b[:-1], b[1:]
+    # eta at both ends of each interval, by evaluate's formula on the
+    # interval's own piece: where eta jumps at a knot these are the one-sided
+    # limits, and e0 with the last e1 is eta at every breakpoint.
+    table = np.array([(pc.lo, pc.hi, pc.v_lo, pc.v_hi) for pc in eta.pieces])
+    lo, hi, v_lo, v_hi = table[np.searchsorted(table[:, 0], left, side="right") - 1].T
+    e0 = v_lo + (v_hi - v_lo) * ((left - lo) / (hi - lo))
+    e1 = v_lo + (v_hi - v_lo) * ((right - lo) / (hi - lo))
+    mid = 0.5 * (left + right)
+    # An interval with no float strictly inside has nothing to predict at.
+    inside = (left < mid) & (mid < right)
+    pred = model.predict(np.concatenate((mid[inside], b)))
+    c, at_b = pred[: -b.size], pred[-b.size :]
+    g0, g1 = c - e0[inside], c - e1[inside]
+    a0, a1 = np.abs(g0), np.abs(g1)
+    sup = max(a0.max(), a1.max(), np.abs(at_b - np.append(e0, e1[-1])).max())
+    # Mean of |error| on each interval: a trapezoid, or where the error
+    # changes sign, two triangles.
+    total = a0 + a1
+    cross = np.sign(g0) * np.sign(g1) < 0
+    mean_abs = np.divide(g0 * g0 + g1 * g1, 2.0 * total, out=0.5 * total, where=cross)
+    return float(sup), float(np.sum((right - left)[inside] * mean_abs))
 
 
-def uniform_error(
-    model: KnnModel, eta: RegressionFunctionSpec, grid: int = 10_000
-) -> float:
-    """Sup of |prediction - eta| over a grid refined at both functions' knots."""
-    pts = _eval_grid(model, eta, grid)
-    err = np.abs(model.predict(pts) - eta.evaluate(pts))
-    return float(err.max())
+def uniform_error(model: KnnModel, eta: RegressionFunctionSpec) -> float:
+    """Sup of |prediction - eta| over [0, 1], one-sided limits included."""
+    return _error_norms(model, eta)[0]
 
 
-def average_error(
-    model: KnnModel, eta: RegressionFunctionSpec, grid: int = 10_000
-) -> float:
-    """Length-normalized integral of |prediction - eta| over the same grid.
+def average_error(model: KnnModel, eta: RegressionFunctionSpec) -> float:
+    """Integral of |prediction - eta| over [0, 1], whose length is 1.
 
-    Trapezoid quadrature on the refined grid; equals the plain grid mean up
-    to grid resolution, and never exceeds :func:`uniform_error`.
+    So it is at most :func:`uniform_error`, up to rounding.
     """
-    pts = _eval_grid(model, eta, grid)
-    err = np.abs(model.predict(pts) - eta.evaluate(pts))
-    return float(np.trapezoid(err, pts) / (pts[-1] - pts[0]))
+    return _error_norms(model, eta)[1]

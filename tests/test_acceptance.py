@@ -237,7 +237,7 @@ def test_criterion_5_bound_coverage_on_seeded_runs():
         ss = np.random.SeedSequence(20260816, spawn_key=(51, i))
         ds = generate(problem, n_a, ss)
         model = KnnModel.fit(ds.covariates, ds.labels, k)
-        err = uniform_error(model, problem.eta, 10_000)
+        err = uniform_error(model, problem.eta)
         worst_a = max(worst_a, err)
         if err <= bound:
             covered_a += 1

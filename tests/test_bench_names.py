@@ -67,3 +67,6 @@ def test_traced_benchmark_job_runs(tmp_path, workload, args):
     )
     result = json.loads(record.read_text(encoding="utf-8"))
     assert proc.returncode == 0 and result["ok"] is True, result.get("error", proc.stderr)
+    if workload == "exp2":
+        # The norms keep their own span; their time is not experiments' self time.
+        assert result["layers"]["knn.error_norm_s"] > 0

@@ -9,6 +9,8 @@ from stochthresh import (
     BoundInputs,
     KnnModel,
     KSelectionRule,
+    Piece,
+    RegressionFunctionSpec,
     average_error,
     k_rule,
     select_k,
@@ -422,6 +424,108 @@ def test_average_error_spike_triangle_mass():
     )
 
 
+def _random_eta(gen, pieces: int = 6):
+    """Piecewise-linear eta with knots on multiples of 1/32 and a jump at each
+    knot where two independently drawn piece values differ."""
+    knots = np.unique(np.concatenate(([0.0, 1.0], gen.integers(1, 32, pieces) / 32)))
+    values = gen.random((knots.size - 1, 2))
+    values[0, 1] = values[0, 0]  # one constant piece
+    return RegressionFunctionSpec(
+        pieces=tuple(Piece(a, b, *v) for a, b, v in zip(knots, knots[1:], values))
+    )
+
+
+def _midpoint_grid_norms(model, eta, m: int = 1 << 21) -> tuple[float, float]:
+    """Sup and mean of |prediction - eta| on the m midpoints (i + 1/2) / m."""
+    sup, total = 0.0, 0.0
+    for start in range(0, m, 1 << 18):
+        pts = (np.arange(start, min(m, start + (1 << 18))) + 0.5) / m
+        err = np.abs(model.predict(pts) - eta.evaluate(pts))
+        sup, total = max(sup, float(err.max())), total + float(err.sum())
+    return sup, total / m
+
+
+@pytest.mark.parametrize("covariates", ["lattice", "pool"])
+@pytest.mark.parametrize("k", [1, 5, 60])
+def test_error_norms_match_a_dense_midpoint_grid(covariates, k):
+    gen = np.random.default_rng(8 * k + len(covariates))
+    eta = _random_eta(gen)
+    n = 60
+    # Both kinds repeat covariate values.  On the lattice, window-boundary
+    # midpoints land on eta's knots.
+    if covariates == "lattice":
+        x = gen.integers(0, 65, n) / 64
+    else:
+        x = gen.choice(gen.random(25), n)
+    model = KnnModel.fit(x, gen.integers(0, 2, n), k)
+    xs = np.sort(x)
+    knots = np.asarray(eta.knots())
+    breaks = np.union1d(knots, np.clip((xs[: n - k] + xs[k:]) / 2, 0.0, 1.0))
+    if covariates == "lattice" and k < n:
+        assert np.intersect1d(breaks, knots[1:-1]).size
+    m = 1 << 21
+    h = 1.0 / m
+    # Every interval between breakpoints holds grid points near both ends.
+    assert np.diff(breaks).min() > 4 * h
+    grid_sup, grid_l1 = _midpoint_grid_norms(model, eta, m)
+    sup, l1 = uniform_error(model, eta), average_error(model, eta)
+
+    # The sup is an end limit of an interval, which the grid sees within h/2
+    # times eta's slope, or a value at a breakpoint.
+    slopes = [abs(pc.v_hi - pc.v_lo) / (pc.hi - pc.lo) for pc in eta.pieces]
+    at_breaks = np.abs(model.predict(breaks) - eta.evaluate(breaks)).max()
+    ref_sup = max(grid_sup, float(at_breaks))
+    assert ref_sup - 1e-12 <= sup <= ref_sup + h * max(slopes) + 1e-12
+
+    # The midpoint rule errs by at most h times the oscillation of the error
+    # on each cell: jumps of the prediction (at most (n - k) / k in all) and of
+    # eta, plus h times the slope on cells where the error changes sign.
+    tv_eta = sum(abs(pc.v_hi - pc.v_lo) for pc in eta.pieces) + sum(
+        abs(a.v_hi - b.v_lo) for a, b in zip(eta.pieces, eta.pieces[1:])
+    )
+    assert l1 == pytest.approx(grid_l1, rel=0, abs=h * ((n - k) / k + tv_eta + 1))
+    assert l1 <= sup
+
+
+def test_error_norms_closed_forms():
+    # k = n predicts the label mean c everywhere: both norms are |c - v|.
+    model = KnnModel.fit([0.1, 0.2, 0.6, 0.9], [0, 1, 1, 1], 4)
+    eta = constant_problem(0.5).eta
+    assert uniform_error(model, eta) == average_error(model, eta) == 0.25
+    # 1-NN on two points predicts 0 up to 1/2 and 1 after it.
+    model = KnnModel.fit([0.25, 0.75], [0, 1], 1)
+    eta = constant_problem(0.25).eta
+    assert uniform_error(model, eta) == 0.75
+    assert average_error(model, eta) == 0.5
+    # Against eta(x) = x the constant 1/2 changes sign mid-interval: the
+    # integral is two triangles of area 1/8.
+    model = KnnModel.fit([0.0, 1.0], [0, 1], 2)
+    ramp = RegressionFunctionSpec(pieces=(Piece(0.0, 1.0, 0.0, 1.0),))
+    assert uniform_error(model, ramp) == 0.5
+    assert average_error(model, ramp) == 0.25
+    # Both jump at 1/2, where the tie keeps the left neighbour's label 1 and
+    # eta takes its right piece's 0: the error is 1 there and 0 elsewhere.
+    model = KnnModel.fit([0.25, 0.75], [1, 0], 1)
+    step = RegressionFunctionSpec(
+        pieces=(Piece(0.0, 0.5, 1.0, 1.0), Piece(0.5, 1.0, 0.0, 0.0))
+    )
+    assert uniform_error(model, step) == 1.0
+    assert average_error(model, step) == 0.0
+
+
+def test_error_norms_ignore_training_row_order():
+    gen = np.random.default_rng(11)
+    eta = _random_eta(gen)
+    # Distinct covariates: equal ones are ordered by their row index.
+    x = gen.choice(400, 300, replace=False) / 399
+    y = gen.integers(0, 2, 300)
+    perm = gen.permutation(300)
+    for k in (1, 7, 300):
+        a, b = KnnModel.fit(x, y, k), KnnModel.fit(x[perm], y[perm], k)
+        assert uniform_error(a, eta) == uniform_error(b, eta)
+        assert average_error(a, eta) == average_error(b, eta)
+
+
 def test_observed_uniform_error_stays_below_closed_form_bound():
     r = 0.01
     problem = exp2_uci_problem(r)
@@ -441,9 +545,5 @@ def test_error_norms_reject_unsupported_inputs(rng):
     with pytest.raises(UnsupportedSpecError):
         uniform_error(model2d, constant_problem(0.5).eta)
     model = KnnModel.fit(rng.random(20), rng.integers(0, 2, 20), 3)
-    from stochthresh import RegressionFunctionSpec
-
     with pytest.raises(UnsupportedSpecError):
         uniform_error(model, RegressionFunctionSpec(atom=0.5))
-    with pytest.raises(ParameterDomainError):
-        uniform_error(model, constant_problem(0.5).eta, grid=1)
