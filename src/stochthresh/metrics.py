@@ -273,7 +273,8 @@ def roc_and_auroc(scores, labels) -> RocCurve:
 
     Requires at least one positive and one negative label.  Higher scores
     rank as more positive; ties are grouped as described on
-    :class:`RocCurve`.
+    :class:`RocCurve`.  The order inside a tie group is unspecified: the
+    knots read the true-positive count only at each group's end.
     """
     s = np.asarray(scores, dtype=np.float64).ravel()
     y = np.asarray(labels).ravel()
@@ -294,7 +295,7 @@ def roc_and_auroc(scores, labels) -> RocCurve:
         raise DegenerateInputError(
             "ROC needs at least one positive and one negative label"
         )
-    order = np.argsort(-s, kind="stable")
+    order = np.argsort(-s)  # unstable: knots read counts at tie-group ends only
     s_desc = s[order]
     y_desc = y[order]
     # Last index of each tied-score group, in descending-score order.

@@ -7,9 +7,13 @@ descending): prefix j labels the first j sorted samples 0 and the rest 1.
 gives the confusion cells at any prefix indices as integer counts divided
 by n.  The stochastic sweep reads all n + 1 prefixes, the deterministic
 search only the cuts between distinct scores: O(n log n) and *exactly*
-optimal, with no grid.  A quadratic brute-force twin sorts on its own and
-re-materializes every prefix from scratch, so it is an independent oracle
-that evaluates measures on bit-identical cells and must agree exactly.
+optimal, with no grid.  Both searches sort with unstable argsorts: the
+(score, draw) order comes from a key that is exact unless two keys
+collide (then ``np.lexsort`` decides), and the deterministic search reads
+counts at score cuts, which no order inside a tie group can change.  A
+quadratic brute-force twin sorts on its own and re-materializes every
+prefix from scratch, so it is an independent oracle that evaluates
+measures on bit-identical cells and must agree exactly.
 
 The population search is exact too.  The population cells are linear in
 p on the tie set of a breakpoint (eta's piece values or atom, 0 and 1),
@@ -62,38 +66,65 @@ class ThresholdSearchResult:
             raise ParameterDomainError(f"prefix index {j!r} must be >= 0")
 
 
+def _key_order(s: np.ndarray, z: np.ndarray) -> np.ndarray | None:
+    """Permutation of score-sorted rows (scores s, draws z) into sweep order.
+
+    ``None`` when two ``g - draw`` keys are equal, so the key cannot order them.
+    """
+    group = np.zeros(s.size, dtype=np.int64)
+    np.cumsum(s[1:] != s[:-1], out=group[1:])
+    key = group - z  # float64; group < 2^53 converts exactly
+    del group
+    by_key = np.argsort(key)
+    key = key[by_key]
+    return None if np.any(key[1:] == key[:-1]) else by_key
+
+
 class SortedSample:
     """A sample in sweep order with its cumulative positive count.
 
-    Rows sort by score ascending, then draw descending, then original index
-    — the order of ``np.lexsort((-draws, scores))`` — by a draw argsort and
-    then a stable score argsort; a packed (score, draw) key could not
-    separate draws closer than an ulp.  The draw argsort is unstable, which
-    gives the stable order whenever no two draws compare equal; if two do
-    (``0.0 == -0.0`` included), it is redone stably.  Without draws the
-    order is one stable argsort by score.
+    With draws, rows sort by score ascending, then draw descending, then
+    original index — the order of ``np.lexsort((-draws, scores))``.  One
+    unstable score argsort numbers the distinct-score groups g = 0, 1, ...,
+    and one unstable argsort of the float key ``g - draw`` orders the rows.
+    Rounding is monotone and draws lie in [0, 1], so a smaller key means a
+    smaller (g, -draw); when no two sorted keys are equal the key order is
+    therefore exactly the lexsort order.  Equal keys (equal draws in a
+    group, ``0.0`` against ``-0.0``, draws closer than the float spacing
+    near g, or draw 0 against the next group's draw 1) fall back to
+    ``np.lexsort``.
+
+    Without draws, rows sort by score alone and the order inside a tie
+    group is unspecified: the deterministic search reads ``cum_pos`` only
+    at the cuts between distinct scores, where it does not depend on it.
     """
 
     def __init__(self, scores: np.ndarray, labels: np.ndarray, draws=None):
-        if draws is None:
-            order = np.argsort(scores, kind="stable")
-        else:
-            neg = -draws
-            by_draw = np.argsort(neg)
-            sorted_neg = neg[by_draw]
-            if np.any(sorted_neg[1:] == sorted_neg[:-1]):
-                by_draw = np.argsort(neg, kind="stable")
-            order = by_draw[np.argsort(scores[by_draw], kind="stable")]
-        self.scores = scores[order]
-        self.draws = None if draws is None else draws[order]
-        self.cum_pos = np.zeros(scores.size + 1, dtype=np.int64)
-        np.cumsum(labels[order], out=self.cum_pos[1:])
+        order = np.argsort(scores)
+        s, y, z = scores[order], labels[order], None
+        if draws is not None:
+            z = draws[order]
+            by_key = _key_order(s, z)
+            if by_key is None:
+                order = np.lexsort((-draws, scores))
+                s, y, z = scores[order], labels[order], draws[order]
+            else:  # a permutation inside tie groups: cache-local gathers
+                s, y, z = s[by_key], y[by_key], z[by_key]
+        self.scores, self.draws = s, z
+        self.cum_pos = np.zeros(s.size + 1, dtype=np.int64)
+        np.cumsum(y, out=self.cum_pos[1:])
 
-    def cells(self, j: np.ndarray):
-        """Confusion cells (tn, fp, fn, tp) at prefix indices j, as counts / n."""
+    def cells(self, j: np.ndarray | None = None):
+        """Confusion cells (tn, fp, fn, tp) at prefix indices j, as counts / n.
+
+        ``j=None`` gives all n + 1 prefixes without gathering ``cum_pos``.
+        """
         n = self.scores.size
         npos = int(self.cum_pos[-1])
-        cum_pos = self.cum_pos[j]
+        if j is None:
+            j, cum_pos = np.arange(n + 1), self.cum_pos
+        else:
+            cum_pos = self.cum_pos[j]
         cum_neg = j - cum_pos
         return cum_neg / n, (n - npos - cum_neg) / n, cum_pos / n, (npos - cum_pos) / n
 
@@ -113,11 +144,15 @@ def _prefix_threshold(
     Prefix 0 (everything labeled 1) maps to t = 0 with p = 1 in the
     stochastic search — p = 0 could not re-admit a sample whose score is
     exactly 0 — and to (0, 0) in the deterministic search (``z`` is None),
-    which only offers prefix 0 when all scores are positive.
+    which only offers prefix 0 when all scores are positive.  A
+    deterministic t is the last score of a tie group, whose order is
+    unspecified, so a group of ``0.0`` and ``-0.0`` gives t = +0.0.
     """
     if j == 0:
         return StochasticThreshold(0.0, 0.0 if z is None else 1.0)
-    return StochasticThreshold(float(s[j - 1]), 0.0 if z is None else float(z[j - 1]))
+    if z is None:
+        return StochasticThreshold(float(s[j - 1]) + 0.0, 0.0)
+    return StochasticThreshold(float(s[j - 1]), float(z[j - 1]))
 
 
 def optimize_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
@@ -130,8 +165,7 @@ def optimize_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
     (score, draw) pair.
     """
     sample = SortedSample(*as_sample_arrays(samples, require_draws=True))
-    cells = sample.cells(np.arange(sample.scores.size + 1))
-    vals = np.asarray(_cmm_values(spec, *cells))
+    vals = np.asarray(_cmm_values(spec, *sample.cells()))
     best = int(np.argmax(vals))
     return ThresholdSearchResult(
         threshold=_prefix_threshold(best, sample.scores, sample.draws),

@@ -37,3 +37,12 @@ def argsort_knn_reference(model, queries, k: int) -> np.ndarray:
 def lexsort_sweep_reference(scores, draws) -> np.ndarray:
     """Sweep order by one lexsort: score ascending, draw descending, index."""
     return np.lexsort((-np.asarray(draws), np.asarray(scores)))
+
+
+def tie_heavy_sample(gen: np.random.Generator, n: int):
+    """Scores on a 1/8 lattice, zeros split between 0.0 and -0.0, and 0/1 labels."""
+    scores = gen.integers(0, 9, size=n) / 8.0
+    scores[(scores == 0.0) & (gen.random(n) < 0.5)] = -0.0
+    labels = gen.integers(0, 2, size=n)
+    labels[:2] = (0, 1)
+    return scores, labels

@@ -18,6 +18,8 @@ from stochthresh import (
 )
 from stochthresh.errors import DegenerateInputError, ParameterDomainError
 
+from conftest import tie_heavy_sample
+
 
 def cm(tn, fp, fn, tp) -> ConfusionMatrix:
     return ConfusionMatrix(tn=tn, fp=fp, fn=fn, tp=tp)
@@ -211,6 +213,19 @@ def test_roc_rejects_non_finite_scores(bad):
     # A NaN would otherwise sort last and be ranked as the least positive.
     with pytest.raises(ParameterDomainError, match="finite"):
         roc_and_auroc([0.2, bad, 0.7, 0.1], [0, 1, 1, 0])
+
+
+@pytest.mark.parametrize("n", [40, 3_000, 50_000])
+def test_roc_is_invariant_to_row_order(n):
+    # The score sort is unstable, so rows must not move a knot or the area.
+    gen = np.random.default_rng(n)
+    scores, labels = tie_heavy_sample(gen, n)
+    want = roc_and_auroc(scores, labels)
+    for _ in range(50):
+        perm = gen.permutation(n)
+        got = roc_and_auroc(scores[perm], labels[perm])
+        assert np.array(got.knots).tobytes() == np.array(want.knots).tobytes()
+        assert np.float64(got.auroc).tobytes() == np.float64(want.auroc).tobytes()
 
 
 def test_roc_matches_rank_statistic(rng):

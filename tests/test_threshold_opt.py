@@ -32,7 +32,7 @@ from stochthresh.synth import (
     singleton_problem,
 )
 
-from conftest import lexsort_sweep_reference
+from conftest import lexsort_sweep_reference, tie_heavy_sample
 
 ACC = CmmSpec("accuracy")
 PRODUCT = CmmSpec("tp_tn_product")
@@ -163,13 +163,24 @@ TIE_DRAWS = st.sampled_from([0.0, 0.5, np.nextafter(0.5, 0.0), 1.0])
 
 
 @settings(max_examples=80, deadline=None)
-@given(pairs=st.lists(st.tuples(TIE_SCORES, TIE_DRAWS), min_size=1, max_size=30))
+@given(
+    pairs=st.lists(
+        st.tuples(TIE_SCORES, TIE_DRAWS, st.integers(0, 1)), min_size=1, max_size=30
+    )
+)
 def test_kernel_order_equals_lexsort(pairs):
     scores = np.array([p[0] for p in pairs])
     draws = np.array([p[1] for p in pairs])
     want = lexsort_sweep_reference(scores, draws)
     assert np.array_equal(kernel_order(scores, draws), want)
-    assert np.array_equal(kernel_order(scores, None), np.argsort(scores, kind="stable"))
+    # Without draws the order inside a tie group is unspecified; the counts
+    # at the cuts between distinct scores are what the searches read.
+    labels = np.array([p[2] for p in pairs])
+    plain = SortedSample(scores, labels)
+    assert np.array_equal(plain.scores, np.sort(scores))
+    stable_cum_pos = np.concatenate(([0], np.cumsum(labels[np.argsort(scores, kind="stable")])))
+    cuts = plain.deterministic_candidates()
+    assert np.array_equal(plain.cum_pos[cuts], stable_cum_pos[cuts])
     sample = SortedSample(scores, np.ones(scores.size, dtype=np.int64), draws)
     assert np.array_equal(sample.scores, scores[want])
     assert np.array_equal(sample.draws, draws[want])
@@ -194,6 +205,95 @@ def test_kernel_order_with_one_equal_draw_pair_at_size(first, last, pair):
     # Bytes, since 0.0 == -0.0 hides a swapped pair from np.array_equal.
     assert sample.draws.tobytes() == draws[want].tobytes()
     assert np.array_equal(sample.scores, scores[want])
+
+
+def assert_sweep_order(scores, labels, draws):
+    """SortedSample equals the lexsort order: prefix counts, score and draw bytes."""
+    want = lexsort_sweep_reference(scores, draws)
+    sample = SortedSample(scores, labels, draws)
+    assert sample.cum_pos[0] == 0
+    assert np.array_equal(sample.cum_pos[1:], np.cumsum(labels[want]))
+    assert sample.scores.tobytes() == scores[want].tobytes()
+    assert sample.draws.tobytes() == draws[want].tobytes()
+
+
+AT_SIZE = 200_000
+
+
+def test_key_order_on_score_steps_with_distinct_grid_draws():
+    gen = np.random.default_rng(21)
+    scores = gen.binomial(100, 0.5, AT_SIZE) / 100.0
+    draws = gen.choice(10**9 + 1, AT_SIZE, replace=False) / 1e9
+    assert_sweep_order(scores, gen.integers(0, 2, AT_SIZE), draws)
+
+
+def test_key_order_on_score_steps_with_uniform_draws():
+    gen = np.random.default_rng(22)
+    scores = gen.binomial(100, 0.5, AT_SIZE) / 100.0
+    assert_sweep_order(scores, gen.integers(0, 2, AT_SIZE), gen.random(AT_SIZE))
+
+
+def test_key_order_on_continuous_scores():
+    gen = np.random.default_rng(23)
+    scores = gen.random(AT_SIZE)
+    assert np.unique(scores).size == AT_SIZE
+    assert_sweep_order(scores, gen.integers(0, 2, AT_SIZE), gen.random(AT_SIZE))
+
+
+@pytest.mark.parametrize("leader", [0, 1])
+def test_key_collision_one_ulp_apart_in_a_high_group_falls_back(leader):
+    # Both orientations give the same key array, so a key sort alone would
+    # put the pair in the same positions for both and get one of them wrong.
+    gen = np.random.default_rng(24)
+    scores = gen.integers(0, 2_000, AT_SIZE) / 1_999.0
+    draws = gen.random(AT_SIZE)
+    labels = gen.integers(0, 2, AT_SIZE)
+    level = np.unique(scores)[1_500]
+    pair = [1_000, 150_000]
+    first, last = pair[leader], pair[1 - leader]
+    # ``first`` has the larger draw, so it leads in the sweep order.
+    scores[pair] = level
+    draws[[first, last]] = 0.5, np.nextafter(0.5, 0.0)
+    labels[[first, last]] = 1, 0
+    group = float(np.searchsorted(np.unique(scores), level))
+    assert group >= 1_024
+    assert group - draws[first] == group - draws[last]  # g - draw merges the pair
+    assert_sweep_order(scores, labels, draws)
+
+
+def test_key_order_with_signed_zero_scores_in_one_group():
+    gen = np.random.default_rng(25)
+    scores = gen.integers(0, 20, AT_SIZE) / 19.0
+    scores[(scores == 0.0) & (gen.random(AT_SIZE) < 0.5)] = -0.0
+    assert np.signbit(scores).any() and (scores == 0.0).sum() > np.signbit(scores).sum()
+    assert_sweep_order(scores, gen.integers(0, 2, AT_SIZE), gen.random(AT_SIZE))
+
+
+@pytest.mark.parametrize("n", [40, 3_000, 50_000])
+def test_deterministic_search_is_invariant_to_row_order(n):
+    # The draw-less sort is unstable, so rows must not move the result.
+    gen = np.random.default_rng(n)
+    scores, labels = tie_heavy_sample(gen, n)
+    for spec in (ACC, PRODUCT, CmmSpec("f_beta", 1.0), CmmSpec("mcc")):
+        want = optimize_threshold_deterministic((scores, labels), spec)
+        for _ in range(50):
+            perm = gen.permutation(n)
+            got = optimize_threshold_deterministic((scores[perm], labels[perm]), spec)
+            assert got.classification_prefix_index == want.classification_prefix_index
+            bits = np.array([got.threshold.t, got.threshold.p, got.metric_value])
+            ref = np.array([want.threshold.t, want.threshold.p, want.metric_value])
+            assert bits.tobytes() == ref.tobytes()
+
+
+def test_deterministic_threshold_at_a_signed_zero_group_is_positive_zero():
+    # Everything in the zero group labeled 0, the rest 1: the cut after it wins.
+    scores = np.array([-0.0, 0.0, -0.0, 0.5, 0.75])
+    labels = np.array([0, 0, 0, 1, 1])
+    for perm in ([0, 1, 2, 3, 4], [1, 0, 2, 3, 4], [3, 4, 2, 1, 0]):
+        res = optimize_threshold_deterministic((scores[perm], labels[perm]), ACC)
+        assert res.classification_prefix_index == 3
+        assert res.metric_value == 1.0
+        assert not np.signbit(res.threshold.t)
 
 
 def generator_candidates(s: np.ndarray) -> list[int]:
