@@ -209,6 +209,9 @@ class RegressionFunctionSpec:
     atom: float | None = None
 
     def __post_init__(self) -> None:
+        # A tuple keeps the spec hashable (error norms are memoized per eta)
+        # when the pieces come as a list or another sequence.
+        object.__setattr__(self, "pieces", tuple(self.pieces))
         if (len(self.pieces) > 0) == (self.atom is not None):
             raise ParameterDomainError(
                 "exactly one of pieces / atom must be provided"

@@ -18,9 +18,10 @@ sorted covariates, prefix sums and run bounds; only the boundary sums are
 per k.
 
 In more dimensions, query rows go in blocks of ``budget // (n * d)``
-rows, so a ``(rows, n, d)`` temporary stays under a fixed element budget;
-the few ``(rows, n)`` arrays of the filter below hold at most
-``budget / d`` elements each.
+rows, a rule kept from a ``(rows, n, d)`` distance temporary that no step
+builds any more; the few ``(rows, n)`` arrays of the filter below hold at
+most ``budget / d`` elements each.  Sizing blocks by those arrays is an open
+item of ROADMAP.md (n-d k-NN block size).
 Each block is filtered with one GEMM: the expanded squared distances
 ``|q|^2 - 2 q.x + |x|^2`` are partitioned to ``k_max``, and every training
 row within a proven rounding-error slack of that ``k_max``-th value stays a
@@ -36,12 +37,13 @@ distance pass: :meth:`KnnModel.predict_path`.  Single-k
 The error norms of a 1-d model against a piecewise-linear eta
 (:func:`uniform_error`, :func:`average_error`) are exact, with no grid.
 Between consecutive breakpoints (eta's knots and the window-boundary
-midpoints ``h / 2``) the searchsorted window start, and so the prediction,
-is one constant, and eta is linear.  One ``predict`` at each interval's
-midpoint and at each breakpoint gives every value the closed forms need:
-the sup is an interval's end limit or a breakpoint's value, and the
+midpoints ``h / 2``) eta is linear, and the searchsorted window start, and
+so the prediction, is one constant on each half-open ``(b_j, b_j+1]``.  One
+``predict`` at the breakpoints only gives every value the closed forms
+need: the sup is an interval's end limit or a breakpoint's value, and the
 integral is a trapezoid per interval, or two triangles where the error
-changes sign.
+changes sign.  Both norms come from one pass, memoized per (model, eta), so
+asking for the second costs a dictionary lookup.
 """
 
 from __future__ import annotations
@@ -70,8 +72,10 @@ __all__ = [
 ]
 
 
-#: Largest (query rows x training rows x d) distance temporary, in float64
-#: elements (8 MiB); a block always holds at least one query row.
+#: Element budget of an n-d query block (8 MiB of float64): a block holds
+#: ``max(1, budget // (n * d))`` query rows, the rule of a (rows, n, d)
+#: distance temporary that is gone.  ROADMAP.md's n-d block-size item sizes
+#: blocks by the filter's (rows, n) arrays instead.
 _BLOCK_ELEMENTS = 1 << 20
 
 _EPS = np.finfo(np.float64).eps
@@ -105,6 +109,10 @@ class KnnModel:
     _prefix: np.ndarray = field(repr=False, default=None)
     _h: np.ndarray = field(repr=False, default=None)
     _runs: np.ndarray = field(repr=False, default=None)
+    # (sup, integral) error norms per eta, filled by _error_norms.  Like the
+    # fields above it is derived from x and y; ``dataclasses.replace`` starts
+    # a new, empty one.
+    _norms: dict = field(init=False, repr=False, default_factory=dict)
 
     @classmethod
     def fit(cls, covariates, labels, k: int) -> "KnnModel":
@@ -120,10 +128,16 @@ class KnnModel:
         if not np.all((y == 0) | (y == 1)):
             raise ParameterDomainError("training labels must be 0/1")
         k = _check_k(k, n)
-        # Canonical order: covariate tuple ascending, original index breaking
-        # exact duplicates (lexsort is stable).
-        order = np.lexsort(tuple(x[:, j] for j in range(x.shape[1] - 1, -1, -1)))
-        xs = np.ascontiguousarray(x[order])
+        # Canonical order: covariate tuple ascending, then original index.
+        # The first coordinate is its primary key, so when no two of those are
+        # equal, one unstable argsort of it is that order.  Otherwise (0.0
+        # against -0.0 included) a stable lexsort over every column is.
+        order = np.argsort(x[:, 0])
+        xs = x[order]
+        if (xs[1:, 0] == xs[:-1, 0]).any():
+            order = np.lexsort(tuple(x[:, j] for j in range(x.shape[1] - 1, -1, -1)))
+            xs = x[order]
+        xs = np.ascontiguousarray(xs)
         ys = y[order].astype(np.float64)
         prefix = h = runs = None
         if xs.shape[1] == 1:
@@ -391,6 +405,8 @@ def k_rule(name: str, r: float = 1.0, alpha: float = 1.0, d: int = 1) -> KSelect
 
 def _error_norms(model: KnnModel, eta: RegressionFunctionSpec) -> tuple[float, float]:
     """Sup and integral of |prediction - eta| over [0, 1]; see the module notes."""
+    if eta in model._norms:
+        return model._norms[eta]
     if model.d != 1:
         raise UnsupportedSpecError("error norms are defined for d = 1 models only")
     if eta.atom is not None:
@@ -407,10 +423,15 @@ def _error_norms(model: KnnModel, eta: RegressionFunctionSpec) -> tuple[float, f
     e0 = v_lo + (v_hi - v_lo) * ((left - lo) / (hi - lo))
     e1 = v_lo + (v_hi - v_lo) * ((right - lo) / (hi - lo))
     mid = 0.5 * (left + right)
-    # An interval with no float strictly inside has nothing to predict at.
+    # An interval with no float strictly inside counts for nothing.
     inside = (left < mid) & (mid < right)
-    pred = model.predict(np.concatenate((mid[inside], b)))
-    c, at_b = pred[: -b.size], pred[-b.size :]
+    # b holds every window-boundary midpoint h / 2 in [0, 1], so none lies
+    # strictly inside an interval, and q > h / 2 exactly when 2q > h, the
+    # searchsorted test: the window start, and so the prediction, is one
+    # constant on (left, right] and is read at right.  That needs 0.5 * h to
+    # be exact, which it is unless h is subnormal.
+    at_b = model.predict(b)
+    c = at_b[1:][inside]
     g0, g1 = c - e0[inside], c - e1[inside]
     a0, a1 = np.abs(g0), np.abs(g1)
     sup = max(a0.max(), a1.max(), np.abs(at_b - np.append(e0, e1[-1])).max())
@@ -419,7 +440,9 @@ def _error_norms(model: KnnModel, eta: RegressionFunctionSpec) -> tuple[float, f
     total = a0 + a1
     cross = np.sign(g0) * np.sign(g1) < 0
     mean_abs = np.divide(g0 * g0 + g1 * g1, 2.0 * total, out=0.5 * total, where=cross)
-    return float(sup), float(np.sum((right - left)[inside] * mean_abs))
+    norms = float(sup), float(np.sum((right - left)[inside] * mean_abs))
+    model._norms[eta] = norms
+    return norms
 
 
 def uniform_error(model: KnnModel, eta: RegressionFunctionSpec) -> float:

@@ -503,3 +503,55 @@ def test_summaries_equal_per_group_scans(tmp_path):
         (24, "stochastic", 6), (24, "deterministic", 6),
     ]
     assert summary == want
+
+
+# ---------------------------------------------------------------------------
+# Pinned result bytes.
+# ---------------------------------------------------------------------------
+
+# The data lines of two result files, everything below the ``#`` preamble
+# (which names the numpy version).  A speed change must leave them as they
+# are, bit for bit: the norms, the tuned thresholds and their text.
+PINNED_EXP2_LINES = (
+    'n,trial,seed,k,r,metric,eta,linf,l1,f1_regret,f1_regret_stochastic',
+    '20,0,0:2:0:0,12,0.22360679774997896,f_beta:1,uci,0.31097825718029964,0.20271294880008117,0.1465755002537853,0.02444664871316904',
+    '20,0,0:2:0:0,12,0.22360679774997896,f_beta:1,nonuci,0.8333333333333334,0.10282091603840487,0.0699257133519453,0.10841362785138098',
+    '20,1,0:2:0:1,12,0.22360679774997896,f_beta:1,uci,0.25,0.18050232242281,0.0865935671011204,0.0547432706732113',
+    '20,1,0:2:0:1,12,0.22360679774997896,f_beta:1,nonuci,0.75,0.12742667123441287,0.4157177367859246,0.3816605543561659',
+    '200,0,0:2:1:0,82,0.07071067811865475,f_beta:1,uci,0.024390243902439025,0.010175982713053174,-0.017909664088557098,0.03871694609558743',
+    '200,0,0:2:1:0,82,0.07071067811865475,f_beta:1,nonuci,0.9390243902439024,0.040636873443430234,0.5222653558335436,0.7184774770456649',
+    '200,1,0:2:1:1,82,0.07071067811865475,f_beta:1,uci,0.014409838277227277,0.005491341000506101,-0.02109307683267983,0.058484387956052555',
+    '200,1,0:2:1:1,82,0.07071067811865475,f_beta:1,nonuci,0.8780487804878049,0.04537736258487727,0.3731274247990609,0.3913830028923672',
+    '2000,0,0:2:2:0,563,0.022360679774997897,f_beta:1,uci,0.011502043897266591,0.003342055033930256,0.01184862402370684,-0.002721822711688346',
+    '2000,0,0:2:2:0,563,0.022360679774997897,f_beta:1,nonuci,0.9715808170515098,0.013943944991456236,0.5984147811209,0.7639320225002103',
+    '2000,1,0:2:2:1,563,0.022360679774997897,f_beta:1,uci,0.010165822606343435,0.002699663932929077,0.03851529069037351,0.03851529069037351',
+    '2000,1,0:2:2:1,563,0.022360679774997897,f_beta:1,nonuci,0.9680284191829485,0.014739409463772847,0.5832868612098877,0.6414830429083735',
+)
+
+PINNED_EXP1_LINES = (
+    'n,trial,seed,k,r,metric,method,value,regret',
+    '20,0,0:1:0:0,7,1.0,tp_tn_product,stochastic,0.1824,-0.008788888888888874',
+    '20,0,0:1:0:0,7,1.0,tp_tn_product,deterministic,0.1848,-0.01118888888888886',
+    '20,1,0:1:0:1,7,1.0,tp_tn_product,stochastic,0.144,0.029611111111111144',
+    '20,1,0:1:0:1,7,1.0,tp_tn_product,deterministic,0.168,0.005611111111111122',
+    '40,0,0:1:1:0,11,1.0,tp_tn_product,stochastic,0.1728,0.0008111111111111236',
+    '40,0,0:1:1:0,11,1.0,tp_tn_product,deterministic,0.1836,-0.00998888888888888',
+    '40,1,0:1:1:1,11,1.0,tp_tn_product,stochastic,0.1344,0.03921111111111114',
+    '40,1,0:1:1:1,11,1.0,tp_tn_product,deterministic,0.1344,0.03921111111111114',
+)
+
+
+def _data_lines(path) -> tuple[str, ...]:
+    return tuple(
+        l for l in path.read_text(encoding="utf-8").splitlines() if not l.startswith("#")
+    )
+
+
+def test_result_files_keep_their_pinned_bytes(tmp_path):
+    run_experiment2(
+        ExperimentConfig(experiment="exp2", n_grid=(20, 200, 2000), trials=2),
+        out=tmp_path / "exp2.csv",
+    )
+    assert _data_lines(tmp_path / "exp2.csv") == PINNED_EXP2_LINES
+    run_experiment1(ExperimentConfig(**{**SMALL_EXP1, "trials": 2}), out=tmp_path / "exp1.csv")
+    assert _data_lines(tmp_path / "exp1.csv") == PINNED_EXP1_LINES

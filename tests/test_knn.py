@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -394,6 +397,75 @@ def test_rule_validation():
 
 
 # ---------------------------------------------------------------------------
+# canonical fit order
+
+
+def _lexsort_rows(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical rows by one stable lexsort: covariate tuple ascending, then index."""
+    x = np.asarray(x, dtype=np.float64)
+    x = x[:, None] if x.ndim == 1 else x
+    order = np.lexsort(x.T[::-1])
+    return x[order], np.asarray(y)[order].astype(np.float64)
+
+
+def _fit_order_case(case: str, gen):
+    """Covariates, 0/1 labels and queries of one fit-order case."""
+    if case == "continuous-1d":
+        x, queries = gen.random(500), gen.random(60)
+    elif case == "continuous-10d":
+        x, queries = gen.random((300, 10)), gen.random((25, 10))
+    elif case == "lattice-2d":
+        # First coordinates tie everywhere: the second one decides.
+        x = gen.integers(0, 5, (200, 2)).astype(np.float64)
+        queries = gen.integers(-1, 6, (25, 2)).astype(np.float64)
+    elif case in ("duplicates-1d", "duplicates-3d"):
+        # Exact duplicate rows, each copy with its own label: the row index
+        # decides their order.
+        d = 1 if case == "duplicates-1d" else 3
+        rows = gen.integers(0, 3, (40, d)).astype(np.float64)
+        x = np.vstack((rows, rows[:25], rows[:10]))[gen.permutation(75)]
+        x = x[:, 0] if d == 1 else x
+        queries = gen.integers(-1, 4, (25, d)).astype(np.float64) + 0.5
+    else:
+        # 0.0 and -0.0 compare equal, so the index (1-d) or the next
+        # column (2-d) decides between them, and their bits must follow.
+        first = gen.choice([0.0, -0.0, 0.5, -0.5], 80)
+        if case == "signed-zeros-1d":
+            x, queries = first, gen.integers(-2, 3, 20) / 4.0
+        else:
+            x = np.c_[first, gen.integers(0, 3, 80)]
+            queries = np.c_[gen.integers(-2, 3, 20) / 4.0, gen.integers(0, 3, 20)]
+    y = gen.integers(0, 2, x.shape[0])
+    return x, y, queries
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "continuous-1d", "continuous-10d", "lattice-2d",
+        "duplicates-1d", "duplicates-3d", "signed-zeros-1d", "signed-zeros-2d",
+    ],
+)
+def test_fit_order_is_the_lexsort_order(case):
+    gen = np.random.default_rng(len(case))
+    x, y, queries = _fit_order_case(case, gen)
+    xs, ys = _lexsort_rows(x, y)
+    for k in (1, 4, x.shape[0]):
+        model = KnnModel.fit(x, y, k)
+        assert model.x.tobytes() == xs.tobytes()
+        assert model.y.tobytes() == ys.tobytes()
+        if model.d == 1:
+            # The lexsort rows are already canonical: refitting them keeps
+            # them, so the reference model predicts from exactly those rows.
+            ref = KnnModel.fit(xs, ys, k)
+            assert ref.x.tobytes() == xs.tobytes()
+            want = ref.predict(queries)
+        else:
+            want = argsort_knn_reference(SimpleNamespace(x=xs, y=ys, d=model.d), queries, k)
+        assert np.array_equal(model.predict(queries), want)
+
+
+# ---------------------------------------------------------------------------
 # error norms
 
 
@@ -547,3 +619,79 @@ def test_error_norms_reject_unsupported_inputs(rng):
     model = KnnModel.fit(rng.random(20), rng.integers(0, 2, 20), 3)
     with pytest.raises(UnsupportedSpecError):
         uniform_error(model, RegressionFunctionSpec(atom=0.5))
+
+
+def _midpoint_reading_norms(model, eta) -> tuple[float, float]:
+    """Error norms read as before the breakpoint-only pass: one ``predict`` at
+    each interval's midpoint and one at each breakpoint."""
+    b = np.unique(np.clip(np.concatenate((eta.knots(), 0.5 * model._h)), 0.0, 1.0))
+    left, right = b[:-1], b[1:]
+    table = np.array([(pc.lo, pc.hi, pc.v_lo, pc.v_hi) for pc in eta.pieces])
+    lo, hi, v_lo, v_hi = table[np.searchsorted(table[:, 0], left, side="right") - 1].T
+    e0 = v_lo + (v_hi - v_lo) * ((left - lo) / (hi - lo))
+    e1 = v_lo + (v_hi - v_lo) * ((right - lo) / (hi - lo))
+    mid = 0.5 * (left + right)
+    inside = (left < mid) & (mid < right)
+    pred = model.predict(np.concatenate((mid[inside], b)))
+    c, at_b = pred[: -b.size], pred[-b.size :]
+    g0, g1 = c - e0[inside], c - e1[inside]
+    a0, a1 = np.abs(g0), np.abs(g1)
+    sup = max(a0.max(), a1.max(), np.abs(at_b - np.append(e0, e1[-1])).max())
+    total = a0 + a1
+    cross = np.sign(g0) * np.sign(g1) < 0
+    mean_abs = np.divide(g0 * g0 + g1 * g1, 2.0 * total, out=0.5 * total, where=cross)
+    return float(sup), float(np.sum((right - left)[inside] * mean_abs))
+
+
+@pytest.mark.parametrize("covariates", ["uniform", "lattice", "pool", "normal"])
+def test_breakpoint_reading_equals_midpoint_reading(covariates):
+    # Reading each interval's constant prediction at its right breakpoint
+    # gives the bits of reading it at the interval's midpoint.
+    gen = np.random.default_rng(len(covariates))
+    for _ in range(250):
+        n = int(gen.integers(1, 80))
+        if covariates == "uniform":
+            x = gen.random(n)
+        elif covariates == "lattice":
+            x = gen.integers(0, 17, n) / 16
+        elif covariates == "pool":
+            x = gen.choice(gen.random(7), n)
+        else:
+            x = gen.normal(0.5, 0.6, n)  # reaches outside [0, 1]
+        model = KnnModel.fit(x, gen.integers(0, 2, n), int(gen.integers(1, n + 1)))
+        eta = _random_eta(gen, pieces=int(gen.integers(1, 9)))
+        want = _midpoint_reading_norms(model, eta)
+        assert (uniform_error(model, eta), average_error(model, eta)) == want
+
+
+def test_error_norms_are_computed_once_per_model_and_eta(monkeypatch):
+    calls = []
+    real_path = KnnModel._path
+
+    def counting_path(self, q, ks):
+        calls.append(q.size)
+        return real_path(self, q, ks)
+
+    monkeypatch.setattr(KnnModel, "_path", counting_path)
+    gen = np.random.default_rng(5)
+    model = KnnModel.fit(gen.random(50), gen.integers(0, 2, 50), 7)
+    eta, other = _random_eta(gen), exp2_uci_problem(0.1).eta
+    sup = uniform_error(model, eta)
+    assert len(calls) == 1
+    l1 = average_error(model, eta)
+    assert len(calls) == 1  # read from the memo
+    assert (uniform_error(model, eta), average_error(model, eta)) == (sup, l1)
+    assert len(calls) == 1
+    average_error(model, other)  # a different eta is computed anew
+    assert len(calls) == 2
+    uniform_error(model, exp2_uci_problem(0.1).eta)  # an equal eta is not
+    assert len(calls) == 2
+    assert set(model._norms) == {eta, other}
+    fresh = dataclasses.replace(model)
+    assert fresh._norms == {}
+    assert uniform_error(fresh, eta) == sup
+    assert len(calls) == 3
+    # Pieces given as a list still make a hashable spec.
+    listed = RegressionFunctionSpec(pieces=list(eta.pieces))
+    assert average_error(model, listed) == l1
+    assert len(calls) == 3
