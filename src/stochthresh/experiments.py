@@ -249,6 +249,10 @@ def _synthetic_trial(cfg: ExperimentConfig, problem, n: int, k: int, streams):
     ``cfg.score_source`` is ``"eta"`` (the model is then None).  ``streams``
     are the training and test seed sequences.  Returns ``(model,
     _test_values(...))``.
+
+    The k-NN scores the training rows in the fit's canonical order, where
+    the queries are sorted, so each binary search starts from the last
+    one's bound; the scores are then put back in row order.
     """
     train_ss, test_ss = streams
     train = generate(problem, n, train_ss)
@@ -256,11 +260,14 @@ def _synthetic_trial(cfg: ExperimentConfig, problem, n: int, k: int, streams):
     if cfg.score_source == "knn":
         model = KnnModel.fit(train.covariates, train.labels, k)
         score = model.predict
+        train_scores = np.empty(n)
+        train_scores[model.order] = score(model.x[:, 0])
     else:
         model, score = None, problem.eta.evaluate
+        train_scores = score(train.covariates[:, 0])
     return model, _test_values(
         cfg.metric,
-        (score(train.covariates[:, 0]), train.labels, train.draws),
+        (train_scores, train.labels, train.draws),
         (score(test.covariates[:, 0]), test.labels, test.draws),
     )
 

@@ -123,9 +123,10 @@ def load_csv(
     The row-by-row ``csv`` parse decides every result and every error.  One
     ``np.loadtxt`` pass over the data rows stands in for it only when it
     provably gives the same arrays (see :func:`_load_vectorized`); in any
-    other case the row parse reruns on the file.  The one check loadtxt does
-    not share is ``csv.field_size_limit()``: a numeric cell longer than it
-    loads instead of raising ``csv.Error``.
+    other case the row parse reruns on the file.  loadtxt has no
+    ``csv.field_size_limit()``, so a data line longer than that limit (and
+    some over half of it) sends the file to the row parse, which raises
+    ``csv.Error`` on a cell over the limit.
     """
     path = Path(path)
     ds = _load_vectorized(path, label_column, draw_column)
@@ -159,6 +160,10 @@ def _read_header(
     return header, label_i, draw_i, feature_is
 
 
+#: Suffixes of the files ``np.loadtxt`` decompresses when given their path.
+_DECOMPRESSED_SUFFIXES = frozenset({".gz", ".bz2", ".xz", ".lzma"})
+
+
 def _line_count(text: str) -> int:
     r"""Lines of non-empty text as a ``newline=""`` file splits it: at \n, \r, \r\n."""
     n = text.count("\n")
@@ -167,6 +172,21 @@ def _line_count(text: str) -> int:
     if not text.endswith(("\n", "\r")):
         n += 1  # an unterminated last line
     return n
+
+
+def _has_long_line(text: str, limit: int) -> bool:
+    r"""Might a line of ``text`` (ended at \n or \r) hold more than ``limit`` characters?
+
+    A run of ``limit + 1`` characters with no line end covers a whole block
+    ``text[i:i + step]`` for some multiple i of ``step = (limit + 2) // 2``,
+    so it is enough to look for a line end in each block; a block without
+    one (a line of at least ``step`` characters) answers True.
+    """
+    step = (limit + 2) // 2
+    return not all(
+        text.find("\n", i, i + step) >= 0 or text.find("\r", i, i + step) >= 0
+        for i in range(0, len(text) - step + 1, step)
+    )
 
 
 def _load_vectorized(
@@ -178,10 +198,17 @@ def _load_vectorized(
     cell with the same correctly rounded string-to-double routine; loadtxt
     only accepts less (no ``1_0``, no non-ASCII digits).  So its arrays are
     the row parse's, bit for bit, once these hold: the file can be read
-    twice; no data cell holds a quote; every line is a row of
+    twice; no data cell holds a quote; no data line is long enough to hold
+    a cell over ``csv.field_size_limit()``; every line is a row of
     ``len(header)`` cells (loadtxt skips blank lines, which the rows
     reject); labels are 0 or 1 and draws lie in [0, 1], NaN excluded.
+
+    loadtxt reads the path itself, in chunks, which is faster than the
+    lines of a Python handle; a file name that numpy decompresses by its
+    suffix goes to the row parse.
     """
+    if path.suffix in _DECOMPRESSED_SUFFIXES:
+        return None
     with path.open(newline="", encoding="utf-8") as fh:
         if not fh.seekable():
             return None
@@ -197,16 +224,18 @@ def _load_vectorized(
         # when every line is blank): the row parse raises on either.
         if text[:1] in ("", "\n", "\r") or '"' in text:
             return None
+        if _has_long_line(text, csv.field_size_limit()):
+            return None
         lines = _line_count(text)
         del text  # freed before loadtxt allocates the arrays
-        fh.seek(0)
-        try:
-            values = np.loadtxt(
-                fh, delimiter=",", comments=None, dtype=np.float64,
-                ndmin=2, skiprows=reader.line_num,
-            )
-        except ValueError:
-            return None
+        skip = reader.line_num
+    try:
+        values = np.loadtxt(
+            path, delimiter=",", comments=None, dtype=np.float64,
+            ndmin=2, skiprows=skip, encoding="utf-8",
+        )
+    except ValueError:
+        return None
     if values.shape != (lines, len(header)):
         return None
     labels = values[:, label_i]

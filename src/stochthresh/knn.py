@@ -106,6 +106,8 @@ class KnnModel:
     x: np.ndarray
     y: np.ndarray
     k: int
+    #: The canonical permutation: ``x`` and ``y`` are the fitted rows taken in it.
+    order: np.ndarray = field(repr=False, default=None)
     _prefix: np.ndarray = field(repr=False, default=None)
     _h: np.ndarray = field(repr=False, default=None)
     _runs: np.ndarray = field(repr=False, default=None)
@@ -150,7 +152,7 @@ class KnnModel:
                 starts = np.flatnonzero(first)
                 run_of = np.cumsum(first) - 1
                 runs = np.stack((starts, np.append(starts[1:], n)))[:, run_of]
-        return cls(x=xs, y=ys, k=k, _prefix=prefix, _h=h, _runs=runs)
+        return cls(x=xs, y=ys, k=k, order=order, _prefix=prefix, _h=h, _runs=runs)
 
     @property
     def n(self) -> int:

@@ -268,13 +268,30 @@ class RocCurve:
             )
 
 
+def _score_cuts(scores: np.ndarray, labels: np.ndarray):
+    """Distinct scores ``u`` ascending, with the rows and positives at or below each.
+
+    ``rows_le[g]`` counts the scores ``<= u[g]`` and ``pos_le[g]`` the
+    positive-labeled ones among them (int64), so prefix ``rows_le[g]`` of
+    any score-sorted order holds ``pos_le[g]`` positives.  Two value sorts
+    and one ``searchsorted`` give them; no permutation is built or applied.
+    ``0.0`` and ``-0.0`` are one distinct score, of either sign.
+    """
+    s = np.sort(scores)
+    rows_le = np.append(np.flatnonzero(s[1:] != s[:-1]) + 1, s.size)
+    u = s[rows_le - 1]
+    pos_le = np.searchsorted(np.sort(scores[labels == 1]), u, side="right")
+    return u, rows_le, pos_le
+
+
 def roc_and_auroc(scores, labels) -> RocCurve:
     """ROC curve and area for finite real scores against binary labels.
 
     Requires at least one positive and one negative label.  Higher scores
     rank as more positive; ties are grouped as described on
-    :class:`RocCurve`.  The order inside a tie group is unspecified: the
-    knots read the true-positive count only at each group's end.
+    :class:`RocCurve`.  The knots read the counts of rows and positives at
+    or above each distinct score from :func:`_score_cuts`, in descending
+    order, so no order inside a tie group enters.
     """
     s = np.asarray(scores, dtype=np.float64).ravel()
     y = np.asarray(labels).ravel()
@@ -295,14 +312,11 @@ def roc_and_auroc(scores, labels) -> RocCurve:
         raise DegenerateInputError(
             "ROC needs at least one positive and one negative label"
         )
-    order = np.argsort(-s)  # unstable: knots read counts at tie-group ends only
-    s_desc = s[order]
-    y_desc = y[order]
-    # Last index of each tied-score group, in descending-score order.
-    group_last = np.nonzero(np.append(s_desc[1:] != s_desc[:-1], True))[0]
-    cum_tp = np.cumsum(y_desc)
-    tp_at = cum_tp[group_last]
-    fp_at = (group_last + 1) - tp_at
+    _, rows_le, pos_le = _score_cuts(s, y)
+    # Rows and positives at or above each distinct score, highest first.
+    rows_ge = y.size - np.append(0, rows_le[:-1])[::-1]
+    tp_at = npos - np.append(0, pos_le[:-1])[::-1]
+    fp_at = rows_ge - tp_at
     fpr = np.concatenate(([0.0], fp_at / nneg))
     tpr = np.concatenate(([0.0], tp_at / npos))
     auroc = float(np.trapezoid(tpr, fpr))

@@ -4,16 +4,17 @@ On a finite sample the only classifications a stochastic threshold can
 produce are the "prefixes" of the sample sorted by (score ascending, draw
 descending): prefix j labels the first j sorted samples 0 and the rest 1.
 :class:`SortedSample` is that sort plus the cumulative positive count, and
-gives the confusion cells at any prefix indices as integer counts divided
-by n.  The stochastic sweep reads all n + 1 prefixes, the deterministic
-search only the cuts between distinct scores: O(n log n) and *exactly*
-optimal, with no grid.  Both searches sort with unstable argsorts: the
-(score, draw) order comes from a key that is exact unless two keys
-collide (then ``np.lexsort`` decides), and the deterministic search reads
-counts at score cuts, which no order inside a tie group can change.  A
-quadratic brute-force twin sorts on its own and re-materializes every
-prefix from scratch, so it is an independent oracle that evaluates
-measures on bit-identical cells and must agree exactly.
+the confusion cells of a prefix are integer counts divided by n.  The
+stochastic sweep reads all n + 1 prefixes, the deterministic search only
+the cuts between distinct scores: O(n log n) and *exactly* optimal, with
+no grid.  The sweep order comes from unstable argsorts and a key that is
+exact unless two keys collide (then ``np.lexsort`` decides).  The
+deterministic search needs no order at all: the counts at each distinct
+score come from value sorts (``metrics._score_cuts``), which no order
+inside a tie group can change.  A quadratic brute-force twin sorts on its
+own and re-materializes every prefix from scratch, so it is an independent
+oracle that evaluates measures on bit-identical cells and must agree
+exactly.
 
 The population search is exact too.  The population cells are linear in
 p on the tie set of a breakpoint (eta's piece values or atom, 0 and 1),
@@ -36,7 +37,14 @@ from .classify import (
     population_confusion_parts,
 )
 from .errors import ParameterDomainError
-from .metrics import CmmSpec, ConfusionMatrix, _cmm_fraction, _cmm_values, evaluate_cmm
+from .metrics import (
+    CmmSpec,
+    ConfusionMatrix,
+    _cmm_fraction,
+    _cmm_values,
+    _score_cuts,
+    evaluate_cmm,
+)
 
 __all__ = [
     "ThresholdSearchResult",
@@ -80,13 +88,19 @@ def _key_order(s: np.ndarray, z: np.ndarray) -> np.ndarray | None:
     return None if np.any(key[1:] == key[:-1]) else by_key
 
 
-class SortedSample:
-    """A sample in sweep order with its cumulative positive count.
+def _cells(j: np.ndarray, cum_pos: np.ndarray, n: int, npos: int):
+    """Cells (tn, fp, fn, tp) as counts / n of prefixes j holding ``cum_pos`` positives."""
+    cum_neg = j - cum_pos
+    return cum_neg / n, (n - npos - cum_neg) / n, cum_pos / n, (npos - cum_pos) / n
 
-    With draws, rows sort by score ascending, then draw descending, then
-    original index — the order of ``np.lexsort((-draws, scores))``.  One
-    unstable score argsort numbers the distinct-score groups g = 0, 1, ...,
-    and one unstable argsort of the float key ``g - draw`` orders the rows.
+
+class SortedSample:
+    """A sample's sweep order and its cumulative positive count.
+
+    Rows sort by score ascending, then draw descending, then original
+    index — the order of ``np.lexsort((-draws, scores))``.  One unstable
+    score argsort numbers the distinct-score groups g = 0, 1, ..., and one
+    unstable argsort of the float key ``g - draw`` orders the rows.
     Rounding is monotone and draws lie in [0, 1], so a smaller key means a
     smaller (g, -draw); when no two sorted keys are equal the key order is
     therefore exactly the lexsort order.  Equal keys (equal draws in a
@@ -94,65 +108,37 @@ class SortedSample:
     near g, or draw 0 against the next group's draw 1) fall back to
     ``np.lexsort``.
 
-    Without draws, rows sort by score alone and the order inside a tie
-    group is unspecified: the deterministic search reads ``cum_pos`` only
-    at the cuts between distinct scores, where it does not depend on it.
+    ``order`` is that permutation of the input rows.  Labels are gathered
+    through it once, for ``cum_pos``; the searches read scores and draws
+    through it only at the winning prefix.
     """
 
-    def __init__(self, scores: np.ndarray, labels: np.ndarray, draws=None):
+    def __init__(self, scores: np.ndarray, labels: np.ndarray, draws: np.ndarray):
         order = np.argsort(scores)
-        s, y, z = scores[order], labels[order], None
-        if draws is not None:
-            z = draws[order]
-            by_key = _key_order(s, z)
-            if by_key is None:
-                order = np.lexsort((-draws, scores))
-                s, y, z = scores[order], labels[order], draws[order]
-            else:  # a permutation inside tie groups: cache-local gathers
-                s, y, z = s[by_key], y[by_key], z[by_key]
-        self.scores, self.draws = s, z
-        self.cum_pos = np.zeros(s.size + 1, dtype=np.int64)
-        np.cumsum(y, out=self.cum_pos[1:])
+        by_key = _key_order(scores[order], draws[order])
+        # A permutation inside tie groups, composed with the score order.
+        self.order = np.lexsort((-draws, scores)) if by_key is None else order[by_key]
+        self.cum_pos = np.zeros(scores.size + 1, dtype=np.int64)
+        np.cumsum(labels[self.order], out=self.cum_pos[1:])
 
-    def cells(self, j: np.ndarray | None = None):
-        """Confusion cells (tn, fp, fn, tp) at prefix indices j, as counts / n.
-
-        ``j=None`` gives all n + 1 prefixes without gathering ``cum_pos``.
-        """
-        n = self.scores.size
-        npos = int(self.cum_pos[-1])
-        if j is None:
-            j, cum_pos = np.arange(n + 1), self.cum_pos
-        else:
-            cum_pos = self.cum_pos[j]
-        cum_neg = j - cum_pos
-        return cum_neg / n, (n - npos - cum_neg) / n, cum_pos / n, (npos - cum_pos) / n
-
-    def deterministic_candidates(self) -> np.ndarray:
-        """Prefixes ``score > t`` alone realizes: 0 if every score is positive,
-        each cut between distinct scores, and n (everything labeled 0).
-        """
-        s = self.scores
-        return np.flatnonzero(np.concatenate(([s[0] > 0.0], s[1:] != s[:-1], [True])))
+    def cells(self):
+        """Confusion cells (tn, fp, fn, tp) of all n + 1 prefixes, as counts / n."""
+        n = self.order.size
+        return _cells(np.arange(n + 1), self.cum_pos, n, int(self.cum_pos[-1]))
 
 
 def _prefix_threshold(
-    j: int, s: np.ndarray, z: np.ndarray | None
+    j: int, scores: np.ndarray, draws: np.ndarray, order: np.ndarray
 ) -> StochasticThreshold:
-    """Threshold reproducing prefix j on the sorted scores s and draws z.
+    """(score, draw) of the last row of prefix j in the sweep order ``order``.
 
-    Prefix 0 (everything labeled 1) maps to t = 0 with p = 1 in the
-    stochastic search — p = 0 could not re-admit a sample whose score is
-    exactly 0 — and to (0, 0) in the deterministic search (``z`` is None),
-    which only offers prefix 0 when all scores are positive.  A
-    deterministic t is the last score of a tie group, whose order is
-    unspecified, so a group of ``0.0`` and ``-0.0`` gives t = +0.0.
+    Prefix 0 (everything labeled 1) maps to t = 0 with p = 1 — p = 0 could
+    not re-admit a sample whose score is exactly 0.
     """
     if j == 0:
-        return StochasticThreshold(0.0, 0.0 if z is None else 1.0)
-    if z is None:
-        return StochasticThreshold(float(s[j - 1]) + 0.0, 0.0)
-    return StochasticThreshold(float(s[j - 1]), float(z[j - 1]))
+        return StochasticThreshold(0.0, 1.0)
+    row = order[j - 1]
+    return StochasticThreshold(float(scores[row]), float(draws[row]))
 
 
 def optimize_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
@@ -164,11 +150,12 @@ def optimize_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
     winning classification whenever no other sample shares that exact
     (score, draw) pair.
     """
-    sample = SortedSample(*as_sample_arrays(samples, require_draws=True))
+    scores, labels, draws = as_sample_arrays(samples, require_draws=True)
+    sample = SortedSample(scores, labels, draws)
     vals = np.asarray(_cmm_values(spec, *sample.cells()))
     best = int(np.argmax(vals))
     return ThresholdSearchResult(
-        threshold=_prefix_threshold(best, sample.scores, sample.draws),
+        threshold=_prefix_threshold(best, scores, draws, sample.order),
         metric_value=float(vals[best]),
         classification_prefix_index=best,
     )
@@ -188,7 +175,7 @@ def brute_force_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
             f"brute-force search is quadratic; n={n} exceeds 10000"
         )
     order = np.lexsort((-draws, scores))
-    s, y, z = scores[order], labels[order], draws[order]
+    y = labels[order]
     best_j = -1
     best_val = -np.inf
     for j in range(n + 1):
@@ -204,7 +191,7 @@ def brute_force_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
             best_val = val
             best_j = j
     return ThresholdSearchResult(
-        threshold=_prefix_threshold(best_j, s, z),
+        threshold=_prefix_threshold(best_j, scores, draws, order),
         metric_value=best_val,
         classification_prefix_index=best_j,
     )
@@ -217,18 +204,23 @@ def optimize_threshold_deterministic(samples, spec: CmmSpec) -> ThresholdSearchR
     distinct-score group boundaries, the all-0 labeling, and the all-1
     labeling when every score is positive.  Same tie-breaking as the
     stochastic search; its value can never exceed the stochastic one.
-    Draws, when given, are checked but not sorted on: the order inside a
-    tie group cannot change the cells at a group boundary.
+    Draws, when given, are checked but not used.  The cut after distinct
+    score u has t = u (a group of ``0.0`` and ``-0.0`` gives t = +0.0); the
+    all-1 labeling has t = 0.
     """
-    sample = SortedSample(*as_sample_arrays(samples)[:2])
-    cand = sample.deterministic_candidates()
-    vals = np.asarray(_cmm_values(spec, *sample.cells(cand)))
+    scores, labels, _ = as_sample_arrays(samples)
+    u, rows_le, pos_le = _score_cuts(scores, labels)
+    offset = int(u[0] > 0.0)  # prefix 0 leads the candidates
+    if offset:
+        rows_le, pos_le = np.append(0, rows_le), np.append(0, pos_le)
+    cells = _cells(rows_le, pos_le, scores.size, int(pos_le[-1]))
+    vals = np.asarray(_cmm_values(spec, *cells))
     i = int(np.argmax(vals))
-    best = int(cand[i])
+    g = i - offset
     return ThresholdSearchResult(
-        threshold=_prefix_threshold(best, sample.scores, None),
+        threshold=StochasticThreshold(float(u[g]) + 0.0 if g >= 0 else 0.0, 0.0),
         metric_value=float(vals[i]),
-        classification_prefix_index=best,
+        classification_prefix_index=int(rows_le[i]),
     )
 
 

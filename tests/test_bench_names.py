@@ -49,16 +49,30 @@ def _d3_csv(path):
     return str(path)
 
 
+def _tune_csv(path):
+    """A small scored table in the shape of the tune-large input."""
+    gen = np.random.default_rng(8)
+    scores = (gen.integers(0, 101, 300) / 100.0).tolist()
+    labels = (gen.random(300) < scores).astype(int).tolist()
+    draws = gen.random(300).tolist()
+    write_csv(path, ["score", "label", "draw"],
+              [[repr(s), y, repr(z)] for s, y, z in zip(scores, labels, draws)])
+    return str(path)
+
+
 @pytest.mark.parametrize("workload, args", [
     ("exp1", ["experiment", "exp1", "--n-grid", "20,40", "--trials", "2"]),
     ("exp2", ["experiment", "exp2", "--n-grid", "20,40", "--trials", "2"]),
     ("fraud-nd", ["fraud", "--trials", "1", "--k-list", "2,4", "--data"]),
+    ("tune-large", []),
 ])
 def test_traced_benchmark_job_runs(tmp_path, workload, args):
     # The wrappers read their arguments (``args[0][0]`` of a sweep, ``a[1]`` of
     # generate), so a call shape they cannot read fails the job, not install.
     if workload == "fraud-nd":
         args = [*args, _d3_csv(tmp_path / "d3.csv")]
+    if workload == "tune-large":
+        args = [_tune_csv(tmp_path / "tune.csv")]
     record = tmp_path / "record.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "job.py"), str(record), workload, "1",
@@ -70,3 +84,7 @@ def test_traced_benchmark_job_runs(tmp_path, workload, args):
     if workload == "exp2":
         # The norms keep their own span; their time is not experiments' self time.
         assert result["layers"]["knn.error_norm_s"] > 0
+    if workload == "tune-large":
+        for layer in ("io.load_s", "metrics.roc_s", "threshold_opt.sweep_s",
+                      "threshold_opt.det_s"):
+            assert result["layers"][layer] > 0, layer

@@ -1,11 +1,12 @@
 """Tests for dataset I/O, standardization, and splitting."""
 
 import os
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -205,6 +206,10 @@ LOAD_CASES = {
     ),
     "empty cell": ("x,y,label\n1.0,,1\n", None),
     "header only": ("x,label\n", None),
+    # loadtxt skips physical lines, the header reader counts them.
+    "header cell over two lines": ('"x\ny",label\n0.5,1\n0.25,0\n', None),
+    # Over csv.field_size_limit() (131072 by default): the rows raise csv.Error.
+    "over-long cell": ("x,label\n0.5,1\n" + " " * 200_000 + "0.25,0\n", None),
 }
 
 
@@ -228,6 +233,33 @@ def test_load_csv_equals_the_row_parse(tmp_path, name):
         assert got.draws is None and want.draws is None
     else:
         assert _same_arrays(got.draws, want.draws)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(
+        st.tuples(st.integers(0, 45), st.sampled_from(["\n", "\r", "\r\n", ""])),
+        max_size=6,
+    ),
+    limit=st.integers(1, 20),
+)
+@example(lines=[(1, "\n"), (4, "\n")], limit=3)  # no aligned block of limit + 1 holds it
+def test_long_line_check_catches_every_line_over_the_limit(lines, limit):
+    text = "".join("a" * n + end for n, end in lines)
+    longest = max(map(len, re.split("\r\n|\r|\n", text)))
+    if longest > limit:
+        assert stochthresh.io._has_long_line(text, limit)
+    elif longest < (limit + 2) // 2:
+        assert not stochthresh.io._has_long_line(text, limit)
+
+
+def test_load_csv_reads_a_plain_file_named_like_an_archive(tmp_path):
+    # loadtxt would decompress a path ending in .gz; the row parse reads it.
+    path = tmp_path / "scores.csv.gz"
+    path.write_bytes(b"x,label\n0.5,1\n0.25,0\n")
+    ds = load_csv(path)
+    assert ds.covariates[:, 0].tolist() == [0.5, 0.25]
+    assert ds.labels.tolist() == [1, 0]
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -255,9 +287,10 @@ def test_load_csv_takes_the_vectorized_path_on_numeric_tables(tmp_path, monkeypa
     labels = gen.integers(0, 2, 300)
     draw_txt = [f"0.{i:09d}" for i in gen.integers(0, 10**9, 300).tolist()]
     lines = [f"{s},{y},{z}" for s, y, z in zip(score_txt, labels, draw_txt)]
-    for newline in ("\n", "\r\n"):
+    # A quoted header cell over two lines: loadtxt skips both.
+    for newline, score in (("\n", "score"), ("\r\n", "score"), ("\n", '"sc\nore"')):
         path = tmp_path / "tune.csv"
-        path.write_bytes(newline.join(["score,label,draw", *lines, ""]).encode())
+        path.write_bytes(newline.join([f"{score},label,draw", *lines, ""]).encode())
         ds = load_csv(path, draw_column="draw")
         assert ds.covariates[:, 0].tolist() == [float(s) for s in score_txt]
         assert ds.labels.tolist() == labels.tolist()

@@ -454,6 +454,7 @@ def test_fit_order_is_the_lexsort_order(case):
         model = KnnModel.fit(x, y, k)
         assert model.x.tobytes() == xs.tobytes()
         assert model.y.tobytes() == ys.tobytes()
+        assert x[model.order].tobytes() == xs.tobytes()
         if model.d == 1:
             # The lexsort rows are already canonical: refitting them keeps
             # them, so the reference model predicts from exactly those rows.

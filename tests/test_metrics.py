@@ -241,3 +241,28 @@ def test_roc_matches_rank_statistic(rng):
     assert roc_and_auroc(scores, labels).auroc == pytest.approx(
         wins + 0.5 * ties, abs=1e-12
     )
+
+
+def argsort_roc(scores, labels):
+    """The ROC by a descending argsort and a cumsum read at each group's end."""
+    order = np.argsort(-scores)
+    s_desc, y_desc = scores[order], labels[order]
+    group_last = np.nonzero(np.append(s_desc[1:] != s_desc[:-1], True))[0]
+    tp_at = np.cumsum(y_desc)[group_last]
+    fp_at = (group_last + 1) - tp_at
+    npos = int(labels.sum())
+    fpr = np.concatenate(([0.0], fp_at / (labels.size - npos)))
+    tpr = np.concatenate(([0.0], tp_at / npos))
+    return tuple(zip(map(float, fpr), map(float, tpr))), float(np.trapezoid(tpr, fpr))
+
+
+@pytest.mark.parametrize("kind", ["tie-heavy", "continuous"])
+def test_roc_from_score_cuts_equals_the_argsort_roc(kind):
+    gen = np.random.default_rng(100_000)
+    scores, labels = tie_heavy_sample(gen, 100_000)
+    if kind == "continuous":
+        scores = gen.random(scores.size)
+    knots, auroc = argsort_roc(scores, labels)
+    got = roc_and_auroc(scores, labels)
+    assert np.array(got.knots).tobytes() == np.array(knots).tobytes()
+    assert np.float64(got.auroc).tobytes() == np.float64(auroc).tobytes()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochthresh import (
@@ -22,7 +22,7 @@ from stochthresh import (
 )
 from stochthresh.classify import Piece, RegressionFunctionSpec
 from stochthresh.errors import ParameterDomainError
-from stochthresh.metrics import _cmm_values
+from stochthresh.metrics import _cmm_values, _score_cuts
 from stochthresh.threshold_opt import SortedSample
 from stochthresh.synth import (
     exp1_problem,
@@ -146,20 +146,34 @@ def test_result_validation():
 # sorted-prefix kernel
 
 
-def kernel_order(scores: np.ndarray, draws) -> np.ndarray:
-    """The kernel's row order, read back from one-hot labels' prefix counts."""
-    order = np.empty(scores.size, dtype=np.int64)
-    for i in range(scores.size):
-        labels = np.zeros(scores.size, dtype=np.int64)
-        labels[i] = 1
-        order[int(np.argmax(SortedSample(scores, labels, draws).cum_pos)) - 1] = i
-    return order
-
-
-# Lattices with an ulp neighbour: ties everywhere, and two draws that a
-# packed (score, draw) float key would merge.
-TIE_SCORES = st.sampled_from([0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 1.0])
+# Lattices with signed zeros and an ulp neighbour: ties everywhere, and two
+# draws that a packed (score, draw) float key would merge.
+TIE_SCORES = st.sampled_from([-0.0, 0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 1.0])
 TIE_DRAWS = st.sampled_from([0.0, 0.5, np.nextafter(0.5, 0.0), 1.0])
+
+
+def assert_sweep_order(scores, labels, draws):
+    """SortedSample equals the lexsort order: the permutation and prefix counts."""
+    want = lexsort_sweep_reference(scores, draws)
+    sample = SortedSample(scores, labels, draws)
+    # The permutation, since 0.0 == -0.0 hides a swapped pair from the values.
+    assert np.array_equal(sample.order, want)
+    assert sample.cum_pos[0] == 0
+    assert np.array_equal(sample.cum_pos[1:], np.cumsum(labels[want]))
+
+
+def assert_score_cuts(scores, labels):
+    """``_score_cuts`` equals a stable-argsort cumsum read at the cuts."""
+    u, rows_le, pos_le = _score_cuts(scores, labels)
+    order = np.argsort(scores, kind="stable")
+    s = scores[order]
+    cum_pos = np.concatenate(([0], np.cumsum(labels[order])))
+    cuts = [j for j in range(1, s.size + 1) if j == s.size or s[j] != s[j - 1]]
+    assert rows_le.dtype == pos_le.dtype == np.int64
+    assert rows_le.tolist() == cuts
+    assert pos_le.tolist() == cum_pos[cuts].tolist()
+    assert np.array_equal(u, s[np.array(cuts) - 1])  # 0.0 == -0.0: either sign
+    assert np.all(u[1:] > u[:-1])
 
 
 @settings(max_examples=80, deadline=None)
@@ -171,19 +185,27 @@ TIE_DRAWS = st.sampled_from([0.0, 0.5, np.nextafter(0.5, 0.0), 1.0])
 def test_kernel_order_equals_lexsort(pairs):
     scores = np.array([p[0] for p in pairs])
     draws = np.array([p[1] for p in pairs])
-    want = lexsort_sweep_reference(scores, draws)
-    assert np.array_equal(kernel_order(scores, draws), want)
-    # Without draws the order inside a tie group is unspecified; the counts
-    # at the cuts between distinct scores are what the searches read.
     labels = np.array([p[2] for p in pairs])
-    plain = SortedSample(scores, labels)
-    assert np.array_equal(plain.scores, np.sort(scores))
-    stable_cum_pos = np.concatenate(([0], np.cumsum(labels[np.argsort(scores, kind="stable")])))
-    cuts = plain.deterministic_candidates()
-    assert np.array_equal(plain.cum_pos[cuts], stable_cum_pos[cuts])
-    sample = SortedSample(scores, np.ones(scores.size, dtype=np.int64), draws)
-    assert np.array_equal(sample.scores, scores[want])
-    assert np.array_equal(sample.draws, draws[want])
+    assert_sweep_order(scores, labels, draws)
+    # Without draws the searches read counts only at the cuts between
+    # distinct scores, which no order inside a tie group changes.
+    assert_score_cuts(scores, labels)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(TIE_SCORES, st.integers(0, 1)), min_size=1, max_size=40),
+    labeling=st.sampled_from(["drawn", "all positive", "all negative"]),
+)
+@example(pairs=[(0.5, 1)], labeling="drawn")
+@example(pairs=[(-0.0, 0)], labeling="all positive")
+@example(pairs=[(0.0, 1), (-0.0, 0), (0.0, 1)], labeling="drawn")
+def test_score_cuts_equal_a_stable_argsort_cumsum(pairs, labeling):
+    scores = np.array([p[0] for p in pairs])
+    labels = np.array([p[1] for p in pairs], dtype=np.int64)
+    if labeling != "drawn":
+        labels[:] = labeling == "all positive"
+    assert_score_cuts(scores, labels)
 
 
 @pytest.mark.parametrize("first, last", [(10, 15_000), (100, 19_000), (0, 19_999)])
@@ -199,22 +221,7 @@ def test_kernel_order_with_one_equal_draw_pair_at_size(first, last, pair):
     scores[last] = scores[first]
     labels = gen.integers(0, 2, n)
     labels[[first, last]] = (1, 0)
-    want = lexsort_sweep_reference(scores, draws)
-    sample = SortedSample(scores, labels, draws)
-    assert np.array_equal(sample.cum_pos[1:], np.cumsum(labels[want]))
-    # Bytes, since 0.0 == -0.0 hides a swapped pair from np.array_equal.
-    assert sample.draws.tobytes() == draws[want].tobytes()
-    assert np.array_equal(sample.scores, scores[want])
-
-
-def assert_sweep_order(scores, labels, draws):
-    """SortedSample equals the lexsort order: prefix counts, score and draw bytes."""
-    want = lexsort_sweep_reference(scores, draws)
-    sample = SortedSample(scores, labels, draws)
-    assert sample.cum_pos[0] == 0
-    assert np.array_equal(sample.cum_pos[1:], np.cumsum(labels[want]))
-    assert sample.scores.tobytes() == scores[want].tobytes()
-    assert sample.draws.tobytes() == draws[want].tobytes()
+    assert_sweep_order(scores, labels, draws)
 
 
 AT_SIZE = 200_000
@@ -305,14 +312,49 @@ def generator_candidates(s: np.ndarray) -> list[int]:
 
 
 def test_deterministic_candidates_equal_the_loop(rng):
+    # The cuts of _score_cuts, with prefix 0 when every score is positive,
+    # are the loop's candidates, and the search reports one of them.
     cases = [np.array([0.0]), np.array([0.3]), np.array([0.0, 0.0, 0.5]),
              np.array([0.2, 0.2]), np.array([0.0, 0.25, 0.25, 1.0])]
     cases += [rng.integers(0, 5, size=int(n)) / 4.0 for n in rng.integers(1, 40, 30)]
     for scores in cases:
-        sample = SortedSample(scores, rng.integers(0, 2, scores.size))
-        got = sample.deterministic_candidates()
-        assert got.dtype == np.int64
-        assert got.tolist() == generator_candidates(sample.scores)
+        labels = rng.integers(0, 2, scores.size)
+        u, rows_le, _ = _score_cuts(scores, labels)
+        got = ([0] if u[0] > 0.0 else []) + rows_le.tolist()
+        assert got == generator_candidates(np.sort(scores))
+        res = optimize_threshold_deterministic((scores, labels), ACC)
+        assert res.classification_prefix_index in got
+
+
+def argsort_deterministic(scores, labels, spec):
+    """(t, p, value, prefix) of the deterministic search by an argsort and a
+    cumsum read at the candidate prefixes."""
+    order = np.argsort(scores)
+    s = scores[order]
+    cum_pos = np.concatenate(([0], np.cumsum(labels[order])))
+    cand = np.flatnonzero(np.concatenate(([s[0] > 0.0], s[1:] != s[:-1], [True])))
+    n, npos = s.size, int(cum_pos[-1])
+    pos = cum_pos[cand]
+    neg = cand - pos
+    vals = np.asarray(_cmm_values(spec, neg / n, (n - npos - neg) / n, pos / n, (npos - pos) / n))
+    i = int(np.argmax(vals))
+    best = int(cand[i])
+    t = float(s[best - 1]) + 0.0 if best else 0.0
+    return t, 0.0, float(vals[i]), best
+
+
+@pytest.mark.parametrize("kind", ["tie-heavy", "continuous"])
+def test_deterministic_search_equals_the_argsort_search(kind):
+    gen = np.random.default_rng(100_000)
+    scores, labels = tie_heavy_sample(gen, 100_000)
+    if kind == "continuous":
+        scores = gen.random(scores.size)
+    for spec in representative_specs():
+        t, p, value, prefix = argsort_deterministic(scores, labels, spec)
+        got = optimize_threshold_deterministic((scores, labels), spec)
+        assert got.classification_prefix_index == prefix
+        bits = np.array([got.threshold.t, got.threshold.p, got.metric_value])
+        assert bits.tobytes() == np.array([t, p, value]).tobytes()
 
 
 def test_deterministic_search_ignores_draws(rng):
