@@ -35,13 +35,9 @@ from .metrics import (
 from .classify import (
     Piece,
     RegressionFunctionSpec,
-    ScoredSample,
     StochasticThreshold,
     classify_batch,
-    classify_sample,
     empirical_confusion,
-    estimate_margin_probability,
-    population_confusion,
     population_confusion_parts,
 )
 from .threshold_opt import (
@@ -108,10 +104,8 @@ __all__ = [
     "representative_specs", "evaluate_cmm", "check_cmm_monotonicity",
     "roc_and_auroc",
     # classify
-    "StochasticThreshold", "ScoredSample", "Piece", "RegressionFunctionSpec",
-    "classify_sample", "classify_batch", "empirical_confusion",
-    "population_confusion", "population_confusion_parts",
-    "estimate_margin_probability",
+    "StochasticThreshold", "Piece", "RegressionFunctionSpec", "classify_batch",
+    "empirical_confusion", "population_confusion_parts",
     # threshold_opt
     "ThresholdSearchResult", "optimize_threshold", "brute_force_threshold",
     "optimize_threshold_deterministic", "optimize_population_threshold",

@@ -17,25 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    DomainError,
-    ParameterDomainError,
-    UnsupportedSpecError,
-)
+from .errors import DegenerateInputError, DomainError, ParameterDomainError
 from .metrics import ConfusionMatrix
 
 __all__ = [
     "StochasticThreshold",
-    "ScoredSample",
     "Piece",
     "RegressionFunctionSpec",
-    "classify_sample",
     "classify_batch",
     "empirical_confusion",
-    "population_confusion",
     "population_confusion_parts",
-    "estimate_margin_probability",
     "as_sample_arrays",
 ]
 
@@ -54,23 +45,6 @@ class StochasticThreshold:
             raise ParameterDomainError(f"tie probability p={self.p!r} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class ScoredSample:
-    """One scored observation: score in [0, 1], binary label, stored draw."""
-
-    score: float
-    label: int
-    draw: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.score) and 0.0 <= self.score <= 1.0):
-            raise ParameterDomainError(f"score {self.score!r} outside [0, 1]")
-        if self.label not in (0, 1):
-            raise ParameterDomainError(f"label {self.label!r} not in {{0, 1}}")
-        if not (np.isfinite(self.draw) and 0.0 <= self.draw <= 1.0):
-            raise ParameterDomainError(f"draw {self.draw!r} outside [0, 1]")
-
-
 def _check_unit_interval(name: str, values: np.ndarray) -> None:
     # min/max propagate NaN, which then fails both comparisons.
     if not (values.min() >= 0.0 and values.max() <= 1.0):
@@ -83,42 +57,28 @@ def _check_unit_interval(name: str, values: np.ndarray) -> None:
 def as_sample_arrays(
     samples, *, require_draws: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Normalize a sample collection to (scores, labels, draws) arrays.
+    """Check a ``(scores, labels[, draws])`` tuple of equal-length arrays.
 
-    Accepts a sequence of :class:`ScoredSample` / (score, label[, draw])
-    tuples, or a 2- or 3-tuple of equal-length arrays.  Raises on empty
-    input, on a score or draw that is not finite or lies outside [0, 1]
-    (the rule :func:`classify_sample` applies to one value), and on missing
-    draws when ``require_draws`` is set.
+    The tuple is the only accepted sample form; ``draws`` may be ``None``.
+    Any other input, a list of row tuples included, raises rather than be
+    misread.  Raises on empty input, on a label other than 0/1, on a score
+    or draw that is not finite or lies outside [0, 1], and on missing draws
+    when ``require_draws`` is set.
     """
-    scores = labels = draws = None
-    if (
+    if not (
         isinstance(samples, tuple)
         and len(samples) in (2, 3)
         and np.ndim(samples[0]) >= 1
     ):
-        scores = np.asarray(samples[0], dtype=np.float64).ravel()
-        labels = np.asarray(samples[1]).ravel()
-        if len(samples) == 3 and samples[2] is not None:
-            draws = np.asarray(samples[2], dtype=np.float64).ravel()
-    else:
-        rows = list(samples)
-        if rows and isinstance(rows[0], ScoredSample):
-            scores = np.array([r.score for r in rows], dtype=np.float64)
-            labels = np.array([r.label for r in rows], dtype=np.int64)
-            draws = np.array([r.draw for r in rows], dtype=np.float64)
-        elif rows:
-            arr = np.asarray(rows, dtype=np.float64)
-            if arr.ndim != 2 or arr.shape[1] not in (2, 3):
-                raise ParameterDomainError(
-                    "sample tuples must have 2 or 3 entries (score, label[, draw])"
-                )
-            scores = arr[:, 0]
-            labels = arr[:, 1]
-            draws = arr[:, 2] if arr.shape[1] == 3 else None
-        else:
-            scores = np.empty(0)
-            labels = np.empty(0, dtype=np.int64)
+        raise ParameterDomainError(
+            "samples must be a tuple (scores, labels[, draws]) of equal-length "
+            f"arrays, not {type(samples).__name__}"
+        )
+    scores = np.asarray(samples[0], dtype=np.float64).ravel()
+    labels = np.asarray(samples[1]).ravel()
+    draws = None
+    if len(samples) == 3 and samples[2] is not None:
+        draws = np.asarray(samples[2], dtype=np.float64).ravel()
     if scores.size == 0:
         raise DegenerateInputError("empty sample collection")
     if scores.shape != labels.shape or (draws is not None and draws.shape != scores.shape):
@@ -136,19 +96,13 @@ def as_sample_arrays(
     return scores, labels, draws
 
 
-def classify_sample(th: StochasticThreshold, score: float, draw: float = 0.0) -> int:
-    """Label for one score: 1 iff score > t, or score == t and draw < p."""
-    if not (np.isfinite(score) and 0.0 <= score <= 1.0):
-        raise ParameterDomainError(f"score {score!r} outside [0, 1]")
-    if not (np.isfinite(draw) and 0.0 <= draw <= 1.0):
-        raise ParameterDomainError(f"draw {draw!r} outside [0, 1]")
-    return int(score > th.t or (score == th.t and draw < th.p))
-
-
 def classify_batch(
     th: StochasticThreshold, scores, draws=None
 ) -> np.ndarray:
-    """Vectorized :func:`classify_sample`; missing draws mean draw = 0."""
+    """Labels of the threshold rule: 1 iff score > t, or score == t and draw < p.
+
+    Missing draws mean draw = 0, so a tie takes label 1 exactly when p > 0.
+    """
     s = np.asarray(scores, dtype=np.float64)
     if draws is None:
         z = np.zeros_like(s)
@@ -160,7 +114,7 @@ def classify_batch(
 
 
 def empirical_confusion(th: StochasticThreshold, samples) -> ConfusionMatrix:
-    """Confusion fractions of the threshold on a finite sample collection."""
+    """Confusion fractions of the threshold on a ``(scores, labels[, draws])`` sample."""
     scores, labels, draws = as_sample_arrays(samples)
     pred = classify_batch(th, scores, draws)
     n = scores.size
@@ -200,9 +154,8 @@ class RegressionFunctionSpec:
 
     Exactly one of ``pieces`` (contiguous cover of [0, 1]) or ``atom`` (the
     value at the single domain point 0) must be given.  ``r`` is the sup of
-    the function — the imbalance degree in the decomposition eta = r * zeta
-    with sup zeta = 1.  The identically-zero function is admitted with
-    r = 0 as a degenerate special case (its zeta is undefined).
+    the function, its imbalance degree.  The identically-zero function is
+    admitted with r = 0 as a degenerate special case.
     """
 
     pieces: tuple[Piece, ...] = ()
@@ -262,13 +215,6 @@ class RegressionFunctionSpec:
         out = v_lo[idx] + (v_hi[idx] - v_lo[idx]) * frac
         return float(out[0]) if scalar else out
 
-    def zeta(self, x):
-        """Shape factor eta / r; undefined for the zero function."""
-        r = self.r
-        if r == 0.0:
-            raise DegenerateInputError("zeta undefined for the zero function")
-        return self.evaluate(x) / r
-
 
 def _linear_mass(v_a: float, v_b: float, width: float) -> float:
     """Integral of a linear value running v_a -> v_b over an interval."""
@@ -296,8 +242,6 @@ def population_confusion_parts(
             pos_e, neg_e = v, 1.0 - v
         else:
             pos_b, neg_b = v, 1.0 - v
-    elif not eta.pieces:  # pragma: no cover - construction forbids this
-        raise UnsupportedSpecError("regression function has no definition")
     else:
         for pc in eta.pieces:
             w = pc.hi - pc.lo
@@ -339,28 +283,3 @@ def population_confusion_parts(
     base = (neg_b + neg_e, neg_a, pos_b + pos_e, pos_a)  # tn, fp, fn, tp at p=0
     tie = (-neg_e, neg_e, -pos_e, pos_e)
     return base, tie
-
-
-def population_confusion(
-    eta: RegressionFunctionSpec, th: StochasticThreshold
-) -> ConfusionMatrix:
-    """Exact population confusion matrix of the threshold under eta.
-
-    Covariates are uniform on the piecewise domain (or all mass at the atom
-    point), labels are Bernoulli(eta(x)), and tie draws are independent
-    uniforms — all integrated in closed form.
-    """
-    base, tie = population_confusion_parts(eta, th.t)
-    p = th.p
-    tn, fp, fn, tp = (b + p * s for b, s in zip(base, tie))
-    return ConfusionMatrix(tn=tn, fp=fp, fn=fn, tp=tp)
-
-
-def estimate_margin_probability(scores, t: float, eps: float) -> float:
-    """Fraction of scores within eps of t (closed interval)."""
-    if not np.isfinite(eps) or eps < 0.0:
-        raise ParameterDomainError(f"margin width eps={eps!r} must be >= 0")
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    if s.size == 0:
-        raise DegenerateInputError("empty score array")
-    return float(np.mean(np.abs(s - t) <= eps))

@@ -75,19 +75,6 @@ class ConfusionMatrix:
                 f"confusion cells must sum to 1 (got {total!r})"
             )
 
-    @classmethod
-    def from_counts(cls, tn: int, fp: int, fn: int, tp: int) -> "ConfusionMatrix":
-        """Build fractions from raw counts (must not all be zero)."""
-        n = tn + fp + fn + tp
-        if n <= 0:
-            raise DegenerateInputError("confusion counts sum to zero")
-        return cls(tn=tn / n, fp=fp / n, fn=fn / n, tp=tp / n)
-
-    @property
-    def positive_rate(self) -> float:
-        """Fraction of truly positive mass, tp + fn."""
-        return self.tp + self.fn
-
 
 @dataclass(frozen=True)
 class CmmSpec:
@@ -226,8 +213,8 @@ def check_cmm_monotonicity(
 def representative_specs() -> tuple[CmmSpec, ...]:
     """One spec per parameter-free kind, three per parametric kind.
 
-    Convenience enumeration used by invariance tests and benchmarks so that
-    "all registered measures" means the same thing everywhere.
+    The enumeration the invariance and acceptance tests share, so that
+    "all registered measures" means the same thing in each of them.
     """
     specs: list[CmmSpec] = []
     for kind in REGISTERED_KINDS:

@@ -39,7 +39,6 @@ class SyntheticProblem:
 
     name: str
     eta: RegressionFunctionSpec
-    d: int = 1
 
     @property
     def r(self) -> float:

@@ -133,7 +133,8 @@ def _prefix_threshold(
     """(score, draw) of the last row of prefix j in the sweep order ``order``.
 
     Prefix 0 (everything labeled 1) maps to t = 0 with p = 1 — p = 0 could
-    not re-admit a sample whose score is exactly 0.
+    not re-admit a sample whose score is exactly 0.  No threshold reaches it
+    when a row has score 0 and draw 1, so the searches skip it then.
     """
     if j == 0:
         return StochasticThreshold(0.0, 1.0)
@@ -145,15 +146,18 @@ def optimize_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
     """Exactly maximize the measure over all stochastic thresholds.
 
     Every sample must carry its stored uniform draw.  Ties in the measure
-    break toward the smallest prefix index.  The returned (t, p) is the
-    (score, draw) pair of the last excluded sample, and reproduces the
-    winning classification whenever no other sample shares that exact
+    break toward the smallest reachable prefix index.  The returned (t, p)
+    is the (score, draw) pair of the last excluded sample, and reproduces
+    the winning classification whenever no other sample shares that exact
     (score, draw) pair.
     """
     scores, labels, draws = as_sample_arrays(samples, require_draws=True)
     sample = SortedSample(scores, labels, draws)
     vals = np.asarray(_cmm_values(spec, *sample.cells()))
-    best = int(np.argmax(vals))
+    # The sweep order leads with the largest draw among the smallest scores.
+    first = sample.order[0]
+    skip = int(scores[first] == 0.0 and draws[first] == 1.0)
+    best = skip + int(np.argmax(vals[skip:]))
     return ThresholdSearchResult(
         threshold=_prefix_threshold(best, scores, draws, sample.order),
         metric_value=float(vals[best]),
@@ -178,7 +182,7 @@ def brute_force_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
     y = labels[order]
     best_j = -1
     best_val = -np.inf
-    for j in range(n + 1):
+    for j in range(int(np.any((scores == 0.0) & (draws == 1.0))), n + 1):
         pred = np.ones(n, dtype=np.int64)
         pred[:j] = 0
         tp = int(np.sum((pred == 1) & (y == 1)))

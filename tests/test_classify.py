@@ -8,15 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochthresh import (
+    CmmSpec,
     Piece,
     RegressionFunctionSpec,
-    ScoredSample,
     StochasticThreshold,
     classify_batch,
-    classify_sample,
     empirical_confusion,
-    estimate_margin_probability,
-    population_confusion,
+    optimize_threshold,
     population_confusion_parts,
 )
 from stochthresh.classify import as_sample_arrays
@@ -29,22 +27,31 @@ from stochthresh.synth import exp1_problem, exp2_uci_problem
 
 
 # ---------------------------------------------------------------------------
-# classify_sample / classify_batch
+# classify_batch
+
+
+def rule(th: StochasticThreshold, score: float, draw: float) -> int:
+    """The threshold rule for one sample, written out."""
+    return int(score > th.t or (score == th.t and draw < th.p))
+
+
+def label_of(th: StochasticThreshold, score: float, draw: float) -> int:
+    return int(classify_batch(th, np.array([score]), np.array([draw]))[0])
 
 
 def test_score_above_cut_is_positive():
-    assert classify_sample(StochasticThreshold(0.5, 0.0), 0.6, 0.99) == 1
+    assert label_of(StochasticThreshold(0.5, 0.0), 0.6, 0.99) == 1
 
 
 def test_zero_tie_probability_rejects_ties():
-    assert classify_sample(StochasticThreshold(0.5, 0.0), 0.5, 0.0) == 0
+    assert label_of(StochasticThreshold(0.5, 0.0), 0.5, 0.0) == 0
 
 
 def test_tie_accepted_when_draw_below_p():
     th = StochasticThreshold(0.3, 0.75)
-    assert classify_sample(th, 0.3, 0.5) == 1
+    assert label_of(th, 0.3, 0.5) == 1
     # The draw comparison is strict, so draw == p rejects.
-    assert classify_sample(th, 0.3, 0.75) == 0
+    assert label_of(th, 0.3, 0.75) == 0
 
 
 def test_batch_agrees_with_scalar_rule(rng):
@@ -53,7 +60,7 @@ def test_batch_agrees_with_scalar_rule(rng):
     draws = rng.random(200)
     batch = classify_batch(th, scores, draws)
     for s, z, got in zip(scores, draws, batch):
-        assert got == classify_sample(th, float(s), float(z))
+        assert got == rule(th, float(s), float(z))
 
 
 def test_batch_missing_draws_means_zero_draw():
@@ -70,13 +77,11 @@ def test_threshold_and_sample_validation():
     with pytest.raises(ParameterDomainError):
         StochasticThreshold(0.5, -0.1)
     with pytest.raises(ParameterDomainError):
-        ScoredSample(1.2, 1)
+        as_sample_arrays((np.array([1.2]), np.array([1])))
     with pytest.raises(ParameterDomainError):
-        ScoredSample(0.5, 2)
+        as_sample_arrays((np.array([0.5]), np.array([2])))
     with pytest.raises(ParameterDomainError):
-        ScoredSample(0.5, 1, draw=-0.5)
-    with pytest.raises(ParameterDomainError):
-        classify_sample(StochasticThreshold(0.5, 0.0), 1.5)
+        as_sample_arrays((np.array([0.5]), np.array([1]), np.array([-0.5])))
 
 
 # ---------------------------------------------------------------------------
@@ -84,29 +89,28 @@ def test_threshold_and_sample_validation():
 
 
 def test_sample_arrays_accepts_three_input_shapes():
-    expected_scores = [0.2, 0.8]
-    expected_labels = [0, 1]
+    scores, labels, draws = [0.2, 0.8], [0, 1], [0.5, 0.25]
     forms = (
-        [ScoredSample(0.2, 0, 0.5), ScoredSample(0.8, 1, 0.25)],
-        [(0.2, 0, 0.5), (0.8, 1, 0.25)],
-        (np.array([0.2, 0.8]), np.array([0, 1]), np.array([0.5, 0.25])),
+        ((np.array(scores), np.array(labels), np.array(draws)), draws),
+        ((scores, labels, None), None),
+        ((scores, labels), None),
     )
-    for form in forms:
-        scores, labels, draws = as_sample_arrays(form)
-        assert scores.tolist() == expected_scores
-        assert labels.tolist() == expected_labels
-        assert draws.tolist() == [0.5, 0.25]
+    for form, want_draws in forms:
+        got_scores, got_labels, got_draws = as_sample_arrays(form)
+        assert got_scores.tolist() == scores
+        assert got_labels.tolist() == labels
+        assert (got_draws if got_draws is None else got_draws.tolist()) == want_draws
 
 
 def test_sample_arrays_validation():
     with pytest.raises(DegenerateInputError):
-        as_sample_arrays([])
+        as_sample_arrays((np.empty(0), np.empty(0)))
     with pytest.raises(ParameterDomainError):
         as_sample_arrays((np.array([0.1, 0.2]), np.array([0])))
     with pytest.raises(ParameterDomainError):
-        as_sample_arrays([(0.1, 5)])
+        as_sample_arrays((np.array([0.1]), np.array([5])))
     with pytest.raises(ParameterDomainError):
-        as_sample_arrays([(0.1, 0, 0.2, 0.9)])
+        as_sample_arrays((np.array([0.1]), np.array([0]), np.array([0.2]), np.array([0.9])))
     with pytest.raises(DegenerateInputError):
         as_sample_arrays((np.array([0.1]), np.array([0])), require_draws=True)
 
@@ -120,9 +124,28 @@ def test_sample_arrays_reject_non_finite_and_out_of_range_values():
         with pytest.raises(ParameterDomainError, match="draw"):
             as_sample_arrays((draws, labels, np.array(bad)))
     with pytest.raises(ParameterDomainError, match="row 1"):
-        as_sample_arrays([(0.2, 0), (float("nan"), 1)])
-    with pytest.raises(ParameterDomainError):
-        as_sample_arrays([(0.2, 0, 0.5), (0.4, 1, -0.5)])
+        as_sample_arrays((np.array([0.2, np.nan]), np.array([0, 1])))
+    with pytest.raises(ParameterDomainError, match="row 1"):
+        as_sample_arrays((np.array([0.2, 0.4]), np.array([0, 1]), np.array([0.5, -0.5])))
+
+
+ROW_LISTS = (
+    [(0.2, 0, 0.5), (0.8, 1, 0.25)],
+    [(0.2, 0), (0.8, 1)],
+    # Read by columns, the middle row would be a valid 0/1 label vector.
+    [(0.2, 0.6, 0.9), (0, 1, 1), (0.5, 0.5, 0.5)],
+)
+
+
+@pytest.mark.parametrize("rows", ROW_LISTS)
+def test_row_tuple_lists_are_rejected_not_misread(rows):
+    th = StochasticThreshold(0.5, 0.5)
+    with pytest.raises(ParameterDomainError, match="tuple"):
+        as_sample_arrays(rows)
+    with pytest.raises(ParameterDomainError, match="tuple"):
+        empirical_confusion(th, rows)
+    with pytest.raises(ParameterDomainError, match="tuple"):
+        optimize_threshold(rows, CmmSpec("accuracy"))
 
 
 _ANY_FLOAT = st.one_of(
@@ -132,15 +155,9 @@ _ANY_FLOAT = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_ANY_FLOAT, _ANY_FLOAT), min_size=1, max_size=12))
-def test_sample_arrays_accept_exactly_what_classify_sample_accepts(pairs):
-    th = StochasticThreshold(0.5, 0.5)
-
+def test_sample_arrays_accept_exactly_finite_unit_interval_values(pairs):
     def accepted(score, draw):
-        try:
-            classify_sample(th, score, draw)
-        except ParameterDomainError:
-            return False
-        return True
+        return all(np.isfinite(v) and 0.0 <= v <= 1.0 for v in (score, draw))
 
     scores = np.array([s for s, _ in pairs])
     draws = np.array([z for _, z in pairs])
@@ -159,7 +176,8 @@ def test_sample_arrays_accept_exactly_what_classify_sample_accepts(pairs):
 
 
 def test_confusion_of_separating_threshold():
-    c = empirical_confusion(StochasticThreshold(0.5, 0.0), [(0.9, 1, 0.0), (0.1, 0, 0.0)])
+    sample = (np.array([0.9, 0.1]), np.array([1, 0]), np.zeros(2))
+    c = empirical_confusion(StochasticThreshold(0.5, 0.0), sample)
     assert (c.tn, c.fp, c.fn, c.tp) == (0.5, 0.0, 0.0, 0.5)
 
 
@@ -173,7 +191,8 @@ def test_confusion_of_classify_all_negative(rng):
 
 
 def test_confusion_with_certain_tie_acceptance():
-    c = empirical_confusion(StochasticThreshold(0.5, 1.0), [(0.5, 1, 0.3), (0.5, 0, 0.7)])
+    sample = (np.array([0.5, 0.5]), np.array([1, 0]), np.array([0.3, 0.7]))
+    c = empirical_confusion(StochasticThreshold(0.5, 1.0), sample)
     assert (c.tp, c.fp) == (0.5, 0.5)
     assert (c.tn, c.fn) == (0.0, 0.0)
 
@@ -217,15 +236,11 @@ def test_evaluate_piecewise_and_atom():
         atom.evaluate(0.5)
 
 
-def test_sup_and_shape_factor():
-    eta = exp2_uci_problem(0.2).eta
-    assert eta.r == 0.2
-    assert eta.zeta(0.0) == pytest.approx(1.0)
-    assert eta.zeta(1.0) == 0.0
+def test_sup_is_the_imbalance_degree():
+    assert exp2_uci_problem(0.2).eta.r == 0.2
+    assert RegressionFunctionSpec(atom=0.7).r == 0.7
     zero = RegressionFunctionSpec(pieces=(Piece(0.0, 1.0, 0.0, 0.0),))
     assert zero.r == 0.0
-    with pytest.raises(DegenerateInputError):
-        zero.zeta(0.5)
 
 
 def test_plateau_values_are_exactly_preserved():
@@ -239,23 +254,29 @@ def test_plateau_values_are_exactly_preserved():
 # population confusion
 
 
+def population_cells(eta, t, p):
+    """Cells (tn, fp, fn, tp) at (t, p): ``base + p * tie`` from the parts."""
+    base, tie = population_confusion_parts(eta, t)
+    return tuple(b + p * s for b, s in zip(base, tie))
+
+
 def test_population_cells_of_three_plateau_function():
     eta = exp1_problem().eta
     for p in (0.0, 0.25, 0.5, 1.0):
-        c = population_confusion(eta, StochasticThreshold(0.5, p))
-        assert c.tp == pytest.approx(1 / 3 + p / 6, abs=1e-12)
-        assert c.tn == pytest.approx(1 / 3 + (1 - p) / 6, abs=1e-12)
-        assert c.fp == pytest.approx(p / 6, abs=1e-12)
-        assert c.fn == pytest.approx((1 - p) / 6, abs=1e-12)
-    c = population_confusion(eta, StochasticThreshold(0.5, 0.5))
-    assert c.tp * c.tn == pytest.approx(25 / 144, abs=1e-12)
+        tn, fp, fn, tp = population_cells(eta, 0.5, p)
+        assert tp == pytest.approx(1 / 3 + p / 6, abs=1e-12)
+        assert tn == pytest.approx(1 / 3 + (1 - p) / 6, abs=1e-12)
+        assert fp == pytest.approx(p / 6, abs=1e-12)
+        assert fn == pytest.approx((1 - p) / 6, abs=1e-12)
+    tn, _, _, tp = population_cells(eta, 0.5, 0.5)
+    assert tp * tn == pytest.approx(25 / 144, abs=1e-12)
 
 
 def test_population_cells_constant_function_all_negative():
     eta = RegressionFunctionSpec(pieces=(Piece(0.0, 1.0, 0.3, 0.3),))
-    c = population_confusion(eta, StochasticThreshold(1.0, 0.0))
-    assert c.tn == pytest.approx(0.7, abs=1e-12)
-    assert c.fn == pytest.approx(0.3, abs=1e-12)
+    tn, _, fn, _ = population_cells(eta, 1.0, 0.0)
+    assert tn == pytest.approx(0.7, abs=1e-12)
+    assert fn == pytest.approx(0.3, abs=1e-12)
 
 
 def test_population_cells_linear_ramp_crossing():
@@ -263,21 +284,21 @@ def test_population_cells_linear_ramp_crossing():
     # mass 3r/8 (hand integration of the ramp).
     r = 0.5
     eta = exp2_uci_problem(r).eta
-    c = population_confusion(eta, StochasticThreshold(r / 2, 0.0))
-    assert c.tp == pytest.approx(3 * r / 8, abs=1e-12)
+    tp = population_cells(eta, r / 2, 0.0)[3]
+    assert tp == pytest.approx(3 * r / 8, abs=1e-12)
     # Quadrature cross-check on a grid that contains the crossing point.
     xs = np.linspace(0.0, 1.0, 10001)
     vals = r * (1.0 - xs)
     tp_quad = np.trapezoid(np.where(vals > r / 2, vals, 0.0), xs)
-    assert c.tp == pytest.approx(tp_quad, abs=1e-4)
+    assert tp == pytest.approx(tp_quad, abs=1e-4)
 
 
 def test_population_cells_atom_cases():
     eta = RegressionFunctionSpec(atom=0.5)
-    above = population_confusion(eta, StochasticThreshold(0.25, 0.0))
-    assert (above.tp, above.fp) == (0.5, 0.5)
-    below = population_confusion(eta, StochasticThreshold(0.75, 1.0))
-    assert (below.fn, below.tn) == (0.5, 0.5)
+    _, fp, _, tp = population_cells(eta, 0.25, 0.0)
+    assert (tp, fp) == (0.5, 0.5)
+    tn, _, fn, _ = population_cells(eta, 0.75, 1.0)
+    assert (fn, tn) == (0.5, 0.5)
     base, tie = population_confusion_parts(eta, 0.5)
     assert base == (0.5, 0.0, 0.5, 0.0)
     assert tie == (-0.5, 0.5, -0.5, 0.5)
@@ -286,24 +307,3 @@ def test_population_cells_atom_cases():
 def test_population_parts_reject_bad_threshold():
     with pytest.raises(ParameterDomainError):
         population_confusion_parts(exp1_problem().eta, 1.5)
-
-
-# ---------------------------------------------------------------------------
-# estimate_margin_probability
-
-
-def test_margin_probability_small_cases():
-    assert estimate_margin_probability([0.1, 0.5, 0.9], 0.5, 0.0) == pytest.approx(1 / 3)
-    assert estimate_margin_probability([0.1, 0.5, 0.9], 0.5, 0.4) == 1.0
-
-
-def test_margin_probability_uniform_scores(rng):
-    scores = rng.random(100_000)
-    assert estimate_margin_probability(scores, 0.5, 0.1) == pytest.approx(0.2, abs=0.01)
-
-
-def test_margin_probability_validation():
-    with pytest.raises(ParameterDomainError):
-        estimate_margin_probability([0.5], 0.5, -0.1)
-    with pytest.raises(DegenerateInputError):
-        estimate_margin_probability([], 0.5, 0.1)

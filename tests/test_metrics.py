@@ -146,14 +146,6 @@ def test_confusion_matrix_validation():
         cm(float("nan"), 0.5, 0.25, 0.25)
 
 
-def test_confusion_matrix_from_counts():
-    c = ConfusionMatrix.from_counts(tn=3, fp=1, fn=2, tp=4)
-    assert (c.tn, c.fp, c.fn, c.tp) == (0.3, 0.1, 0.2, 0.4)
-    assert c.positive_rate == pytest.approx(0.6)
-    with pytest.raises(DegenerateInputError):
-        ConfusionMatrix.from_counts(0, 0, 0, 0)
-
-
 def test_spec_validation_and_parse_roundtrip():
     with pytest.raises(ParameterDomainError):
         CmmSpec("nonsense")

@@ -12,11 +12,11 @@ from stochthresh import (
     ConfusionMatrix,
     ThresholdSearchResult,
     brute_force_threshold,
+    empirical_confusion,
     evaluate_cmm,
     optimize_population_threshold,
     optimize_threshold,
     optimize_threshold_deterministic,
-    population_confusion,
     population_confusion_parts,
     representative_specs,
 )
@@ -84,6 +84,34 @@ def test_single_sample_prefers_classify_all_one():
     assert res.metric_value == 1.0
     assert res.classification_prefix_index == 0
     assert (res.threshold.t, res.threshold.p) == (0.0, 1.0)
+
+
+def result_bits(res) -> tuple:
+    th = res.threshold
+    return (th.t.hex(), th.p.hex(), res.metric_value.hex(), res.classification_prefix_index)
+
+
+def test_all_one_is_skipped_when_a_zero_score_has_draw_one():
+    # No (t, p) labels the first row 1: s > t needs t < 0, z < p needs p > 1.
+    sample = (np.array([0.0, 0.5]), np.array([1, 1]), np.array([1.0, 0.3]))
+    fast = optimize_threshold(sample, ACC)
+    assert result_bits(fast) == result_bits(brute_force_threshold(sample, ACC))
+    assert (fast.metric_value, fast.classification_prefix_index) == (0.5, 1)
+    assert evaluate_cmm(ACC, empirical_confusion(fast.threshold, sample)) == 0.5
+
+
+def test_sweep_equals_brute_force_when_draws_reach_one():
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(20261019)))
+    specs = representative_specs()
+    for _ in range(300):
+        n = int(gen.integers(1, 8))
+        sample = (gen.integers(0, 3, size=n) / 2.0, gen.integers(0, 2, size=n),
+                  gen.integers(0, 3, size=n) / 2.0)
+        spec = specs[int(gen.integers(0, len(specs)))]
+        fast = optimize_threshold(sample, spec)
+        assert result_bits(fast) == result_bits(brute_force_threshold(sample, spec))
+        if fast.classification_prefix_index == 0:
+            assert not np.any((sample[0] == 0.0) & (sample[2] == 1.0))
 
 
 def test_tied_scores_split_by_draw_ordering():
@@ -459,7 +487,8 @@ def test_population_search_beats_a_fine_grid():
             grid_best = float(np.max(_cmm_values(spec, *cells)))
             assert res.metric_value >= grid_best - 1e-12, (eta, spec)
             # The reported (t, p) attains the reported value.
-            c = population_confusion(eta, res.threshold)
+            base, tie = population_confusion_parts(eta, res.threshold.t)
+            c = ConfusionMatrix(*(b + res.threshold.p * s for b, s in zip(base, tie)))
             assert evaluate_cmm(spec, c) == res.metric_value
             # A linear-fractional measure is monotone in p on a tie set.
             if spec.kind in LINEAR_FRACTIONAL:
