@@ -36,7 +36,6 @@ from .classify import (
     Piece,
     RegressionFunctionSpec,
     StochasticThreshold,
-    classify_batch,
     empirical_confusion,
     population_confusion_parts,
 )
@@ -104,8 +103,8 @@ __all__ = [
     "representative_specs", "evaluate_cmm", "check_cmm_monotonicity",
     "roc_and_auroc",
     # classify
-    "StochasticThreshold", "Piece", "RegressionFunctionSpec", "classify_batch",
-    "empirical_confusion", "population_confusion_parts",
+    "StochasticThreshold", "Piece", "RegressionFunctionSpec", "empirical_confusion",
+    "population_confusion_parts",
     # threshold_opt
     "ThresholdSearchResult", "optimize_threshold", "brute_force_threshold",
     "optimize_threshold_deterministic", "optimize_population_threshold",

@@ -13,7 +13,7 @@ confusion matrices can be computed exactly instead of by Monte Carlo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "StochasticThreshold",
     "Piece",
     "RegressionFunctionSpec",
-    "classify_batch",
     "empirical_confusion",
     "population_confusion_parts",
     "as_sample_arrays",
@@ -96,31 +95,20 @@ def as_sample_arrays(
     return scores, labels, draws
 
 
-def classify_batch(
-    th: StochasticThreshold, scores, draws=None
-) -> np.ndarray:
-    """Labels of the threshold rule: 1 iff score > t, or score == t and draw < p.
-
-    Missing draws mean draw = 0, so a tie takes label 1 exactly when p > 0.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    if draws is None:
-        z = np.zeros_like(s)
-    else:
-        z = np.asarray(draws, dtype=np.float64)
-        if z.shape != s.shape:
-            raise ParameterDomainError("scores and draws differ in shape")
-    return ((s > th.t) | ((s == th.t) & (z < th.p))).astype(np.int64)
-
-
 def empirical_confusion(th: StochasticThreshold, samples) -> ConfusionMatrix:
-    """Confusion fractions of the threshold on a ``(scores, labels[, draws])`` sample."""
+    """Confusion fractions of the threshold on a ``(scores, labels[, draws])`` sample.
+
+    A row is labeled 1 iff score > t, or score == t and draw < p.  Missing
+    draws mean draw = 0, so a tie takes label 1 exactly when p > 0.
+    """
     scores, labels, draws = as_sample_arrays(samples)
-    pred = classify_batch(th, scores, draws)
+    z = 0.0 if draws is None else draws
+    pred = (scores > th.t) | ((scores == th.t) & (z < th.p))
+    pos = labels == 1
     n = scores.size
-    tp = int(np.sum((pred == 1) & (labels == 1)))
-    fp = int(np.sum((pred == 1) & (labels == 0)))
-    fn = int(np.sum((pred == 0) & (labels == 1)))
+    tp = int(np.count_nonzero(pred & pos))
+    fp = int(np.count_nonzero(pred & ~pos))
+    fn = int(np.count_nonzero(~pred & pos))
     tn = n - tp - fp - fn
     return ConfusionMatrix(tn=tn / n, fp=fp / n, fn=fn / n, tp=tp / n)
 
@@ -156,10 +144,16 @@ class RegressionFunctionSpec:
     value at the single domain point 0) must be given.  ``r`` is the sup of
     the function, its imbalance degree.  The identically-zero function is
     admitted with r = 0 as a degenerate special case.
+
+    ``table`` holds the piece columns ``(lo, width, v_lo, rise)``, with
+    ``width = hi - lo`` and ``rise = v_hi - v_lo``, built once; an atom is
+    one flat piece of width 1.  :meth:`evaluate` and the k-NN error norms
+    read values through :meth:`on_piece`, the one site of the line formula.
     """
 
     pieces: tuple[Piece, ...] = ()
     atom: float | None = None
+    table: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # A tuple keeps the spec hashable (error norms are memoized per eta)
@@ -172,14 +166,23 @@ class RegressionFunctionSpec:
         if self.atom is not None:
             if not (np.isfinite(self.atom) and 0.0 <= self.atom <= 1.0):
                 raise ParameterDomainError(f"atom value {self.atom!r} outside [0, 1]")
-            return
-        if self.pieces[0].lo != 0.0 or self.pieces[-1].hi != 1.0:
-            raise ParameterDomainError("pieces must cover [0, 1]")
-        for a, b in zip(self.pieces, self.pieces[1:]):
-            if a.hi != b.lo:
-                raise ParameterDomainError(
-                    f"pieces not contiguous at {a.hi!r} vs {b.lo!r}"
-                )
+        else:
+            if self.pieces[0].lo != 0.0 or self.pieces[-1].hi != 1.0:
+                raise ParameterDomainError("pieces must cover [0, 1]")
+            for a, b in zip(self.pieces, self.pieces[1:]):
+                if a.hi != b.lo:
+                    raise ParameterDomainError(
+                        f"pieces not contiguous at {a.hi!r} vs {b.lo!r}"
+                    )
+        lo, hi, v_lo, v_hi = np.array(
+            [(pc.lo, pc.hi, pc.v_lo, pc.v_hi) for pc in self._pieces_or_atom()],
+            dtype=np.float64,
+        ).T.copy()
+        object.__setattr__(self, "table", (lo, hi - lo, v_lo, v_hi - v_lo))
+
+    def _pieces_or_atom(self) -> tuple[Piece, ...]:
+        """The pieces, or the atom as one flat piece of width 1."""
+        return self.pieces or (Piece(0.0, 1.0, self.atom, self.atom),)
 
     @property
     def r(self) -> float:
@@ -194,92 +197,74 @@ class RegressionFunctionSpec:
             return (0.0,)
         return tuple([p.lo for p in self.pieces] + [self.pieces[-1].hi])
 
+    def on_piece(self, i, x) -> np.ndarray:
+        """Values at points x of the lines of pieces i (broadcast against x).
+
+        A point outside its piece reads the piece's line extended, so the
+        ends of a piece give its one-sided limits.
+        """
+        lo, width, v_lo, rise = (col.take(i) for col in self.table)
+        return v_lo + rise * ((x - lo) / width)
+
     def evaluate(self, x):
         """Function value at x (scalar or array); out-of-domain points raise."""
         arr = np.asarray(x, dtype=np.float64)
-        scalar = arr.ndim == 0
         pts = np.atleast_1d(arr)
         if self.atom is not None:
             if np.any(pts != 0.0):
                 raise DomainError("atom regression function is defined only at 0")
-            out = np.full(pts.shape, float(self.atom))
-            return float(out[0]) if scalar else out
-        if pts.size and (np.min(pts) < 0.0 or np.max(pts) > 1.0):
+        elif pts.size and (np.min(pts) < 0.0 or np.max(pts) > 1.0):
             raise DomainError("points outside the domain [0, 1]")
-        lo = np.array([p.lo for p in self.pieces])
-        hi = np.array([p.hi for p in self.pieces])
-        v_lo = np.array([p.v_lo for p in self.pieces])
-        v_hi = np.array([p.v_hi for p in self.pieces])
-        idx = np.clip(np.searchsorted(lo, pts, side="right") - 1, 0, len(lo) - 1)
-        frac = (pts - lo[idx]) / (hi[idx] - lo[idx])
-        out = v_lo[idx] + (v_hi[idx] - v_lo[idx]) * frac
-        return float(out[0]) if scalar else out
+        out = self.on_piece(np.searchsorted(self.table[0], pts, side="right") - 1, pts)
+        return float(out[0]) if arr.ndim == 0 else out
 
 
-def _linear_mass(v_a: float, v_b: float, width: float) -> float:
+def _linear_mass(v_a, v_b, width):
     """Integral of a linear value running v_a -> v_b over an interval."""
     return width * (v_a + v_b) / 2.0
 
 
 def population_confusion_parts(
-    eta: RegressionFunctionSpec, t: float
-) -> tuple[tuple[float, float, float, float], tuple[float, float, float, float]]:
-    """Split population cells into (p = 0 base, tie mass moved per unit p).
+    eta: RegressionFunctionSpec, t
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Split population cells at thresholds t into (p = 0 base, tie mass per unit p).
 
-    Full cells at (t, p) are ``base + p * tie`` componentwise in the order
-    (tn, fp, fn, tp).  Exact closed form; no sampling.
+    ``t`` is a float or an array.  Full cells at (t, p) are ``base + p *
+    tie`` componentwise in the order (tn, fp, fn, tp); each entry is an
+    array shaped like ``t``.  Exact closed form; no sampling.
     """
-    if not (np.isfinite(t) and 0.0 <= t <= 1.0):
-        raise ParameterDomainError(f"threshold t={t!r} outside [0, 1]")
+    t = np.asarray(t, dtype=np.float64)
+    ok = (t >= 0.0) & (t <= 1.0)  # NaN fails both comparisons
+    if not ok.all():
+        raise ParameterDomainError(f"threshold t={float(t[~ok][0])!r} outside [0, 1]")
     # Mass integrals over the strict-above region A, the tie set E and the
-    # rest B: pos_* = integral of eta, neg_* = integral of (1 - eta).
-    pos_a = neg_a = pos_e = neg_e = pos_b = neg_b = 0.0
-    if eta.atom is not None:
-        v = float(eta.atom)
-        if v > t:
-            pos_a, neg_a = v, 1.0 - v
-        elif v == t:
-            pos_e, neg_e = v, 1.0 - v
-        else:
-            pos_b, neg_b = v, 1.0 - v
-    else:
-        for pc in eta.pieces:
-            w = pc.hi - pc.lo
-            if pc.v_lo == pc.v_hi:
-                c = pc.v_lo
-                if c > t:
-                    pos_a += c * w
-                    neg_a += (1.0 - c) * w
-                elif c == t:
-                    pos_e += c * w
-                    neg_e += (1.0 - c) * w
-                else:
-                    pos_b += c * w
-                    neg_b += (1.0 - c) * w
-                continue
-            v0, v1 = pc.v_lo, pc.v_hi
-            if min(v0, v1) > t:
-                m = _linear_mass(v0, v1, w)
-                pos_a += m
-                neg_a += w - m
-            elif max(v0, v1) <= t:
-                m = _linear_mass(v0, v1, w)
-                pos_b += m
-                neg_b += w - m
-            else:
-                w_cross = (t - v0) * w / (v1 - v0)
-                m_left = _linear_mass(v0, t, w_cross)
-                m_right = _linear_mass(t, v1, w - w_cross)
-                if v0 > t:
-                    pos_a += m_left
-                    neg_a += w_cross - m_left
-                    pos_b += m_right
-                    neg_b += (w - w_cross) - m_right
-                else:
-                    pos_b += m_left
-                    neg_b += w_cross - m_left
-                    pos_a += m_right
-                    neg_a += (w - w_cross) - m_right
+    # rest B: pos_* = integral of eta, neg_* = integral of (1 - eta).  Each
+    # piece adds one term to an accumulator (0.0 where it misses the region),
+    # in piece order, so every t gets the bits of a loop over one t.
+    acc = np.zeros((3, 2) + t.shape)  # (pos, neg) of A, E and B
+    for pc, w in zip(eta._pieces_or_atom(), eta.table[1].tolist()):
+        v0, v1 = pc.v_lo, pc.v_hi
+        if v0 == v1:
+            pos, neg = v0 * w, (1.0 - v0) * w
+            for region, hit in enumerate((v0 > t, v0 == t, v0 < t)):
+                acc[region, 0] += np.where(hit, pos, 0.0)
+                acc[region, 1] += np.where(hit, neg, 0.0)
+            continue
+        # The piece lies wholly above t, wholly at or below it, or crosses t
+        # at w_cross from lo, its left part lying above t iff v0 > t.
+        m = _linear_mass(v0, v1, w)
+        w_cross = (t - v0) * w / (v1 - v0)
+        m_left = _linear_mass(v0, t, w_cross)
+        m_right = _linear_mass(t, v1, w - w_cross)
+        whole, left = (m, w - m), (m_left, w_cross - m_left)
+        right = (m_right, (w - w_cross) - m_right)
+        above, below, left_up = min(v0, v1) > t, max(v0, v1) <= t, v0 > t
+        for k in (0, 1):
+            up = np.where(left_up, left[k], right[k])
+            down = np.where(left_up, right[k], left[k])
+            acc[0, k] += np.where(above, whole[k], np.where(below, 0.0, up))
+            acc[2, k] += np.where(below, whole[k], np.where(above, 0.0, down))
+    (pos_a, neg_a), (pos_e, neg_e), (pos_b, neg_b) = acc
     base = (neg_b + neg_e, neg_a, pos_b + pos_e, pos_a)  # tn, fp, fn, tp at p=0
     tie = (-neg_e, neg_e, -pos_e, pos_e)
     return base, tie

@@ -273,36 +273,39 @@ def optimize_population_threshold(
 
     Every candidate named in the module docstring is evaluated on the
     closed-form cells; ties break toward the smallest t, then the smallest p.
+    The cells come from three array calls: at the breakpoints, at the
+    quarter-points of every interval, and at the candidates.
     """
     values = [eta.atom] if eta.atom is not None else [
         v for pc in eta.pieces for v in (pc.v_lo, pc.v_hi)
     ]
     breaks = np.unique(np.concatenate(([0.0, 1.0], values)))
-    cands = []  # (t, p, cells) by ascending t, then p
-    for i, a in enumerate(breaks):
-        # On the tie set at a the cells are linear in p = (1 + u) / 2.
-        base, tie = population_confusion_parts(eta, float(a))
-        lines = [np.poly1d([s / 2.0, c + s / 2.0]) for c, s in zip(base, tie)]
-        stationary_p = (1.0 + _stationary_points(spec, lines)) / 2.0
-        for p in np.concatenate(([0.0], stationary_p, [1.0])):
-            cands.append((a, p, [c + p * s for c, s in zip(base, tie)]))
+    base, tie = population_confusion_parts(eta, breaks)
+    # Inside (a, b) the cells are quadratic in t = mid + half * u; cells at
+    # u = -1/2, 0, 1/2 give the coefficients.
+    a, b = breaks[:-1], breaks[1:]
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
+    f_lo, f_mid, f_hi = np.array(
+        population_confusion_parts(eta, mid + half * np.array([[-0.5], [0.0], [0.5]]))[0]
+    ).transpose(1, 2, 0)
+    quad = np.stack((2.0 * (f_hi + f_lo - 2.0 * f_mid), f_hi - f_lo, f_mid))
+    ts, ps = [], []  # by ascending t, then p
+    for i, t in enumerate(breaks):
+        # On the tie set at t the cells are linear in p = (1 + u) / 2.
+        lines = [np.poly1d([s[i] / 2.0, c[i] + s[i] / 2.0]) for c, s in zip(base, tie)]
+        p = np.concatenate(([0.0], (1.0 + _stationary_points(spec, lines)) / 2.0, [1.0]))
+        ts += [t] * p.size
+        ps += list(p)
         if i + 1 == breaks.size:
             break
-        # Inside (a, b) they are quadratic in t = mid + half * u; cells at
-        # u = -1/2, 0, 1/2 give the coefficients.
-        b = breaks[i + 1]
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        f_lo, f_mid, f_hi = (
-            np.array(population_confusion_parts(eta, float(mid + half * u))[0])
-            for u in (-0.5, 0.0, 0.5)
-        )
-        quad = np.stack((2.0 * (f_hi + f_lo - 2.0 * f_mid), f_hi - f_lo, f_mid))
-        quads = [np.poly1d(c) for c in quad.T]
-        stationary_t = np.clip(mid + half * _stationary_points(spec, quads), a, b)
-        for t in (np.nextafter(a, b), *stationary_t, np.nextafter(b, a)):
-            cands.append((t, 0.0, population_confusion_parts(eta, float(t))[0]))
-    ts, ps, cells = zip(*cands)
-    vals = np.asarray(_cmm_values(spec, *np.array(cells).T))
+        quads = [np.poly1d(c) for c in quad[:, i].T]
+        stationary_t = np.clip(mid[i] + half[i] * _stationary_points(spec, quads), a[i], b[i])
+        inner = (np.nextafter(a[i], b[i]), *stationary_t, np.nextafter(b[i], a[i]))
+        ts += inner
+        ps += [0.0] * len(inner)
+    ts, ps = np.array(ts), np.array(ps)
+    base, tie = population_confusion_parts(eta, ts)
+    vals = np.asarray(_cmm_values(spec, *(c + ps * s for c, s in zip(base, tie))))
     best = int(np.argmax(vals))
     return ThresholdSearchResult(
         threshold=StochasticThreshold(float(ts[best]), float(ps[best])),

@@ -252,6 +252,7 @@ def test_criterion_5_bound_coverage_on_seeded_runs():
     radius = estimation_error_bound(n_b, 0.05)
     ts = np.linspace(0.0, 1.0, 101)
     ps = np.linspace(0.0, 1.0, 101)
+    base, tie_parts = population_confusion_parts(problem_b.eta, ts)
     covered_b = 0
     worst_b = 0.0
     for i in range(runs):
@@ -262,7 +263,7 @@ def test_criterion_5_bound_coverage_on_seeded_runs():
         y_not = 1.0 - y
         accept = ds.draws[None, :] < ps[:, None]
         run_dev = 0.0
-        for t in ts:
+        for j, t in enumerate(ts):
             above = scores > t
             tie = scores == t
             pred = above[None, :] | (tie[None, :] & accept)
@@ -273,9 +274,8 @@ def test_criterion_5_bound_coverage_on_seeded_runs():
                 not_pred @ y / n_b,      # fn
                 pred @ y / n_b,          # tp
             )
-            base, tie_parts = population_confusion_parts(problem_b.eta, float(t))
             for cell in range(4):
-                pop = base[cell] + ps * tie_parts[cell]
+                pop = base[cell][j] + ps * tie_parts[cell][j]
                 run_dev = max(run_dev, float(np.max(np.abs(emp[cell] - pop))))
         worst_b = max(worst_b, run_dev)
         if run_dev <= radius:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import write_csv
+from helpers import write_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -12,7 +12,6 @@ from stochthresh import (
     Piece,
     RegressionFunctionSpec,
     StochasticThreshold,
-    classify_batch,
     empirical_confusion,
     optimize_threshold,
     population_confusion_parts,
@@ -23,11 +22,11 @@ from stochthresh.errors import (
     DomainError,
     ParameterDomainError,
 )
-from stochthresh.synth import exp1_problem, exp2_uci_problem
+from stochthresh.synth import exp1_problem, exp2_nonuci_problem, exp2_uci_problem
 
 
 # ---------------------------------------------------------------------------
-# classify_batch
+# The threshold rule, read through empirical_confusion
 
 
 def rule(th: StochasticThreshold, score: float, draw: float) -> int:
@@ -36,7 +35,9 @@ def rule(th: StochasticThreshold, score: float, draw: float) -> int:
 
 
 def label_of(th: StochasticThreshold, score: float, draw: float) -> int:
-    return int(classify_batch(th, np.array([score]), np.array([draw]))[0])
+    """The label the threshold gives one positive row: its tp fraction."""
+    c = empirical_confusion(th, (np.array([score]), np.array([1]), np.array([draw])))
+    return int(c.tp)
 
 
 def test_score_above_cut_is_positive():
@@ -57,18 +58,24 @@ def test_tie_accepted_when_draw_below_p():
 def test_batch_agrees_with_scalar_rule(rng):
     th = StochasticThreshold(0.4, 0.3)
     scores = rng.integers(0, 5, size=200) / 4.0
+    labels = rng.integers(0, 2, size=200)
     draws = rng.random(200)
-    batch = classify_batch(th, scores, draws)
-    for s, z, got in zip(scores, draws, batch):
-        assert got == rule(th, float(s), float(z))
+    counts = np.zeros((2, 2), dtype=int)  # [label, predicted label]
+    for s, y, z in zip(scores, labels, draws):
+        counts[y, rule(th, float(s), float(z))] += 1
+    c = empirical_confusion(th, (scores, labels, draws))
+    assert (c.tn, c.fp, c.fn, c.tp) == tuple(counts.ravel() / 200)
 
 
 def test_batch_missing_draws_means_zero_draw():
     th = StochasticThreshold(0.5, 1.0)
-    out = classify_batch(th, [0.5, 0.4, 0.6])
-    assert out.tolist() == [1, 0, 1]
+    # The tie at 0.5 takes label 1, since draw 0 < p.
+    for score, want in zip((0.5, 0.4, 0.6), (1, 0, 1)):
+        assert empirical_confusion(th, (np.array([score]), np.array([1]))).tp == want
+    c = empirical_confusion(th, ([0.5, 0.4, 0.6], [1, 1, 0]))
+    assert (c.tn, c.fp, c.fn, c.tp) == (0.0, 1 / 3, 1 / 3, 1 / 3)
     with pytest.raises(ParameterDomainError):
-        classify_batch(th, [0.5, 0.4], [0.1])
+        empirical_confusion(th, ([0.5, 0.4], [1, 1], [0.1]))
 
 
 def test_threshold_and_sample_validation():
@@ -305,5 +312,62 @@ def test_population_cells_atom_cases():
 
 
 def test_population_parts_reject_bad_threshold():
+    eta = exp1_problem().eta
     with pytest.raises(ParameterDomainError):
-        population_confusion_parts(exp1_problem().eta, 1.5)
+        population_confusion_parts(eta, 1.5)
+    for bad in (np.nan, np.inf, -np.inf, 1.5, -0.25):
+        t = np.full((3, 4), 0.5)
+        t[2, 1] = bad
+        with pytest.raises(ParameterDomainError):
+            population_confusion_parts(eta, t)
+
+
+def test_population_parts_of_an_array_are_shaped_like_it():
+    eta = exp2_nonuci_problem(0.1).eta
+    t = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    base, tie = population_confusion_parts(eta, t)
+    assert len(base) == len(tie) == 4
+    for cells in (base, tie):
+        assert all(np.shape(c) == (3, 4) for c in cells)
+    # Each entry holds the bits of the call at that one t.
+    for idx in np.ndindex(t.shape):
+        one = population_confusion_parts(eta, float(t[idx]))
+        for got, want in zip((*base, *tie), (*one[0], *one[1])):
+            assert np.array_equal(np.float64(got[idx]).view(np.uint64),
+                                  np.float64(want).view(np.uint64))
+
+
+#: (tn, fp, fn, tp) base and tie parts at each breakpoint (0, 1 and every
+#: piece value) of exp1's eta and two exp2 etas, as the scalar per-t
+#: implementation computed them.
+BREAKPOINT_PARTS = {
+    "exp1": (exp1_problem().eta, {
+        0.0: ((0.3333333333333333, 0.16666666666666666, 0.0, 0.5),
+              (-0.3333333333333333, 0.3333333333333333, -0.0, 0.0)),
+        0.5: ((0.5, 0.0, 0.16666666666666666, 0.33333333333333337),
+              (-0.16666666666666666, 0.16666666666666666,
+               -0.16666666666666666, 0.16666666666666666)),
+        1.0: ((0.5, 0.0, 0.5, 0.0), (-0.0, 0.0, -0.33333333333333337, 0.33333333333333337)),
+    }),
+    "exp2_uci": (exp2_uci_problem(0.1).eta, {
+        0.0: ((0.0, 0.95, 0.0, 0.05), (-0.0, 0.0, -0.0, 0.0)),
+        0.1: ((0.95, 0.0, 0.05, 0.0), (-0.0, 0.0, -0.0, 0.0)),
+        1.0: ((0.95, 0.0, 0.05, 0.0), (-0.0, 0.0, -0.0, 0.0)),
+    }),
+    "exp2_nonuci": (exp2_nonuci_problem(0.1).eta, {
+        0.0: ((0.9, 0.05, 0.0, 0.05), (-0.9, 0.9, -0.0, 0.0)),
+        1.0: ((0.9500000000000001, 0.0, 0.05, 0.0), (-0.0, 0.0, -0.0, 0.0)),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BREAKPOINT_PARTS))
+def test_population_parts_at_breakpoints_keep_their_bits(name):
+    eta, pinned = BREAKPOINT_PARTS[name]
+    ts = np.array(sorted(pinned))
+    values = [v for pc in eta.pieces for v in (pc.v_lo, pc.v_hi)]
+    assert ts.tolist() == np.unique(np.concatenate(([0.0, 1.0], values))).tolist()
+    base, tie = population_confusion_parts(eta, ts)
+    got = np.stack((*base, *tie), axis=1)
+    want = np.array([(*pinned[t][0], *pinned[t][1]) for t in ts.tolist()])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

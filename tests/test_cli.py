@@ -17,7 +17,7 @@ from stochthresh.metrics import CmmSpec
 from stochthresh.synth import exp1_problem, exp2_nonuci_problem, generate
 from stochthresh.threshold_opt import brute_force_threshold
 
-from conftest import write_csv
+from helpers import write_csv
 
 
 @pytest.fixture()

@@ -36,7 +36,7 @@ from stochthresh.threshold_opt import (
     optimize_threshold_deterministic,
 )
 
-from conftest import argsort_knn_reference, write_csv
+from helpers import argsort_knn_reference, write_csv
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from stochthresh.io import (
     zscore,
 )
 
-from conftest import write_csv
+from helpers import write_csv
 
 
 # ---------------------------------------------------------------------------

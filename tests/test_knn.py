@@ -34,7 +34,7 @@ from stochthresh.synth import (
     generate,
 )
 
-from conftest import argsort_knn_reference
+from helpers import argsort_knn_reference
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from stochthresh import (
 )
 from stochthresh.errors import DegenerateInputError, ParameterDomainError
 
-from conftest import tie_heavy_sample
+from helpers import tie_heavy_sample
 
 
 def cm(tn, fp, fn, tp) -> ConfusionMatrix:

@@ -23,6 +23,7 @@ from stochthresh import (
 from stochthresh.classify import Piece, RegressionFunctionSpec
 from stochthresh.errors import ParameterDomainError
 from stochthresh.metrics import _cmm_values, _score_cuts
+from stochthresh import threshold_opt
 from stochthresh.threshold_opt import SortedSample
 from stochthresh.synth import (
     exp1_problem,
@@ -32,7 +33,7 @@ from stochthresh.synth import (
     singleton_problem,
 )
 
-from conftest import lexsort_sweep_reference, tie_heavy_sample
+from helpers import lexsort_sweep_reference, tie_heavy_sample
 
 ACC = CmmSpec("accuracy")
 PRODUCT = CmmSpec("tp_tn_product")
@@ -464,15 +465,13 @@ def grid_cells(eta: RegressionFunctionSpec, n_t: int = 40_001) -> np.ndarray:
     101-point p grid wherever t carries tie mass; shape (4, m)."""
     values = [v for pc in eta.pieces for v in (pc.v_lo, pc.v_hi)]
     ps = np.linspace(0.0, 1.0, 101)
-    base_cols, tie_cols = [], []
-    for t in np.unique(np.concatenate((np.linspace(0.0, 1.0, n_t), values))):
-        base, tie = population_confusion_parts(eta, float(t))
-        (tie_cols if any(tie) else base_cols).append(base + tie)  # 8 numbers
-    cols = np.array(base_cols)[:, :4].T
-    if tie_cols:
-        ties = np.array(tie_cols)
-        on_ties = ties[:, :4, None] + ps * ties[:, 4:, None]
-        cols = np.concatenate((cols, on_ties.transpose(1, 0, 2).reshape(4, -1)), axis=1)
+    ts = np.unique(np.concatenate((np.linspace(0.0, 1.0, n_t), values)))
+    base, tie = map(np.array, population_confusion_parts(eta, ts))
+    tied = tie.any(axis=0)
+    cols = base[:, ~tied]
+    if tied.any():
+        on_ties = base[:, tied, None] + ps * tie[:, tied, None]
+        cols = np.concatenate((cols, on_ties.reshape(4, -1)), axis=1)
     return cols
 
 
@@ -493,6 +492,26 @@ def test_population_search_beats_a_fine_grid():
             # A linear-fractional measure is monotone in p on a tie set.
             if spec.kind in LINEAR_FRACTIONAL:
                 assert res.threshold.p in (0.0, 1.0), (eta, spec)
+
+
+def test_population_search_reads_the_cells_in_three_calls(monkeypatch):
+    calls = []
+
+    def counted(eta, t):
+        calls.append(t)
+        return population_confusion_parts(eta, t)
+
+    monkeypatch.setattr(threshold_opt, "population_confusion_parts", counted)
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(20261019)))
+    etas = [random_plateau_eta(gen) for _ in range(3)]
+    etas += [exp1_problem().eta, exp2_nonuci_problem(0.1).eta, singleton_problem(0.5).eta]
+    for eta in etas:
+        for spec in representative_specs():
+            calls.clear()
+            optimize_population_threshold(eta, spec)
+            # Breakpoints, interval quarter-points, candidates: one array each.
+            assert len(calls) == 3, (eta, spec)
+            assert all(np.ndim(t) >= 1 for t in calls)
 
 
 def test_singleton_optimum_matches_closed_form():
