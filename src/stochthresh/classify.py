@@ -148,7 +148,8 @@ class RegressionFunctionSpec:
     ``table`` holds the piece columns ``(lo, width, v_lo, rise)``, with
     ``width = hi - lo`` and ``rise = v_hi - v_lo``, built once; an atom is
     one flat piece of width 1.  :meth:`evaluate` and the k-NN error norms
-    read values through :meth:`on_piece`, the one site of the line formula.
+    read values through :meth:`on_piece`, the one site of the piece lookup
+    and the line formula.
     """
 
     pieces: tuple[Piece, ...] = ()
@@ -197,12 +198,13 @@ class RegressionFunctionSpec:
             return (0.0,)
         return tuple([p.lo for p in self.pieces] + [self.pieces[-1].hi])
 
-    def on_piece(self, i, x) -> np.ndarray:
-        """Values at points x of the lines of pieces i (broadcast against x).
+    def on_piece(self, x, at=None) -> np.ndarray:
+        """Values at points x of the lines of the pieces holding ``at`` (default x).
 
-        A point outside its piece reads the piece's line extended, so the
-        ends of a piece give its one-sided limits.
+        ``at`` broadcasts against x.  A point outside its piece reads the
+        piece's line extended, so the ends of a piece give its one-sided limits.
         """
+        i = np.searchsorted(self.table[0], x if at is None else at, side="right") - 1
         lo, width, v_lo, rise = (col.take(i) for col in self.table)
         return v_lo + rise * ((x - lo) / width)
 
@@ -215,7 +217,7 @@ class RegressionFunctionSpec:
                 raise DomainError("atom regression function is defined only at 0")
         elif pts.size and (np.min(pts) < 0.0 or np.max(pts) > 1.0):
             raise DomainError("points outside the domain [0, 1]")
-        out = self.on_piece(np.searchsorted(self.table[0], pts, side="right") - 1, pts)
+        out = self.on_piece(pts)
         return float(out[0]) if arr.ndim == 0 else out
 
 

@@ -417,11 +417,11 @@ def _error_norms(model: KnnModel, eta: RegressionFunctionSpec) -> tuple[float, f
         )
     b = np.unique(np.clip(np.concatenate((eta.knots(), 0.5 * model._h)), 0.0, 1.0))
     left, right = b[:-1], b[1:]
-    # eta at both ends of each interval, read on the interval's own piece by
-    # RegressionFunctionSpec.on_piece: where eta jumps at a knot these are
-    # the one-sided limits, and e0 with the last e1 is eta at every breakpoint.
-    piece = np.searchsorted(eta.table[0], left, side="right") - 1
-    e0, e1 = eta.on_piece(piece, np.stack((left, right)))
+    # eta at both ends of each interval, read on the piece holding its left
+    # end by RegressionFunctionSpec.on_piece: where eta jumps at a knot these
+    # are the one-sided limits, and e0 with the last e1 is eta at every
+    # breakpoint.
+    e0, e1 = eta.on_piece(np.stack((left, right)), at=left)
     mid = 0.5 * (left + right)
     # An interval with no float strictly inside counts for nothing.
     inside = (left < mid) & (mid < right)

@@ -62,7 +62,9 @@ def test_batch_agrees_with_scalar_rule(rng):
     draws = rng.random(200)
     counts = np.zeros((2, 2), dtype=int)  # [label, predicted label]
     for s, y, z in zip(scores, labels, draws):
-        counts[y, rule(th, float(s), float(z))] += 1
+        want = rule(th, float(s), float(z))
+        assert label_of(th, float(s), float(z)) == want
+        counts[y, want] += 1
     c = empirical_confusion(th, (scores, labels, draws))
     assert (c.tn, c.fp, c.fn, c.tp) == tuple(counts.ravel() / 200)
 
@@ -241,6 +243,18 @@ def test_evaluate_piecewise_and_atom():
     assert atom.knots() == (0.0,)
     with pytest.raises(DomainError):
         atom.evaluate(0.5)
+
+
+def test_on_piece_reads_one_sided_limits_at_a_jump():
+    eta = RegressionFunctionSpec(
+        pieces=(Piece(0.0, 0.5, 0.25, 0.5), Piece(0.5, 1.0, 0.875, 0.625))
+    )
+    # A knot belongs to the piece on its right, as in evaluate.
+    assert eta.on_piece(0.5) == eta.evaluate(0.5) == 0.875
+    # The piece holding `at` is read at x: its line's value at its own end.
+    assert eta.on_piece(0.5, at=0.25) == 0.5
+    ends = eta.on_piece(np.array([[0.0, 0.5], [0.5, 1.0]]), at=np.array([0.0, 0.5]))
+    assert ends.tolist() == [[0.25, 0.875], [0.5, 0.625]]
 
 
 def test_sup_is_the_imbalance_degree():
