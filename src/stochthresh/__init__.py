@@ -48,10 +48,8 @@ from .threshold_opt import (
 )
 from .knn import (
     KnnModel,
-    KSelectionRule,
     K_RULES,
     average_error,
-    k_rule,
     select_k,
     uniform_error,
 )
@@ -109,7 +107,7 @@ __all__ = [
     "ThresholdSearchResult", "optimize_threshold", "brute_force_threshold",
     "optimize_threshold_deterministic", "optimize_population_threshold",
     # knn
-    "KnnModel", "KSelectionRule", "K_RULES", "k_rule", "select_k",
+    "KnnModel", "K_RULES", "select_k",
     "uniform_error", "average_error",
     # synth
     "SyntheticProblem", "exp1_problem", "exp2_uci_problem",

@@ -154,23 +154,18 @@ def estimation_error_bound(n: int, delta: float) -> float:
     return math.sqrt((8.0 / n) * math.log(32.0 * (2.0 * n + 1.0) / delta))
 
 
-def regret_bound(
-    inputs: BoundInputs, sup_err: float, est_err: float | None = None
-) -> float:
+def regret_bound(inputs: BoundInputs, sup_err: float) -> float:
     """Measure regret bound L_M (C sup_err^beta + 2 est_err).
 
     ``sup_err`` is a sup-norm regression error (e.g. the value of
-    :func:`uniform_error_bound`); ``est_err`` defaults to
+    :func:`uniform_error_bound`); ``est_err`` is
     :func:`estimation_error_bound` at the inputs' n and delta.
     """
     if not (np.isfinite(sup_err) and sup_err >= 0.0):
         raise ParameterDomainError(f"sup_err={sup_err!r} must be >= 0")
-    if est_err is None:
-        est_err = estimation_error_bound(inputs.n, inputs.delta)
-    elif not (np.isfinite(est_err) and est_err >= 0.0):
-        raise ParameterDomainError(f"est_err={est_err!r} must be >= 0")
     return inputs.L_M * (
-        inputs.C_margin * sup_err**inputs.beta_margin + 2.0 * est_err
+        inputs.C_margin * sup_err**inputs.beta_margin
+        + 2.0 * estimation_error_bound(inputs.n, inputs.delta)
     )
 
 

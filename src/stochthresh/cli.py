@@ -36,7 +36,7 @@ from .experiments import (
     run_fraud_pipeline,
 )
 from .io import load_csv, save_csv
-from .knn import K_RULES, KnnModel, k_rule, select_k
+from .knn import K_RULES, KnnModel, select_k
 from .metrics import CmmSpec
 from .synth import (
     constant_problem,
@@ -314,7 +314,7 @@ def fit_knn(data_path, label_column, draw_column, k, rule_name, rule_r, rule_alp
         raise click.UsageError("provide exactly one of --k / --k-rule")
     ds = load_csv(data_path, label_column=label_column, draw_column=draw_column)
     if k is None:
-        k = select_k(k_rule(rule_name, r=rule_r, alpha=rule_alpha, d=ds.d), ds.n)
+        k = select_k(rule_name, ds.n, r=rule_r, alpha=rule_alpha, d=ds.d)
     model = KnnModel.fit(ds.covariates, ds.labels, k)
     preds = []
     for point in map(list, queries):

@@ -24,8 +24,16 @@ import numpy as np
 from . import __version__
 from .classify import empirical_confusion
 from .errors import ParameterDomainError
-from .io import SplitSpec, load_csv, split, varying_features, write_results_csv, zscore
-from .knn import K_RULES, KnnModel, average_error, k_rule, select_k, uniform_error
+from .io import (
+    SPLIT_FRACTIONS,
+    SplitSpec,
+    load_csv,
+    split,
+    varying_features,
+    write_results_csv,
+    zscore,
+)
+from .knn import K_RULES, KnnModel, average_error, select_k, uniform_error
 from .metrics import CmmSpec, evaluate_cmm
 from .synth import exp1_problem, exp2_nonuci_problem, exp2_uci_problem
 from .synth import generate
@@ -279,7 +287,7 @@ def _synthetic_trial(cfg: ExperimentConfig, problem, n: int, k: int, streams):
 def _exp1_trial(cfg: ExperimentConfig, m_star: float, job) -> list[tuple]:
     n_index, n, trial = job
     problem = exp1_problem()
-    k = select_k(k_rule(cfg.k_rule, problem.r), n)
+    k = select_k(cfg.k_rule, n, problem.r)
     streams = trial_seed_sequence(cfg.master_seed, 1, n_index, trial).spawn(2)
     _, values = _synthetic_trial(cfg, problem, n, k, streams)
     key = _seed_key(cfg.master_seed, 1, n_index, trial)
@@ -326,7 +334,7 @@ def run_experiment1(cfg: ExperimentConfig, out=None):
 def _exp2_trial(cfg: ExperimentConfig, pop_f1: dict, job) -> list[tuple]:
     n_index, n, trial = job
     r = float(n ** -0.5)
-    k = select_k(k_rule(cfg.k_rule, r), n)
+    k = select_k(cfg.k_rule, n, r)
     streams = trial_seed_sequence(cfg.master_seed, 2, n_index, trial).spawn(4)
     key = _seed_key(cfg.master_seed, 2, n_index, trial)
     rows = []
@@ -475,7 +483,7 @@ def run_fraud_pipeline(
         "master_seed": master_seed,
         "k_values": list(k_values),
         "downsample_negative_ratio": downsample_negative_ratio,
-        "fractions": list(plan.fractions),
+        "fractions": list(SPLIT_FRACTIONS),
         "stratified": bool(stratified),
         "metric": F1.label(),
     }

@@ -32,6 +32,7 @@ __all__ = [
     "LabeledDataset",
     "ZScoreTransform",
     "SplitSpec",
+    "SPLIT_FRACTIONS",
     "load_csv",
     "save_csv",
     "zscore",
@@ -373,9 +374,13 @@ def zscore(ds: LabeledDataset) -> tuple[LabeledDataset, ZScoreTransform]:
     return transform.apply(ds), transform
 
 
+#: Train, validation and test shares of every :func:`split`.
+SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
+
+
 @dataclass(frozen=True)
 class SplitSpec:
-    """Three-way split plan: fractions summing to 1, a seed, and options.
+    """Three-way split plan (:data:`SPLIT_FRACTIONS`): a seed and options.
 
     ``downsample_negative_ratio`` keeps that fraction of negative rows
     (chosen uniformly without replacement) before any splitting.
@@ -383,20 +388,11 @@ class SplitSpec:
     every part holds its proportional positive count to within one row.
     """
 
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
     seed: int = 0
     stratified: bool = False
     downsample_negative_ratio: float | None = None
 
     def __post_init__(self) -> None:
-        if len(self.fractions) != 3 or any(f <= 0.0 for f in self.fractions):
-            raise ParameterDomainError(
-                f"fractions {self.fractions!r} must be three positive numbers"
-            )
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise ParameterDomainError(
-                f"fractions {self.fractions!r} must sum to 1"
-            )
         ratio = self.downsample_negative_ratio
         if ratio is not None and not 0.0 < ratio <= 1.0:
             raise ParameterDomainError(
@@ -436,7 +432,7 @@ def split(
         keep = np.arange(ds.n)
 
     def allocate(idx: np.ndarray) -> list[np.ndarray]:
-        sizes = _largest_remainder(spec.fractions, idx.size)
+        sizes = _largest_remainder(SPLIT_FRACTIONS, idx.size)
         perm = rng.permutation(idx)
         out = []
         start = 0
@@ -458,7 +454,7 @@ def split(
         if part.size == 0:
             raise SizeError(
                 f"{name} split would be empty for {keep.size} rows with "
-                f"fractions {spec.fractions!r}"
+                f"fractions {SPLIT_FRACTIONS!r}"
             )
     return tuple(ds.subset(p) for p in parts)
 

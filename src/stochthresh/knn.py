@@ -18,21 +18,22 @@ sorted covariates, prefix sums and run bounds; only the boundary sums are
 per k.
 
 In more dimensions, query rows go in blocks of ``budget // (n * d)``
-rows, a rule kept from a ``(rows, n, d)`` distance temporary that no step
-builds any more; the few ``(rows, n)`` arrays of the filter below hold at
-most ``budget / d`` elements each.  Sizing blocks by those arrays is an open
-item of ROADMAP.md (n-d k-NN block size).
+rows.  That rule bounds the recheck below, which gathers a ``(rows, width,
+d)`` array of candidate rows: ``width`` reaches n when the slack admits
+every column (features offset by 1e8, say), and the gather then holds
+``rows * n * d`` elements.  The few ``(rows, n)`` arrays of the filter hold
+at most ``budget / d`` elements each.
 Each block is filtered with one GEMM: the expanded squared distances
 ``|q|^2 - 2 q.x + |x|^2`` are partitioned to ``k_max``, and every training
 row within a proven rounding-error slack of that ``k_max``-th value stays a
 candidate.  The candidates' exact squared distances ``((q - x)**2).sum()``
 are then recomputed, and the selection runs on them bit for bit as on the
-full distance row: every candidate strictly closer than the ``k_max``-th
-smallest distance plus the canonically earliest ones at exactly that
-distance, ordered by (distance, canonical index).  Cumulative label sums
-along that order give the prediction for every ``k <= k_max`` from one
-distance pass: :meth:`KnnModel.predict_path`.  Single-k
-:meth:`KnnModel.predict` is the one-element case.
+full distance row: the candidates arrive in canonical order, so one stable
+sort by distance puts the ``k_max`` nearest first in (distance, canonical
+index) order.  Cumulative label sums along that order give the prediction
+for every ``k <= k_max`` from one distance pass:
+:meth:`KnnModel.predict_path`.  Single-k :meth:`KnnModel.predict` is the
+one-element case.
 
 The error norms of a 1-d model against a piecewise-linear eta
 (:func:`uniform_error`, :func:`average_error`) are exact, with no grid.
@@ -63,9 +64,7 @@ from .errors import (
 
 __all__ = [
     "KnnModel",
-    "KSelectionRule",
     "K_RULES",
-    "k_rule",
     "select_k",
     "uniform_error",
     "average_error",
@@ -73,9 +72,9 @@ __all__ = [
 
 
 #: Element budget of an n-d query block (8 MiB of float64): a block holds
-#: ``max(1, budget // (n * d))`` query rows, the rule of a (rows, n, d)
-#: distance temporary that is gone.  ROADMAP.md's n-d block-size item sizes
-#: blocks by the filter's (rows, n) arrays instead.
+#: ``max(1, budget // (n * d))`` query rows, which bounds the recheck's
+#: (rows, width, d) gather, since ``width`` reaches n when the slack admits
+#: every column.
 _BLOCK_ELEMENTS = 1 << 20
 
 _EPS = np.finfo(np.float64).eps
@@ -269,26 +268,15 @@ class KnnModel:
             d2 = xc.sum(axis=2)
             del xc
             d2[~valid] = np.nan
+            # Candidates sit in ascending canonical index, so a stable sort
+            # by distance gives the (distance, index) order, ties at the
+            # k_max-th distance included, and the padding sorts last.
+            # Masking what lies past the k_max-th distance to inf only makes
+            # the sort cheaper.
             kth = np.partition(d2, k_max - 1, axis=1)[:, k_max - 1 : k_max]
-            keep = d2 <= kth
-            # Rows with more than k_max candidates tie at the k_max-th
-            # distance: keep only the canonically earliest of those ties.
-            over = np.flatnonzero(keep.sum(axis=1) > k_max)
-            if over.size:
-                sub, sub_kth = d2[over], kth[over]
-                lt = sub < sub_kth
-                eq = sub == sub_kth
-                room = k_max - lt.sum(axis=1, keepdims=True)
-                keep[over] = lt | (eq & (np.cumsum(eq, axis=1) <= room))
-            # flatnonzero walks rows in order, so candidates arrive in
-            # canonical index order and a stable sort by distance finishes
-            # the (distance, index) order.
-            idx = (np.flatnonzero(keep) % keep.shape[1]).reshape(-1, k_max)
-            order = np.argsort(
-                np.take_along_axis(d2, idx, axis=1), axis=1, kind="stable"
-            )
-            idx = np.take_along_axis(cand, idx, axis=1)
-            labels = self.y[np.take_along_axis(idx, order, axis=1)]
+            d2[d2 > kth] = np.inf
+            nearest = np.argsort(d2, axis=1, kind="stable")[:, :k_max]
+            labels = self.y[np.take_along_axis(cand, nearest, axis=1)]
             cum = np.cumsum(labels, axis=1)
             out[:, i0 : i0 + chunk] = (cum[:, cols_k] / ks_f).T
         return out
@@ -332,77 +320,42 @@ def _gemm_filter(
     return np.logical_not(admit, out=admit)
 
 
-@dataclass(frozen=True)
-class KSelectionRule:
-    """Rate-optimal k rule: smoothness alpha, dimension d, imbalance r.
+#: Names :func:`select_k` accepts.
+K_RULES = ("exp1", "exp2", "theorem", "extreme")
 
-    ``regime`` picks how imbalance enters: "balanced" ignores r, "uci"
-    scales k up by r^(-d/(2*alpha+d)), "extreme" uses k = n outright.
-    ``drop_log`` switches from the rounded (log n)-corrected rule to the
-    floored power law used by the reference experiment conventions.
+
+def select_k(rule: str, n: int, r: float = 1.0, alpha: float = 1.0, d: int = 1) -> int:
+    """Neighborhood size of the named rule for a sample of size n, in [1, n].
+
+    The rules take smoothness alpha, dimension d and imbalance r.  ``exp1``
+    is the balanced floored power law floor(n^(2a/(2a+d))) and ignores r;
+    ``exp2`` scales it by r^(-d/(2a+d)); ``theorem`` is the rounded
+    (log n)-corrected rule round(n^(2a/(2a+d)) r^(-d/(2a+d)) (log n)^(d/(2a+d)));
+    ``extreme`` is k = n and ignores alpha, d and r.  Only the parameters a
+    rule reads are checked.  At the defaults, ``exp1`` gives floor(n^(2/3))
+    and ``exp2`` floor(n^(2/3) r^(-1/3)).
     """
-
-    alpha: float = 1.0
-    d: int = 1
-    r: float = 1.0
-    regime: str = "uci"
-    drop_log: bool = False
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.alpha) and 0.0 < self.alpha <= 1.0):
-            raise ParameterDomainError(f"alpha={self.alpha!r} outside (0, 1]")
-        if not isinstance(self.d, (int, np.integer)) or self.d < 1:
-            raise ParameterDomainError(f"dimension d={self.d!r} must be a positive int")
-        if not (np.isfinite(self.r) and 0.0 < self.r <= 1.0):
-            raise ParameterDomainError(f"imbalance r={self.r!r} outside (0, 1]")
-        if self.regime not in ("balanced", "uci", "extreme"):
-            raise ParameterDomainError(
-                f"regime {self.regime!r} not one of balanced/uci/extreme"
-            )
-
-
-def select_k(rule: KSelectionRule, n: int) -> int:
-    """Neighborhood size for a sample of size n under the rule, clamped to [1, n]."""
+    if rule not in K_RULES:
+        raise ParameterDomainError(f"k rule {rule!r} not one of {'/'.join(K_RULES)}")
+    if rule != "extreme":
+        if not (np.isfinite(alpha) and 0.0 < alpha <= 1.0):
+            raise ParameterDomainError(f"alpha={alpha!r} outside (0, 1]")
+        if not isinstance(d, (int, np.integer)) or d < 1:
+            raise ParameterDomainError(f"dimension d={d!r} must be a positive int")
+        if rule != "exp1" and not (np.isfinite(r) and 0.0 < r <= 1.0):
+            raise ParameterDomainError(f"imbalance r={r!r} outside (0, 1]")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterDomainError(f"sample size n={n!r} must be a positive int")
-    if rule.regime == "extreme":
+    if rule == "extreme":
         return int(n)
-    r_eff = 1.0 if rule.regime == "balanced" else rule.r
-    expo = 2.0 * rule.alpha / (2.0 * rule.alpha + rule.d)
-    side = rule.d / (2.0 * rule.alpha + rule.d)
-    base = n**expo * r_eff ** (-side)
-    if rule.drop_log:
-        k = math.floor(base)
-    else:
+    expo = 2.0 * alpha / (2.0 * alpha + d)
+    side = d / (2.0 * alpha + d)
+    base = n**expo * (1.0 if rule == "exp1" else r) ** (-side)
+    if rule == "theorem":
         k = round(base * math.log(n) ** side)
+    else:
+        k = math.floor(base)
     return int(min(max(k, 1), n))
-
-
-#: The fields each named k rule fixes; :func:`k_rule` fills the rest from
-#: its arguments.
-_K_RULE_FIELDS = {
-    "exp1": {"r": 1.0, "regime": "balanced", "drop_log": True},
-    "exp2": {"regime": "uci", "drop_log": True},
-    "theorem": {"regime": "uci", "drop_log": False},
-    "extreme": {"alpha": 1.0, "d": 1, "r": 1.0, "regime": "extreme"},
-}
-
-#: Names :func:`k_rule` accepts.
-K_RULES = tuple(_K_RULE_FIELDS)
-
-
-def k_rule(name: str, r: float = 1.0, alpha: float = 1.0, d: int = 1) -> KSelectionRule:
-    """The named k rule at imbalance r, smoothness alpha and dimension d.
-
-    ``exp1`` is the balanced floored power law floor(n^(2a/(2a+d))) and
-    ignores r; ``exp2`` scales it by r^(-d/(2a+d)); ``theorem`` is the
-    rounded (log n)-corrected rule; ``extreme`` is k = n and ignores alpha,
-    d and r.  At the defaults, ``exp1`` gives floor(n^(2/3)) and ``exp2``
-    floor(n^(2/3) r^(-1/3)).
-    """
-    if name not in _K_RULE_FIELDS:
-        raise ParameterDomainError(f"k rule {name!r} not one of {'/'.join(K_RULES)}")
-    return KSelectionRule(**{"alpha": alpha, "d": d, "r": r, **_K_RULE_FIELDS[name]})
 
 
 def _error_norms(model: KnnModel, eta: RegressionFunctionSpec) -> tuple[float, float]:

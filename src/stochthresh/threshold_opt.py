@@ -3,6 +3,9 @@
 On a finite sample the only classifications a stochastic threshold can
 produce are the "prefixes" of the sample sorted by (score ascending, draw
 descending): prefix j labels the first j sorted samples 0 and the rest 1.
+A prefix that ends between two rows with the same (score, draw) pair is
+not one of them, since the rule labels both rows alike; the searches skip
+it.
 :class:`SortedSample` is that sort plus the cumulative positive count, and
 the confusion cells of a prefix are integer counts divided by n.  The
 stochastic sweep reads all n + 1 prefixes, the deterministic search only
@@ -110,14 +113,23 @@ class SortedSample:
 
     ``order`` is that permutation of the input rows.  Labels are gathered
     through it once, for ``cum_pos``; the searches read scores and draws
-    through it only at the winning prefix.
+    through it only at the winning prefix.  ``repeat[i]`` tells that sorted
+    row i + 1 has the (score, draw) pair of row i, so that no threshold
+    produces prefix i + 1.  Equal pairs have equal keys, so only the lexsort
+    fallback can hold one; otherwise ``repeat`` is ``None``.
     """
 
     def __init__(self, scores: np.ndarray, labels: np.ndarray, draws: np.ndarray):
         order = np.argsort(scores)
         by_key = _key_order(scores[order], draws[order])
-        # A permutation inside tie groups, composed with the score order.
-        self.order = np.lexsort((-draws, scores)) if by_key is None else order[by_key]
+        self.repeat = None
+        if by_key is None:
+            self.order = np.lexsort((-draws, scores))
+            s, z = scores[self.order], draws[self.order]
+            self.repeat = (s[1:] == s[:-1]) & (z[1:] == z[:-1])
+        else:
+            # A permutation inside tie groups, composed with the score order.
+            self.order = order[by_key]
         self.cum_pos = np.zeros(scores.size + 1, dtype=np.int64)
         np.cumsum(labels[self.order], out=self.cum_pos[1:])
 
@@ -148,12 +160,13 @@ def optimize_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
     Every sample must carry its stored uniform draw.  Ties in the measure
     break toward the smallest reachable prefix index.  The returned (t, p)
     is the (score, draw) pair of the last excluded sample, and reproduces
-    the winning classification whenever no other sample shares that exact
-    (score, draw) pair.
+    the winning classification.
     """
     scores, labels, draws = as_sample_arrays(samples, require_draws=True)
     sample = SortedSample(scores, labels, draws)
     vals = np.asarray(_cmm_values(spec, *sample.cells()))
+    if sample.repeat is not None:
+        vals[1:-1][sample.repeat] = -np.inf
     # The sweep order leads with the largest draw among the smallest scores.
     first = sample.order[0]
     skip = int(scores[first] == 0.0 and draws[first] == 1.0)
@@ -168,9 +181,10 @@ def optimize_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
 def brute_force_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
     """Quadratic oracle twin of :func:`optimize_threshold`.
 
-    Sorts by its own ``np.lexsort``, materializes each prefix labeling and
-    recomputes its confusion matrix from scratch — no cumulative counts —
-    then evaluates the measure through the public scalar path (n <= 10^4).
+    Sorts by its own ``np.lexsort``, materializes each reachable prefix
+    labeling and recomputes its confusion matrix from scratch — no
+    cumulative counts — then evaluates the measure through the public
+    scalar path (n <= 10^4).
     """
     scores, labels, draws = as_sample_arrays(samples, require_draws=True)
     n = scores.size
@@ -180,9 +194,12 @@ def brute_force_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
         )
     order = np.lexsort((-draws, scores))
     y = labels[order]
+    s, z = scores[order], draws[order]
     best_j = -1
     best_val = -np.inf
     for j in range(int(np.any((scores == 0.0) & (draws == 1.0))), n + 1):
+        if 0 < j < n and s[j] == s[j - 1] and z[j] == z[j - 1]:
+            continue  # rows j - 1 and j share a (score, draw) pair
         pred = np.ones(n, dtype=np.int64)
         pred[:j] = 0
         tp = int(np.sum((pred == 1) & (y == 1)))

@@ -129,7 +129,9 @@ def test_regret_bound_explicit_estimation_error():
     inputs = BoundInputs(
         n=800, k=1, r=1.0, L_M=2.0, C_margin=0.5, beta_margin=2.0
     )
-    assert regret_bound(inputs, 0.3, est_err=0.1) == pytest.approx(0.49, rel=1e-12)
+    # The estimation term is always the bound at the inputs' n and delta.
+    est = estimation_error_bound(800, 0.05)
+    assert regret_bound(inputs, 0.3) == 2.0 * (0.5 * 0.3**2.0 + 2.0 * est)
 
 
 def test_regret_bound_margin_exponent_scales_regression_term():
@@ -150,8 +152,6 @@ def test_regret_bound_validation():
     for bad in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ParameterDomainError):
             regret_bound(inputs, bad)
-    with pytest.raises(ParameterDomainError):
-        regret_bound(inputs, 0.1, est_err=-1.0)
 
 
 # ---------------------------------------------------------------------------

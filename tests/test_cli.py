@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 from stochthresh.cli import main
 from stochthresh.io import load_csv, save_csv
-from stochthresh.knn import k_rule, select_k
+from stochthresh.knn import select_k
 from stochthresh.metrics import CmmSpec
 from stochthresh.synth import exp1_problem, exp2_nonuci_problem, generate
 from stochthresh.threshold_opt import brute_force_threshold
@@ -146,7 +146,7 @@ def test_fit_knn_rule_reads_rule_options_and_dimension(runner, tmp_path, rule):
     assert result.exit_code == 0, result.output
     got = json.loads(result.output)
     assert got["d"] == 2 and got["n"] == 300
-    assert got["k"] == select_k(k_rule(rule, r=0.1, alpha=0.5, d=2), 300)
+    assert got["k"] == select_k(rule, 300, r=0.1, alpha=0.5, d=2)
 
 
 def test_fit_knn_usage_errors(runner, tmp_path):

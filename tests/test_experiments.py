@@ -22,7 +22,7 @@ from stochthresh.experiments import (
     trial_seed_sequence,
 )
 from stochthresh.io import save_csv, zscore
-from stochthresh.knn import KnnModel, k_rule, select_k
+from stochthresh.knn import KnnModel, select_k
 from stochthresh.metrics import CmmSpec, evaluate_cmm
 from stochthresh.synth import (
     exp1_problem,
@@ -126,7 +126,7 @@ def test_run_experiment1_row_schema_and_regret_identity():
     rows, summary = run_experiment1(cfg)
     assert len(rows) == 2 * 3 * 2  # n values x trials x methods
     m_star = optimize_population_threshold(exp1_problem().eta, cfg.metric).metric_value
-    expected_k = {20: select_k(k_rule("exp1"), 20), 40: select_k(k_rule("exp1"), 40)}
+    expected_k = {20: select_k("exp1", 20), 40: select_k("exp1", 40)}
     for row in rows:
         n, trial, key, k, r, metric, method, value, regret = row
         assert n in (20, 40) and trial in (0, 1, 2)
@@ -231,7 +231,7 @@ def test_run_experiment2_row_schema():
         n_index = 0 if n == 30 else 1
         assert key == f"0:2:{n_index}:{trial}"
         assert r == float(n) ** -0.5
-        assert k == select_k(k_rule("exp2", r), n)
+        assert k == select_k("exp2", n, r)
         assert metric == "f_beta:1"
         assert eta in ("uci", "nonuci")
         assert 0.0 <= l1 <= linf <= 1.0
@@ -248,7 +248,7 @@ def test_run_experiment2_applies_its_k_rule():
     assert [row[3] for row in rows] == [row[0] for row in rows]  # k == n
     assert [srow[3] for srow in summary] == [srow[0] for srow in summary]
     rows, _ = run_experiment2(ExperimentConfig(**SMALL_EXP2, k_rule="exp1"))
-    assert [row[3] for row in rows] == [select_k(k_rule("exp1"), row[0]) for row in rows]
+    assert [row[3] for row in rows] == [select_k("exp1", row[0]) for row in rows]
 
 
 def test_run_experiment2_deterministic_with_output(tmp_path):

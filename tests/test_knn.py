@@ -11,11 +11,9 @@ import pytest
 from stochthresh import (
     BoundInputs,
     KnnModel,
-    KSelectionRule,
     Piece,
     RegressionFunctionSpec,
     average_error,
-    k_rule,
     select_k,
     uniform_error,
     uniform_error_bound,
@@ -328,72 +326,108 @@ def test_fit_and_predict_validation(rng):
 
 
 def test_imbalance_scaled_rule_values():
-    assert select_k(k_rule("exp2", 0.01), 10_000) == 2154
+    assert select_k("exp2", 10_000, 0.01) == 2154
     # r = n^{-1/2} turns the rule into floor(n^{5/6}) up to float rounding.
-    assert select_k(k_rule("exp2", 1000 ** -0.5), 1000) == 316
-    assert select_k(k_rule("exp2", 500 ** -0.5), 500) == 177
+    assert select_k("exp2", 1000, 1000 ** -0.5) == 316
+    assert select_k("exp2", 500, 500 ** -0.5) == 177
 
 
 def test_balanced_rule_values():
-    assert select_k(k_rule("exp1"), 100) == 21
-    assert select_k(k_rule("exp1"), 10_000) == 464
+    assert select_k("exp1", 100) == 21
+    assert select_k("exp1", 10_000) == 464
+
+
+#: (rule, n, r, alpha, d) -> k, pinned as literals: every rule, the clamps to
+#: 1 and to n, values a rule never reads, and theorem's rounding.
+K_TABLE = [
+    ("exp1", 1, 1.0, 1.0, 1, 1),
+    ("exp1", 2, 1.0, 1.0, 1, 1),
+    ("exp1", 100, 1.0, 1.0, 1, 21),
+    ("exp1", 10_000, 1.0, 1.0, 1, 464),
+    ("exp1", 10_000, 2.0, 1.0, 1, 464),  # exp1 never reads r
+    ("exp1", 10_000, 0.1, 1.0, 1, 464),
+    ("exp1", 300, 0.1, 0.5, 2, 6),
+    ("exp1", 12_345, 1.0, 0.3, 10, 1),
+    ("exp2", 1, 1.0, 1.0, 1, 1),
+    ("exp2", 10, 1e-6, 1.0, 1, 10),  # clamped to n
+    ("exp2", 500, 500 ** -0.5, 1.0, 1, 177),
+    ("exp2", 1000, 1000 ** -0.5, 1.0, 1, 316),
+    ("exp2", 10_000, 0.01, 1.0, 1, 2154),
+    ("exp2", 10_000, 1.0, 1.0, 1, 464),
+    ("exp2", 300, 0.1, 0.5, 2, 31),
+    ("exp2", 12_345, 0.05, 0.3, 10, 28),
+    ("theorem", 1, 1.0, 1.0, 1, 1),  # log 1 = 0, clamped to 1
+    ("theorem", 2, 1.0, 1.0, 30, 1),  # rounds 0.74 up to 1
+    ("theorem", 10, 1e-6, 1.0, 1, 10),  # 612.9, clamped to n
+    ("theorem", 100, 1.0, 1.0, 1, 36),  # rounds 35.84 up
+    ("theorem", 10_000, 0.1, 1.0, 1, 2096),  # rounds 2096.16 down
+    ("theorem", 300, 0.1, 0.5, 2, 99),
+    ("theorem", 12_345, 0.05, 0.3, 10, 239),  # rounds 238.75 up
+    ("theorem", 1_000_000, 0.5, 1.0, 3, 1840),
+    ("extreme", 1, 1.0, 1.0, 1, 1),
+    ("extreme", 17, 1.0, 1.0, 1, 17),
+    ("extreme", 4096, 0.1, 0.5, 2, 4096),
+    ("extreme", 300, 2.0, 0.0, 0, 300),  # extreme never reads alpha, d or r
+]
+
+
+@pytest.mark.parametrize("rule, n, r, alpha, d, k", K_TABLE)
+def test_pinned_k_table(rule, n, r, alpha, d, k):
+    assert select_k(rule, n, r=r, alpha=alpha, d=d) == k
 
 
 def test_named_rule_table():
     assert knn.K_RULES == ("exp1", "exp2", "theorem", "extreme")
-    assert k_rule("exp1", r=0.1, alpha=0.5, d=2) == KSelectionRule(
-        alpha=0.5, d=2, r=1.0, regime="balanced", drop_log=True
-    )
-    assert k_rule("exp2", r=0.1, alpha=0.5, d=2) == KSelectionRule(
-        alpha=0.5, d=2, r=0.1, regime="uci", drop_log=True
-    )
-    assert k_rule("theorem", r=0.1, alpha=0.5, d=2) == KSelectionRule(
-        alpha=0.5, d=2, r=0.1, regime="uci", drop_log=False
-    )
-    # extreme ignores alpha, d and r, so values its regime never reads pass.
-    assert k_rule("extreme", r=2.0, alpha=0.0, d=0) == KSelectionRule(regime="extreme")
+    # extreme ignores alpha, d and r, so values its rule never reads pass.
+    assert select_k("extreme", 300, r=2.0, alpha=0.0, d=0) == 300
     # exp1 ignores r the same way.
-    assert k_rule("exp1", r=2.0) == k_rule("exp1")
+    assert select_k("exp1", 300, r=2.0) == select_k("exp1", 300)
     with pytest.raises(ParameterDomainError):
-        k_rule("exp2", r=2.0)
+        select_k("exp2", 300, r=2.0)
     with pytest.raises(ParameterDomainError, match="exp1/exp2/theorem/extreme"):
-        k_rule("balanced")
+        select_k("balanced", 300)
 
 
 def test_extreme_rule_uses_everything():
-    rule = KSelectionRule(regime="extreme")
     for n in (1, 17, 4096):
-        assert select_k(rule, n) == n
+        assert select_k("extreme", n) == n
 
 
 def test_log_corrected_rule_dominates_floored_rule():
-    plain = KSelectionRule(alpha=1.0, d=1, r=0.1, regime="uci", drop_log=True)
-    logged = KSelectionRule(alpha=1.0, d=1, r=0.1, regime="uci", drop_log=False)
     for n in (10, 100, 10_000):
-        k_plain = select_k(plain, n)
-        k_logged = select_k(logged, n)
+        k_plain = select_k("exp2", n, r=0.1)
+        k_logged = select_k("theorem", n, r=0.1)
         assert 1 <= k_plain <= k_logged <= n
 
 
 def test_rule_clamps_to_sample_size():
-    rule = KSelectionRule(alpha=1.0, d=1, r=1e-6, regime="uci", drop_log=True)
-    assert select_k(rule, 10) == 10
-    assert select_k(k_rule("exp1"), 1) == 1
+    assert select_k("exp2", 10, r=1e-6) == 10
+    assert select_k("exp1", 1) == 1
 
 
 def test_rule_validation():
+    for rule in ("exp1", "exp2", "theorem"):
+        with pytest.raises(ParameterDomainError):
+            select_k(rule, 100, alpha=0.0)
+        with pytest.raises(ParameterDomainError):
+            select_k(rule, 100, alpha=1.5)
+        with pytest.raises(ParameterDomainError):
+            select_k(rule, 100, d=0)
+    for rule in ("exp2", "theorem"):
+        with pytest.raises(ParameterDomainError):
+            select_k(rule, 100, r=0.0)
+    for rule in knn.K_RULES:
+        with pytest.raises(ParameterDomainError):
+            select_k(rule, 0)
     with pytest.raises(ParameterDomainError):
-        KSelectionRule(alpha=0.0)
-    with pytest.raises(ParameterDomainError):
-        KSelectionRule(alpha=1.5)
-    with pytest.raises(ParameterDomainError):
-        KSelectionRule(d=0)
-    with pytest.raises(ParameterDomainError):
-        KSelectionRule(r=0.0)
-    with pytest.raises(ParameterDomainError):
-        KSelectionRule(regime="other")
-    with pytest.raises(ParameterDomainError):
-        select_k(k_rule("exp1"), 0)
+        select_k("other", 100)
+    # The first bad value in the order alpha, d, r, n names the error.
+    with pytest.raises(ParameterDomainError, match="alpha"):
+        select_k("theorem", 0, r=0.0, alpha=0.0, d=0)
+    with pytest.raises(ParameterDomainError, match="dimension"):
+        select_k("theorem", 0, r=0.0, d=0)
+    with pytest.raises(ParameterDomainError, match="imbalance"):
+        select_k("theorem", 0, r=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +637,7 @@ def test_observed_uniform_error_stays_below_closed_form_bound():
     r = 0.01
     problem = exp2_uci_problem(r)
     n = 10_000
-    k = select_k(k_rule("exp2", r), n)
+    k = select_k("exp2", n, r)
     train = generate(problem, n, 12345)
     model = KnnModel.fit(train.covariates, train.labels, k)
     observed = uniform_error(model, problem.eta)

@@ -126,6 +126,37 @@ def test_tied_scores_split_by_draw_ordering():
     assert (res.threshold.t, res.threshold.p) == (0.5, 0.8)
 
 
+def test_a_repeated_score_draw_pair_is_never_split():
+    # Any (t, p) labels both rows alike, so prefix 1, accuracy 1.0 at
+    # (0.5, 0.3), is not a classification; it used to be reported.
+    sample = (np.array([0.5, 0.5]), np.array([0, 1]), np.array([0.3, 0.3]))
+    fast = optimize_threshold(sample, ACC)
+    assert result_bits(fast) == result_bits(brute_force_threshold(sample, ACC))
+    assert (fast.metric_value, fast.classification_prefix_index) == (0.5, 0)
+    assert evaluate_cmm(ACC, empirical_confusion(fast.threshold, sample)) == 0.5
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=1, max_value=39),
+    signed_zeros=st.booleans(),
+)
+def test_every_reported_threshold_gives_its_value_on_lattices(seed, n, signed_zeros):
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    scores = gen.integers(0, 5, size=n) / 4.0
+    draws = gen.integers(0, 5, size=n) / 4.0
+    if signed_zeros:
+        scores[(scores == 0.0) & (gen.random(n) < 0.5)] = -0.0
+        draws[(draws == 0.0) & (gen.random(n) < 0.5)] = -0.0
+    sample = (scores, gen.integers(0, 2, size=n), draws)
+    for spec in representative_specs():
+        fast = optimize_threshold(sample, spec)
+        assert result_bits(fast) == result_bits(brute_force_threshold(sample, spec))
+        again = evaluate_cmm(spec, empirical_confusion(fast.threshold, sample))
+        assert again == fast.metric_value
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31),
