@@ -54,7 +54,6 @@ from .knn import (
     uniform_error,
 )
 from .synth import (
-    SyntheticProblem,
     constant_problem,
     exp1_problem,
     exp2_nonuci_problem,
@@ -73,7 +72,6 @@ from .bounds import (
 )
 from .io import (
     LabeledDataset,
-    SplitSpec,
     ZScoreTransform,
     load_csv,
     save_csv,
@@ -110,16 +108,15 @@ __all__ = [
     "KnnModel", "K_RULES", "select_k",
     "uniform_error", "average_error",
     # synth
-    "SyntheticProblem", "exp1_problem", "exp2_uci_problem",
-    "exp2_nonuci_problem", "singleton_problem", "constant_problem",
-    "generate",
+    "exp1_problem", "exp2_uci_problem", "exp2_nonuci_problem",
+    "singleton_problem", "constant_problem", "generate",
     # bounds
     "BoundInputs", "UniformErrorBound", "shattering_bound",
     "uniform_error_bound", "estimation_error_bound", "regret_bound",
     "cmm_lipschitz_constant",
     # io
-    "LabeledDataset", "ZScoreTransform", "SplitSpec", "load_csv", "save_csv",
-    "zscore", "split", "write_results_csv",
+    "LabeledDataset", "ZScoreTransform", "load_csv", "save_csv", "zscore",
+    "split", "write_results_csv",
     # experiments
     "ExperimentConfig", "default_n_grid", "trial_seed_sequence",
     "run_experiment1", "run_experiment2", "run_fraud_pipeline",

@@ -11,11 +11,9 @@ line; an unreadable file or an unknown key exits 1.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import json
-from pathlib import Path
 
 import click
 import numpy as np
@@ -120,6 +118,9 @@ def _config_defaults(ctx, param, path):
     ctx.default_map = cfg
 
 
+#: A seed is a non-negative int, as ``numpy.random.SeedSequence`` needs.
+_SEED = click.IntRange(min=0)
+
 _config_option = click.option(
     "--config", type=str, is_eager=True, expose_value=False, callback=_config_defaults,
     help="JSON file of option defaults; flags override.",
@@ -152,7 +153,7 @@ def experiment() -> None:
 
 def _experiment_options(fn):
     fn = _config_option(fn)
-    fn = click.option("--seed", type=int, default=None, help="Master seed.")(fn)
+    fn = click.option("--seed", type=_SEED, default=None, help="Master seed.")(fn)
     fn = click.option("--trials", type=int, default=None, help="Trials per n.")(fn)
     fn = click.option("--n-grid", type=_CommaList(int), default=None,
                       help="Comma list of training sizes.")(fn)
@@ -205,7 +206,7 @@ def experiment_exp2(out, **options):
 @click.option("--draw-column", type=str, default=None,
               help="Optional column of stored uniform draws.")
 @click.option("--trials", type=int, default=None)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=_SEED, default=None)
 @click.option("--k-list", type=_CommaList(int), default=None,
               help="Comma list of neighborhood sizes.")
 @click.option("--downsample", type=float, default=None,
@@ -231,28 +232,23 @@ def fraud(data, out, **options):
 
 
 def _read_scored_csv(path):
-    """Read a CSV with columns score,label[,draw] (any order, extra cols rejected)."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected a header row") from None
-    allowed = {"score", "label", "draw"}
-    if "score" not in header or "label" not in header:
-        raise SchemaError(f"{path}: need 'score' and 'label' columns, got {header}")
-    if set(header) - allowed:
-        raise SchemaError(
-            f"{path}: unexpected columns {sorted(set(header) - allowed)}"
-        )
-    ds = load_csv(path, label_column="label",
-                  draw_column="draw" if "draw" in header else None)
-    scores = ds.covariates[:, ds.feature_names.index("score")]
+    """Read a CSV with columns score,label[,draw] (any order, extra cols rejected).
+
+    The draws are range-checked by the sweep that reads them.
+    """
+    ds = load_csv(path, label_column="label")
+    names = ds.feature_names
+    if "score" not in names:
+        raise SchemaError(f"{path}: need 'score' and 'label' columns, got {[*names, 'label']}")
+    unexpected = set(names) - {"score", "draw"}
+    if unexpected:
+        raise SchemaError(f"{path}: unexpected columns {sorted(unexpected)}")
+    scores = ds.covariates[:, names.index("score")]
     # NaN fails both comparisons, so it is rejected too.
     if not (scores.min() >= 0.0 and scores.max() <= 1.0):
         raise SchemaError(f"{path}: scores must be finite and lie in [0, 1]")
-    return scores, ds.labels, ds.draws
+    draws = ds.covariates[:, names.index("draw")] if "draw" in names else None
+    return scores, ds.labels, draws
 
 
 @main.command("tune-threshold")
@@ -261,7 +257,7 @@ def _read_scored_csv(path):
 @click.option("--metric", callback=_parse_metric, default=None)
 @click.option("--deterministic", is_flag=True, default=False,
               help="Restrict to p = 0 thresholds.")
-@click.option("--seed", type=int, default=0,
+@click.option("--seed", type=_SEED, default=0,
               help="Seed for synthetic draws when the CSV has no draw column.")
 @_friendly
 def tune_threshold(data_path, metric, deterministic, seed):
@@ -379,7 +375,7 @@ def bounds_cmd(sup_err, **options):
 @click.option("--value", type=float, default=None,
               help="Regression value for singleton/constant.")
 @click.option("--n", type=int, required=True)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=_SEED, default=0)
 @click.option("--out", type=str, required=True)
 @click.option("--draws/--no-draws", "with_draws", default=True,
               help="Include the stored uniform draw column.")
@@ -389,14 +385,14 @@ def generate_cmd(problem, r, value, n, seed, out, with_draws):
     if problem in ("exp2-uci", "exp2-nonuci"):
         if r is None:
             raise click.UsageError(f"--r is required for --problem {problem}")
-        prob = exp2_uci_problem(r) if problem == "exp2-uci" else exp2_nonuci_problem(r)
+        eta = exp2_uci_problem(r) if problem == "exp2-uci" else exp2_nonuci_problem(r)
     elif problem in ("singleton", "constant"):
         if value is None:
             raise click.UsageError(f"--value is required for --problem {problem}")
-        prob = singleton_problem(value) if problem == "singleton" else constant_problem(value)
+        eta = singleton_problem(value) if problem == "singleton" else constant_problem(value)
     else:
-        prob = exp1_problem()
-    ds = generate(prob, n, seed)
+        eta = exp1_problem()
+    ds = generate(eta, n, seed)
     save_csv(ds, out, include_draws=with_draws)
     click.echo(f"wrote {ds.n} rows ({ds.positive_count} positive) to {out}")
 

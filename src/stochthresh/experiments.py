@@ -26,7 +26,6 @@ from .classify import empirical_confusion
 from .errors import ParameterDomainError
 from .io import (
     SPLIT_FRACTIONS,
-    SplitSpec,
     load_csv,
     split,
     varying_features,
@@ -106,6 +105,8 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", grid)
         if self.trials < 1:
             raise ParameterDomainError(f"trials={self.trials!r} must be >= 1")
+        if self.master_seed < 0:
+            raise ParameterDomainError(f"master_seed={self.master_seed!r} must be >= 0")
         if self.test_size < 1:
             raise ParameterDomainError(f"test_size={self.test_size!r} must be >= 1")
         if self.workers < 1:
@@ -250,8 +251,8 @@ def _test_values(spec: CmmSpec, tune, test) -> tuple[float, float]:
     )
 
 
-def _synthetic_trial(cfg: ExperimentConfig, problem, n: int, k: int, streams):
-    """Train on ``n`` rows of ``problem``, test on ``cfg.test_size`` rows.
+def _synthetic_trial(cfg: ExperimentConfig, eta, n: int, k: int, streams):
+    """Train on ``n`` rows drawn from ``eta``, test on ``cfg.test_size`` rows.
 
     Scores come from a k-NN fit on the training rows, or are eta itself when
     ``cfg.score_source`` is ``"eta"`` (the model is then None).  ``streams``
@@ -263,15 +264,15 @@ def _synthetic_trial(cfg: ExperimentConfig, problem, n: int, k: int, streams):
     one's bound; the scores are then put back in row order.
     """
     train_ss, test_ss = streams
-    train = generate(problem, n, train_ss)
-    test = generate(problem, cfg.test_size, test_ss)
+    train = generate(eta, n, train_ss)
+    test = generate(eta, cfg.test_size, test_ss)
     if cfg.score_source == "knn":
         model = KnnModel.fit(train.covariates, train.labels, k)
         score = model.predict
         train_scores = np.empty(n)
         train_scores[model.order] = score(model.x[:, 0])
     else:
-        model, score = None, problem.eta.evaluate
+        model, score = None, eta.evaluate
         train_scores = score(train.covariates[:, 0])
     return model, _test_values(
         cfg.metric,
@@ -286,14 +287,14 @@ def _synthetic_trial(cfg: ExperimentConfig, problem, n: int, k: int, streams):
 
 def _exp1_trial(cfg: ExperimentConfig, m_star: float, job) -> list[tuple]:
     n_index, n, trial = job
-    problem = exp1_problem()
-    k = select_k(cfg.k_rule, n, problem.r)
+    eta = exp1_problem()
+    k = select_k(cfg.k_rule, n, eta.r)
     streams = trial_seed_sequence(cfg.master_seed, 1, n_index, trial).spawn(2)
-    _, values = _synthetic_trial(cfg, problem, n, k, streams)
+    _, values = _synthetic_trial(cfg, eta, n, k, streams)
     key = _seed_key(cfg.master_seed, 1, n_index, trial)
     label = cfg.metric.label()
     return [
-        (n, trial, key, k, problem.r, label, method, value, m_star - value)
+        (n, trial, key, k, eta.r, label, method, value, m_star - value)
         for method, value in zip(("stochastic", "deterministic"), values)
     ]
 
@@ -303,11 +304,11 @@ def run_experiment1(cfg: ExperimentConfig, out=None):
 
     Returns (rows, summary_rows); writes both CSVs when ``out`` is given.
     Regret is measured against the exact population optimum of the metric
-    for the generating problem.
+    for the generating eta.
     """
     if cfg.experiment != "exp1":
         raise ParameterDomainError(f"run_experiment1 needs an exp1 config, not {cfg.experiment}")
-    m_star = optimize_population_threshold(exp1_problem().eta, cfg.metric).metric_value
+    m_star = optimize_population_threshold(exp1_problem(), cfg.metric).metric_value
     trial = functools.partial(_exp1_trial, cfg, m_star)
     jobs = [(i, n, t) for i, n in enumerate(cfg.n_grid) for t in range(cfg.trials)]
     rows = _run_jobs(trial, jobs, cfg.workers)
@@ -338,13 +339,13 @@ def _exp2_trial(cfg: ExperimentConfig, pop_f1: dict, job) -> list[tuple]:
     streams = trial_seed_sequence(cfg.master_seed, 2, n_index, trial).spawn(4)
     key = _seed_key(cfg.master_seed, 2, n_index, trial)
     rows = []
-    for eta_name, problem, eta_streams in (
+    for eta_name, eta, eta_streams in (
         ("uci", exp2_uci_problem(r), streams[0:2]),
         ("nonuci", exp2_nonuci_problem(r), streams[2:4]),
     ):
-        model, (f1_sto, f1_det) = _synthetic_trial(cfg, problem, n, k, eta_streams)
-        linf = uniform_error(model, problem.eta)
-        l1 = average_error(model, problem.eta)
+        model, (f1_sto, f1_det) = _synthetic_trial(cfg, eta, n, k, eta_streams)
+        linf = uniform_error(model, eta)
+        l1 = average_error(model, eta)
         pop = pop_f1[(n, eta_name)]
         rows.append(
             (
@@ -363,7 +364,7 @@ def run_experiment2(cfg: ExperimentConfig, out=None):
     if cfg.experiment != "exp2":
         raise ParameterDomainError(f"run_experiment2 needs an exp2 config, not {cfg.experiment}")
     pop_f1 = {
-        (n, name): optimize_population_threshold(problem(n ** -0.5).eta, cfg.metric).metric_value
+        (n, name): optimize_population_threshold(problem(n ** -0.5), cfg.metric).metric_value
         for n in cfg.n_grid
         for name, problem in (("uci", exp2_uci_problem), ("nonuci", exp2_nonuci_problem))
     }
@@ -392,14 +393,15 @@ def run_experiment2(cfg: ExperimentConfig, out=None):
 # Imbalanced-data pipeline on a CSV dataset
 
 
-def _fraud_trial(data, master_seed, k_values, plan: SplitSpec, trial) -> list[tuple]:
+def _fraud_trial(data, master_seed, k_values, stratified, downsample_negative_ratio,
+                 trial) -> list[tuple]:
     ss = trial_seed_sequence(master_seed, 3, 0, trial)
     split_ss, draw_ss = ss.spawn(2)
     split_seed = int(split_ss.generate_state(1, np.uint64)[0])
     if data.draws is None:
         rng = np.random.Generator(np.random.Philox(draw_ss))
         data = replace(data, draws=rng.random(data.n))
-    train, val, test = split(data, replace(plan, seed=split_seed))
+    train, val, test = split(data, split_seed, stratified, downsample_negative_ratio)
     # A feature constant on the training split adds the same term to a query's
     # distance from every training row and leaves the canonical order as it
     # is, so it cannot change any neighbour set; it is dropped, since it cannot
@@ -420,7 +422,8 @@ def _fraud_trial(data, master_seed, k_values, plan: SplitSpec, trial) -> list[tu
     key = _seed_key(master_seed, 3, 0, trial)
 
     rows = []
-    k_effs = tuple(min(k, train.n) for k in k_values)
+    # ks that clamp to the same value are scored once.
+    k_effs = tuple(dict.fromkeys(min(k, train.n) for k in k_values))
     # One fit and one neighbor pass per split serve every k.
     model = KnnModel.fit(train.covariates, train.labels, max(k_effs))
     val_path = model.predict_path(val.covariates, k_effs)
@@ -458,13 +461,16 @@ def run_fraud_pipeline(
     """
     if trials < 1:
         raise ParameterDomainError(f"trials={trials!r} must be >= 1")
+    if master_seed < 0:
+        raise ParameterDomainError(f"master_seed={master_seed!r} must be >= 0")
+    if workers < 1:
+        raise ParameterDomainError(f"workers={workers!r} must be >= 1")
     if not k_values or any(k < 1 for k in k_values):
         raise ParameterDomainError(f"k_values {k_values!r} must be positive")
     ds = load_csv(data_path, label_column=label_column, draw_column=draw_column)
-    plan = SplitSpec(stratified=bool(stratified),
-                     downsample_negative_ratio=downsample_negative_ratio)
     trial = functools.partial(
-        _fraud_trial, ds, master_seed, tuple(int(k) for k in k_values), plan
+        _fraud_trial, ds, master_seed, tuple(int(k) for k in k_values),
+        bool(stratified), downsample_negative_ratio,
     )
     rows = _run_jobs(trial, list(range(trials)), workers)
 

@@ -31,7 +31,6 @@ from .errors import (
 __all__ = [
     "LabeledDataset",
     "ZScoreTransform",
-    "SplitSpec",
     "SPLIT_FRACTIONS",
     "load_csv",
     "save_csv",
@@ -378,28 +377,6 @@ def zscore(ds: LabeledDataset) -> tuple[LabeledDataset, ZScoreTransform]:
 SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Three-way split plan (:data:`SPLIT_FRACTIONS`): a seed and options.
-
-    ``downsample_negative_ratio`` keeps that fraction of negative rows
-    (chosen uniformly without replacement) before any splitting.
-    ``stratified`` allocates each class to the three parts separately so
-    every part holds its proportional positive count to within one row.
-    """
-
-    seed: int = 0
-    stratified: bool = False
-    downsample_negative_ratio: float | None = None
-
-    def __post_init__(self) -> None:
-        ratio = self.downsample_negative_ratio
-        if ratio is not None and not 0.0 < ratio <= 1.0:
-            raise ParameterDomainError(
-                f"downsample ratio {ratio!r} outside (0, 1]"
-            )
-
-
 def _largest_remainder(fractions, m: int) -> list[int]:
     """Integer sizes summing to m, proportional to fractions within one row."""
     base = [int(np.floor(f * m)) for f in fractions]
@@ -412,20 +389,31 @@ def _largest_remainder(fractions, m: int) -> list[int]:
 
 
 def split(
-    ds: LabeledDataset, spec: SplitSpec
+    ds: LabeledDataset,
+    seed: int,
+    stratified: bool = False,
+    downsample_negative_ratio: float | None = None,
 ) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
-    """Deterministic train/validation/test split under the spec's seed.
+    """Deterministic train/validation/test split (:data:`SPLIT_FRACTIONS`) under ``seed``.
+
+    ``downsample_negative_ratio`` keeps that fraction of negative rows
+    (chosen uniformly without replacement) before any splitting.
+    ``stratified`` allocates each class to the three parts separately so
+    every part holds its proportional positive count to within one row.
 
     Negative downsampling happens first, then allocation by largest
     remainder, then a seeded permutation assigns rows.  Row order inside
     each part is ascending original index.  Raises when any part would be
     empty.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
+    ratio = downsample_negative_ratio
+    if ratio is not None and not 0.0 < ratio <= 1.0:
+        raise ParameterDomainError(f"downsample ratio {ratio!r} outside (0, 1]")
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     labels = ds.labels
-    if spec.downsample_negative_ratio is not None:
+    if ratio is not None:
         neg = np.flatnonzero(labels == 0)
-        keep_n = int(round(spec.downsample_negative_ratio * neg.size))
+        keep_n = int(round(ratio * neg.size))
         kept_neg = np.sort(rng.choice(neg, size=keep_n, replace=False))
         keep = np.sort(np.concatenate((np.flatnonzero(labels == 1), kept_neg)))
     else:
@@ -441,7 +429,7 @@ def split(
             start += size
         return out
 
-    if spec.stratified:
+    if stratified:
         pos_parts = allocate(keep[labels[keep] == 1])
         neg_parts = allocate(keep[labels[keep] == 0])
         parts = [

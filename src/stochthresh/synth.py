@@ -1,11 +1,13 @@
 """Synthetic one-dimensional classification problems with stored tie draws.
 
+A problem is its regression function eta: each ``*_problem`` builder checks
+its parameters and returns the :class:`RegressionFunctionSpec` itself.
 Covariates are uniform on [0, 1] (or pinned at 0 for the single-point
-problem), labels are Bernoulli draws of a closed-form regression function,
-and each row carries an independent uniform draw for stochastic-threshold
-tie breaking.  The label stream and the draw stream come from separately
-spawned Philox generators, so the same (problem, n, seed) triple always
-reproduces the identical dataset bit-for-bit, draws included.
+problem), labels are Bernoulli draws of eta, and each row carries an
+independent uniform draw for stochastic-threshold tie breaking.  The label
+stream and the draw stream come from separately spawned Philox generators,
+so the same (eta, n, seed) triple always reproduces the identical dataset
+bit-for-bit, draws included.
 
 Regression values at plateaus are exactly representable floats (0, 0.5, 1,
 user constants), which is what makes exact score ties — and therefore the
@@ -14,8 +16,6 @@ stochastic tie machinery — actually occur in generated data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .classify import Piece, RegressionFunctionSpec
@@ -23,7 +23,6 @@ from .errors import ParameterDomainError
 from .io import LabeledDataset
 
 __all__ = [
-    "SyntheticProblem",
     "exp1_problem",
     "exp2_uci_problem",
     "exp2_nonuci_problem",
@@ -33,41 +32,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SyntheticProblem:
-    """A named regression function on a 1-d domain."""
-
-    name: str
-    eta: RegressionFunctionSpec
-
-    @property
-    def r(self) -> float:
-        """Imbalance degree: sup of the regression function."""
-        return self.eta.r
-
-
-def exp1_problem() -> SyntheticProblem:
+def exp1_problem() -> RegressionFunctionSpec:
     """Three flat plateaus at 0, 1/2, 1 — balanced, with a mass-1/3 tie atom."""
     third = 1.0 / 3.0
-    eta = RegressionFunctionSpec(
+    return RegressionFunctionSpec(
         pieces=(
             Piece(0.0, third, 0.0, 0.0),
             Piece(third, 2 * third, 0.5, 0.5),
             Piece(2 * third, 1.0, 1.0, 1.0),
         )
     )
-    return SyntheticProblem(name="exp1", eta=eta)
 
 
-def exp2_uci_problem(r: float) -> SyntheticProblem:
+def exp2_uci_problem(r: float) -> RegressionFunctionSpec:
     """Linear ramp r*(1 - x): everywhere below r, imbalance degree r."""
     if not (np.isfinite(r) and 0.0 < r <= 1.0):
         raise ParameterDomainError(f"imbalance r={r!r} outside (0, 1]")
-    eta = RegressionFunctionSpec(pieces=(Piece(0.0, 1.0, r, 0.0),))
-    return SyntheticProblem(name="exp2_uci", eta=eta)
+    return RegressionFunctionSpec(pieces=(Piece(0.0, 1.0, r, 0.0),))
 
 
-def exp2_nonuci_problem(r: float) -> SyntheticProblem:
+def exp2_nonuci_problem(r: float) -> RegressionFunctionSpec:
     """Spike max(0, 1 - x/r): same positive mass scale, but peak value 1.
 
     The overall positive fraction shrinks with r while the sup stays 1, so
@@ -79,27 +63,24 @@ def exp2_nonuci_problem(r: float) -> SyntheticProblem:
         pieces = (Piece(0.0, 1.0, 1.0, 0.0),)
     else:
         pieces = (Piece(0.0, r, 1.0, 0.0), Piece(r, 1.0, 0.0, 0.0))
-    return SyntheticProblem(name="exp2_nonuci", eta=RegressionFunctionSpec(pieces=pieces))
+    return RegressionFunctionSpec(pieces=pieces)
 
 
-def singleton_problem(eta0: float) -> SyntheticProblem:
+def singleton_problem(eta0: float) -> RegressionFunctionSpec:
     """All covariate mass at a single point with regression value eta0."""
     if not (np.isfinite(eta0) and 0.0 < eta0 <= 1.0):
         raise ParameterDomainError(f"eta0={eta0!r} outside (0, 1]")
-    return SyntheticProblem(
-        name="singleton", eta=RegressionFunctionSpec(atom=float(eta0))
-    )
+    return RegressionFunctionSpec(atom=float(eta0))
 
 
-def constant_problem(c: float) -> SyntheticProblem:
+def constant_problem(c: float) -> RegressionFunctionSpec:
     """Constant regression function c on [0, 1]; c = 0 and c = 1 are allowed."""
     if not (np.isfinite(c) and 0.0 <= c <= 1.0):
         raise ParameterDomainError(f"constant c={c!r} outside [0, 1]")
-    eta = RegressionFunctionSpec(pieces=(Piece(0.0, 1.0, float(c), float(c)),))
-    return SyntheticProblem(name="constant", eta=eta)
+    return RegressionFunctionSpec(pieces=(Piece(0.0, 1.0, float(c), float(c)),))
 
 
-def generate(problem: SyntheticProblem, n: int, seed) -> LabeledDataset:
+def generate(eta: RegressionFunctionSpec, n: int, seed) -> LabeledDataset:
     """Draw n rows (covariate, Bernoulli label, independent uniform draw).
 
     ``seed`` is an integer or a ``numpy.random.SeedSequence``; two child
@@ -112,11 +93,11 @@ def generate(problem: SyntheticProblem, n: int, seed) -> LabeledDataset:
     data_ss, draw_ss = ss.spawn(2)
     rng_data = np.random.Generator(np.random.Philox(data_ss))
     rng_draw = np.random.Generator(np.random.Philox(draw_ss))
-    if problem.eta.atom is not None:
+    if eta.atom is not None:
         x = np.zeros((n, 1))
     else:
         x = rng_data.random((n, 1))
-    eta_vals = problem.eta.evaluate(x[:, 0])
+    eta_vals = eta.evaluate(x[:, 0])
     labels = (rng_data.random(n) < eta_vals).astype(np.int64)
     draws = rng_draw.random(n)
     return LabeledDataset(

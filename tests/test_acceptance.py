@@ -161,7 +161,7 @@ def test_criterion_3_singleton_closed_form_optimum():
     problem = singleton_problem(0.5)
     for theta in (0.5, 1.0, 2.0):
         res = optimize_population_threshold(
-            problem.eta, CmmSpec("tp_pow_theta_tn", theta)
+            problem, CmmSpec("tp_pow_theta_tn", theta)
         )
         assert res.threshold.t == 0.5, (
             f"theta={theta}: t*={res.threshold.t!r} != regression value 0.5"
@@ -171,7 +171,7 @@ def test_criterion_3_singleton_closed_form_optimum():
             f"theta={theta}: p*={res.threshold.p:.6f} not within 0.01 of {target:.6f}"
         )
     # Known optimum value at theta = 1: (p/2) * ((1-p)/2) at p = 1/2.
-    res1 = optimize_population_threshold(problem.eta, CmmSpec("tp_pow_theta_tn", 1.0))
+    res1 = optimize_population_threshold(problem, CmmSpec("tp_pow_theta_tn", 1.0))
     assert res1.metric_value == pytest.approx(0.0625, abs=1e-6)
     assert time.monotonic() - start < 60.0
 
@@ -237,7 +237,7 @@ def test_criterion_5_bound_coverage_on_seeded_runs():
         ss = np.random.SeedSequence(20260816, spawn_key=(51, i))
         ds = generate(problem, n_a, ss)
         model = KnnModel.fit(ds.covariates, ds.labels, k)
-        err = uniform_error(model, problem.eta)
+        err = uniform_error(model, problem)
         worst_a = max(worst_a, err)
         if err <= bound:
             covered_a += 1
@@ -252,13 +252,13 @@ def test_criterion_5_bound_coverage_on_seeded_runs():
     radius = estimation_error_bound(n_b, 0.05)
     ts = np.linspace(0.0, 1.0, 101)
     ps = np.linspace(0.0, 1.0, 101)
-    base, tie_parts = population_confusion_parts(problem_b.eta, ts)
+    base, tie_parts = population_confusion_parts(problem_b, ts)
     covered_b = 0
     worst_b = 0.0
     for i in range(runs):
         ss = np.random.SeedSequence(20260816, spawn_key=(52, i))
         ds = generate(problem_b, n_b, ss)
-        scores = problem_b.eta.evaluate(ds.covariates[:, 0])
+        scores = problem_b.evaluate(ds.covariates[:, 0])
         y = ds.labels.astype(np.float64)
         y_not = 1.0 - y
         accept = ds.draws[None, :] < ps[:, None]

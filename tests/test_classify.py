@@ -230,7 +230,7 @@ def test_piece_and_spec_validation():
 
 
 def test_evaluate_piecewise_and_atom():
-    eta = exp1_problem().eta
+    eta = exp1_problem()
     assert eta.evaluate(0.5) == 0.5
     assert eta.evaluate(0.1) == 0.0
     assert eta.evaluate(0.9) == 1.0
@@ -258,14 +258,14 @@ def test_on_piece_reads_one_sided_limits_at_a_jump():
 
 
 def test_sup_is_the_imbalance_degree():
-    assert exp2_uci_problem(0.2).eta.r == 0.2
+    assert exp2_uci_problem(0.2).r == 0.2
     assert RegressionFunctionSpec(atom=0.7).r == 0.7
     zero = RegressionFunctionSpec(pieces=(Piece(0.0, 1.0, 0.0, 0.0),))
     assert zero.r == 0.0
 
 
 def test_plateau_values_are_exactly_preserved():
-    eta = exp1_problem().eta
+    eta = exp1_problem()
     xs = np.linspace(0.0, 1.0, 1001)
     vals = eta.evaluate(xs)
     assert set(np.unique(vals)) == {0.0, 0.5, 1.0}
@@ -282,7 +282,7 @@ def population_cells(eta, t, p):
 
 
 def test_population_cells_of_three_plateau_function():
-    eta = exp1_problem().eta
+    eta = exp1_problem()
     for p in (0.0, 0.25, 0.5, 1.0):
         tn, fp, fn, tp = population_cells(eta, 0.5, p)
         assert tp == pytest.approx(1 / 3 + p / 6, abs=1e-12)
@@ -304,7 +304,7 @@ def test_population_cells_linear_ramp_crossing():
     # eta(x) = r(1-x) cut at r/2: the positive region is x < 1/2 and holds
     # mass 3r/8 (hand integration of the ramp).
     r = 0.5
-    eta = exp2_uci_problem(r).eta
+    eta = exp2_uci_problem(r)
     tp = population_cells(eta, r / 2, 0.0)[3]
     assert tp == pytest.approx(3 * r / 8, abs=1e-12)
     # Quadrature cross-check on a grid that contains the crossing point.
@@ -326,7 +326,7 @@ def test_population_cells_atom_cases():
 
 
 def test_population_parts_reject_bad_threshold():
-    eta = exp1_problem().eta
+    eta = exp1_problem()
     with pytest.raises(ParameterDomainError):
         population_confusion_parts(eta, 1.5)
     for bad in (np.nan, np.inf, -np.inf, 1.5, -0.25):
@@ -337,7 +337,7 @@ def test_population_parts_reject_bad_threshold():
 
 
 def test_population_parts_of_an_array_are_shaped_like_it():
-    eta = exp2_nonuci_problem(0.1).eta
+    eta = exp2_nonuci_problem(0.1)
     t = np.linspace(0.0, 1.0, 12).reshape(3, 4)
     base, tie = population_confusion_parts(eta, t)
     assert len(base) == len(tie) == 4
@@ -355,7 +355,7 @@ def test_population_parts_of_an_array_are_shaped_like_it():
 #: piece value) of exp1's eta and two exp2 etas, as the scalar per-t
 #: implementation computed them.
 BREAKPOINT_PARTS = {
-    "exp1": (exp1_problem().eta, {
+    "exp1": (exp1_problem(), {
         0.0: ((0.3333333333333333, 0.16666666666666666, 0.0, 0.5),
               (-0.3333333333333333, 0.3333333333333333, -0.0, 0.0)),
         0.5: ((0.5, 0.0, 0.16666666666666666, 0.33333333333333337),
@@ -363,12 +363,12 @@ BREAKPOINT_PARTS = {
                -0.16666666666666666, 0.16666666666666666)),
         1.0: ((0.5, 0.0, 0.5, 0.0), (-0.0, 0.0, -0.33333333333333337, 0.33333333333333337)),
     }),
-    "exp2_uci": (exp2_uci_problem(0.1).eta, {
+    "exp2_uci": (exp2_uci_problem(0.1), {
         0.0: ((0.0, 0.95, 0.0, 0.05), (-0.0, 0.0, -0.0, 0.0)),
         0.1: ((0.95, 0.0, 0.05, 0.0), (-0.0, 0.0, -0.0, 0.0)),
         1.0: ((0.95, 0.0, 0.05, 0.0), (-0.0, 0.0, -0.0, 0.0)),
     }),
-    "exp2_nonuci": (exp2_nonuci_problem(0.1).eta, {
+    "exp2_nonuci": (exp2_nonuci_problem(0.1), {
         0.0: ((0.9, 0.05, 0.0, 0.05), (-0.9, 0.9, -0.0, 0.0)),
         1.0: ((0.9500000000000001, 0.0, 0.05, 0.0), (-0.0, 0.0, -0.0, 0.0)),
     }),

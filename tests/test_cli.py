@@ -96,6 +96,12 @@ def test_tune_threshold_error_exit_codes(runner, tmp_path):
     result = runner.invoke(main, ["tune-threshold", "--data", str(nan_score)])
     assert result.exit_code == 1
     assert "finite" in result.output
+    nan_draw = tmp_path / "nan_draw.csv"
+    write_csv(nan_draw, ["score", "label", "draw"], [[0.2, 0, 0.5], [0.7, 1, "nan"]])
+    for flags in ([], ["--deterministic"]):
+        result = runner.invoke(main, ["tune-threshold", "--data", str(nan_draw), *flags])
+        assert result.exit_code == 1
+        assert "draw nan at row 1 outside [0, 1]" in result.output
     bad_metric = tmp_path / "ok.csv"
     write_csv(bad_metric, ["score", "label"], [[0.5, 1]])
     result = runner.invoke(
@@ -335,6 +341,23 @@ def test_malformed_config_value_is_a_usage_error_naming_the_flag(
     assert result.exit_code == 2, result.output
     assert f"Invalid value for '{flag}'" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("args, has_config", [
+    (["generate", "--problem", "exp1", "--n", "10", "--out", "g.csv"], False),
+    (["experiment", "exp1"], True),
+    (["experiment", "exp2"], True),
+    (["fraud", "--data", "missing.csv"], True),
+    (["tune-threshold", "--data", "missing.csv"], False),
+], ids=["generate", "exp1", "exp2", "fraud", "tune-threshold"])
+def test_a_negative_seed_is_a_usage_error(runner, tmp_path, args, has_config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}), encoding="utf-8")
+    runs = [[*args, "--seed", "-1"]] + ([[*args, "--config", str(cfg)]] if has_config else [])
+    for run in runs:
+        result = runner.invoke(main, run)
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--seed'" in result.output
 
 
 def _written_files(runner, tmp_path, name, args):

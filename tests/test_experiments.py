@@ -69,6 +69,7 @@ def test_experiment_config_validation():
         dict(n_grid=(10, 10)),
         dict(n_grid=(20, 10)),
         dict(trials=0),
+        dict(master_seed=-1),
         dict(test_size=0),
         dict(workers=0),
         dict(score_source="other"),
@@ -125,7 +126,7 @@ def test_run_experiment1_row_schema_and_regret_identity():
     cfg = ExperimentConfig(**SMALL_EXP1)
     rows, summary = run_experiment1(cfg)
     assert len(rows) == 2 * 3 * 2  # n values x trials x methods
-    m_star = optimize_population_threshold(exp1_problem().eta, cfg.metric).metric_value
+    m_star = optimize_population_threshold(exp1_problem(), cfg.metric).metric_value
     expected_k = {20: select_k("exp1", 20), 40: select_k("exp1", 40)}
     for row in rows:
         n, trial, key, k, r, metric, method, value, regret = row
@@ -288,7 +289,7 @@ def test_run_experiment2_rows_replay_the_exact_tuners():
         tscores = model.predict(test.covariates[:, 0])
         det = optimize_threshold_deterministic((scores, train.labels), spec)
         sto = optimize_threshold((scores, train.labels, train.draws), spec)
-        pop = optimize_population_threshold(problem.eta, spec).metric_value
+        pop = optimize_population_threshold(problem, spec).metric_value
         f1_d = evaluate_cmm(
             spec, empirical_confusion(det.threshold, (tscores, test.labels, None))
         )
@@ -451,6 +452,23 @@ def test_fraud_pipeline_validation(tmp_path):
         run_fraud_pipeline(path, k_values=())
     with pytest.raises(ParameterDomainError):
         run_fraud_pipeline(path, k_values=(0,))
+    with pytest.raises(ParameterDomainError, match="downsample ratio"):
+        run_fraud_pipeline(path, downsample_negative_ratio=1.5)
+    with pytest.raises(ParameterDomainError, match="master_seed"):
+        run_fraud_pipeline(path, master_seed=-1)
+    for workers in (0, -4):
+        with pytest.raises(ParameterDomainError, match="workers"):
+            run_fraud_pipeline(path, workers=workers)
+
+
+def test_fraud_pipeline_scores_a_clamped_k_once(tmp_path):
+    # 60 rows leave 36 training rows: 64 and 128 both clamp to k = 36.
+    path = _standin_csv(tmp_path, n=60)
+    run = dict(trials=3, master_seed=0)
+    want = run_fraud_pipeline(path, **run, k_values=(8, 36))
+    assert run_fraud_pipeline(path, **run, k_values=(8, 64, 128)) == want
+    assert run_fraud_pipeline(path, **run, k_values=(8, 8, 36)) == want
+    assert [s[2] for s in want[1]] == [3, 3, 3, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +506,9 @@ def test_summaries_equal_per_group_scans(tmp_path):
             want.append((n, eta, len(sel), sel[0][3], sel[0][4], *stats))
     assert summary == want
 
-    # An unsorted k list whose large entries clamp to the same k: the
-    # summary lists each k once, ascending, stochastic first.
+    # An unsorted k list whose large entries clamp to the same k: each trial
+    # scores that k once, and the summary lists each k once, ascending,
+    # stochastic first.
     path = _standin_csv(tmp_path, n=40, seed=5)
     rows, summary = run_fraud_pipeline(path, trials=3, master_seed=0, k_values=(30, 2, 50))
     want = []
@@ -500,7 +519,7 @@ def test_summaries_equal_per_group_scans(tmp_path):
             want.append((k, method, f1s.size, float(f1s.mean()), se))
     assert [s[:3] for s in summary] == [
         (2, "stochastic", 3), (2, "deterministic", 3),
-        (24, "stochastic", 6), (24, "deterministic", 6),
+        (24, "stochastic", 3), (24, "deterministic", 3),
     ]
     assert summary == want
 
@@ -541,6 +560,50 @@ PINNED_EXP1_LINES = (
 )
 
 
+# Two fraud runs on ``_standin_csv(tmp_path, n=300)`` with ``k_values=(2, 4,
+# 8, 16)``, 2 trials and master seed 0; no k reaches the training size.  The
+# second run also stratifies and keeps half the negative rows.
+PINNED_FRAUD_LINES = (
+    'trial,seed,k,imbalance_ratio,method,f1',
+    '0,0:3:0:0,2,4.555555555555555,stochastic,0.8',
+    '0,0:3:0:0,2,4.555555555555555,deterministic,0.782608695652174',
+    '0,0:3:0:0,4,4.555555555555555,stochastic,0.7058823529411765',
+    '0,0:3:0:0,4,4.555555555555555,deterministic,0.7058823529411765',
+    '0,0:3:0:0,8,4.555555555555555,stochastic,0.7058823529411765',
+    '0,0:3:0:0,8,4.555555555555555,deterministic,0.7058823529411765',
+    '0,0:3:0:0,16,4.555555555555555,stochastic,0.6666666666666667',
+    '0,0:3:0:0,16,4.555555555555555,deterministic,0.6666666666666667',
+    '1,0:3:0:1,2,4.555555555555555,stochastic,0.7272727272727273',
+    '1,0:3:0:1,2,4.555555555555555,deterministic,0.7272727272727273',
+    '1,0:3:0:1,4,4.555555555555555,stochastic,0.8333333333333334',
+    '1,0:3:0:1,4,4.555555555555555,deterministic,0.8181818181818182',
+    '1,0:3:0:1,8,4.555555555555555,stochastic,0.8',
+    '1,0:3:0:1,8,4.555555555555555,deterministic,0.8',
+    '1,0:3:0:1,16,4.555555555555555,stochastic,0.888888888888889',
+    '1,0:3:0:1,16,4.555555555555555,deterministic,0.8',
+)
+
+PINNED_FRAUD_STRATIFIED_HALF_LINES = (
+    'trial,seed,k,imbalance_ratio,method,f1',
+    '0,0:3:0:0,2,2.2777777777777777,stochastic,0.7058823529411765',
+    '0,0:3:0:0,2,2.2777777777777777,deterministic,0.8421052631578948',
+    '0,0:3:0:0,4,2.2777777777777777,stochastic,0.5333333333333333',
+    '0,0:3:0:0,4,2.2777777777777777,deterministic,0.7999999999999999',
+    '0,0:3:0:0,8,2.2777777777777777,stochastic,0.8999999999999999',
+    '0,0:3:0:0,8,2.2777777777777777,deterministic,0.8999999999999999',
+    '0,0:3:0:0,16,2.2777777777777777,stochastic,0.8999999999999999',
+    '0,0:3:0:0,16,2.2777777777777777,deterministic,0.9090909090909091',
+    '1,0:3:0:1,2,2.2777777777777777,stochastic,0.8148148148148149',
+    '1,0:3:0:1,2,2.2777777777777777,deterministic,0.8148148148148149',
+    '1,0:3:0:1,4,2.2777777777777777,stochastic,0.7857142857142857',
+    '1,0:3:0:1,4,2.2777777777777777,deterministic,0.7857142857142857',
+    '1,0:3:0:1,8,2.2777777777777777,stochastic,0.7857142857142857',
+    '1,0:3:0:1,8,2.2777777777777777,deterministic,0.7857142857142857',
+    '1,0:3:0:1,16,2.2777777777777777,stochastic,0.7857142857142857',
+    '1,0:3:0:1,16,2.2777777777777777,deterministic,0.7857142857142857',
+)
+
+
 def _data_lines(path) -> tuple[str, ...]:
     return tuple(
         l for l in path.read_text(encoding="utf-8").splitlines() if not l.startswith("#")
@@ -555,3 +618,13 @@ def test_result_files_keep_their_pinned_bytes(tmp_path):
     assert _data_lines(tmp_path / "exp2.csv") == PINNED_EXP2_LINES
     run_experiment1(ExperimentConfig(**{**SMALL_EXP1, "trials": 2}), out=tmp_path / "exp1.csv")
     assert _data_lines(tmp_path / "exp1.csv") == PINNED_EXP1_LINES
+
+
+def test_fraud_result_files_keep_their_pinned_bytes(tmp_path):
+    path = _standin_csv(tmp_path, n=300)
+    run = dict(trials=2, master_seed=0, k_values=(2, 4, 8, 16))
+    run_fraud_pipeline(path, **run, out=tmp_path / "fraud.csv")
+    assert _data_lines(tmp_path / "fraud.csv") == PINNED_FRAUD_LINES
+    run_fraud_pipeline(path, **run, stratified=True, downsample_negative_ratio=0.5,
+                       out=tmp_path / "half.csv")
+    assert _data_lines(tmp_path / "half.csv") == PINNED_FRAUD_STRATIFIED_HALF_LINES

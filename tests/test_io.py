@@ -22,7 +22,6 @@ from stochthresh.errors import (
 )
 from stochthresh.io import (
     LabeledDataset,
-    SplitSpec,
     ZScoreTransform,
     load_csv,
     save_csv,
@@ -427,7 +426,7 @@ def _index_dataset(n, labels):
 
 def test_split_sizes_and_partition():
     ds = _index_dataset(10, [0, 1] * 5)
-    train, val, test = split(ds, SplitSpec(seed=3))
+    train, val, test = split(ds, 3)
     assert (train.n, val.n, test.n) == (6, 2, 2)
     ids = np.concatenate(
         [p.covariates[:, 0] for p in (train, val, test)]
@@ -443,9 +442,9 @@ def test_split_sizes_and_partition():
 
 def test_split_is_seed_deterministic():
     ds = _index_dataset(40, ([0] * 30 + [1] * 10))
-    a1, _, _ = split(ds, SplitSpec(seed=5))
-    a2, _, _ = split(ds, SplitSpec(seed=5))
-    b1, _, _ = split(ds, SplitSpec(seed=6))
+    a1, _, _ = split(ds, 5)
+    a2, _, _ = split(ds, 5)
+    b1, _, _ = split(ds, 6)
     assert np.array_equal(a1.covariates, a2.covariates)
     assert not np.array_equal(a1.covariates, b1.covariates)
 
@@ -455,7 +454,7 @@ def test_split_stratified_allocates_positives_by_largest_remainder():
     # (1, 1, 0) and the negative class (5, 2, 1) under (0.6, 0.2, 0.2).
     labels = [1, 1] + [0] * 8
     ds = _index_dataset(10, labels)
-    train, val, test = split(ds, SplitSpec(seed=0, stratified=True))
+    train, val, test = split(ds, 0, stratified=True)
     assert (train.positive_count, val.positive_count, test.positive_count) == (1, 1, 0)
     assert (train.n, val.n, test.n) == (6, 3, 1)
 
@@ -463,8 +462,7 @@ def test_split_stratified_allocates_positives_by_largest_remainder():
 def test_split_downsamples_negatives_before_splitting():
     labels = [1, 1] + [0] * 8
     ds = _index_dataset(10, labels)
-    spec = SplitSpec(seed=1, downsample_negative_ratio=0.5)
-    train, val, test = split(ds, spec)
+    train, val, test = split(ds, 1, downsample_negative_ratio=0.5)
     total = train.n + val.n + test.n
     assert total == 6  # 2 positives + round(0.5 * 8) negatives
     assert train.positive_count + val.positive_count + test.positive_count == 2
@@ -474,15 +472,18 @@ def test_split_downsamples_negatives_before_splitting():
 def test_split_rejects_empty_parts():
     ds = _index_dataset(2, [0, 1])
     with pytest.raises(SizeError):
-        split(ds, SplitSpec(seed=0))
+        split(ds, 0)
 
 
 def test_split_spec_validation():
-    with pytest.raises(ParameterDomainError):
-        SplitSpec(downsample_negative_ratio=0.0)
-    with pytest.raises(ParameterDomainError):
-        SplitSpec(downsample_negative_ratio=1.5)
-    SplitSpec(downsample_negative_ratio=1.0)  # boundary allowed
+    ds = _index_dataset(10, [1, 1] + [0] * 8)
+    for bad in (0.0, 1.5, float("nan")):
+        with pytest.raises(ParameterDomainError, match="downsample ratio"):
+            split(ds, 0, downsample_negative_ratio=bad)
+    # The ratio is checked before anything else: these parts would be empty.
+    with pytest.raises(ParameterDomainError, match="downsample ratio"):
+        split(_index_dataset(2, [0, 1]), 0, downsample_negative_ratio=0.0)
+    split(ds, 0, downsample_negative_ratio=1.0)  # boundary allowed
 
 
 # ---------------------------------------------------------------------------

@@ -506,19 +506,19 @@ def test_fit_order_is_the_lexsort_order(case):
 
 def test_uniform_error_zero_for_matching_zero_function():
     model = KnnModel.fit(np.linspace(0, 1, 50), np.zeros(50, dtype=np.int64), 5)
-    assert uniform_error(model, constant_problem(0.0).eta) == 0.0
-    assert average_error(model, constant_problem(0.0).eta) == 0.0
+    assert uniform_error(model, constant_problem(0.0)) == 0.0
+    assert average_error(model, constant_problem(0.0)) == 0.0
 
 
 def test_uniform_error_spike_against_flat_model():
     model = KnnModel.fit(np.linspace(0, 1, 50), np.zeros(50, dtype=np.int64), 5)
     # The spike attains 1 at x = 0, so the sup of the gap is exactly 1.
-    assert uniform_error(model, exp2_nonuci_problem(0.01).eta) == 1.0
+    assert uniform_error(model, exp2_nonuci_problem(0.01)) == 1.0
 
 
 def test_average_error_constant_gap():
     model = KnnModel.fit(np.linspace(0, 1, 50), np.zeros(50, dtype=np.int64), 5)
-    assert average_error(model, constant_problem(0.25).eta) == pytest.approx(
+    assert average_error(model, constant_problem(0.25)) == pytest.approx(
         0.25, abs=1e-12
     )
 
@@ -526,7 +526,7 @@ def test_average_error_constant_gap():
 def test_average_error_spike_triangle_mass():
     model = KnnModel.fit(np.linspace(0, 1, 400), np.zeros(400, dtype=np.int64), 20)
     r = 0.01
-    assert average_error(model, exp2_nonuci_problem(r).eta) == pytest.approx(
+    assert average_error(model, exp2_nonuci_problem(r)) == pytest.approx(
         r / 2, abs=1e-9
     )
 
@@ -597,11 +597,11 @@ def test_error_norms_match_a_dense_midpoint_grid(covariates, k):
 def test_error_norms_closed_forms():
     # k = n predicts the label mean c everywhere: both norms are |c - v|.
     model = KnnModel.fit([0.1, 0.2, 0.6, 0.9], [0, 1, 1, 1], 4)
-    eta = constant_problem(0.5).eta
+    eta = constant_problem(0.5)
     assert uniform_error(model, eta) == average_error(model, eta) == 0.25
     # 1-NN on two points predicts 0 up to 1/2 and 1 after it.
     model = KnnModel.fit([0.25, 0.75], [0, 1], 1)
-    eta = constant_problem(0.25).eta
+    eta = constant_problem(0.25)
     assert uniform_error(model, eta) == 0.75
     assert average_error(model, eta) == 0.5
     # Against eta(x) = x the constant 1/2 changes sign mid-interval: the
@@ -640,7 +640,7 @@ def test_observed_uniform_error_stays_below_closed_form_bound():
     k = select_k("exp2", n, r)
     train = generate(problem, n, 12345)
     model = KnnModel.fit(train.covariates, train.labels, k)
-    observed = uniform_error(model, problem.eta)
+    observed = uniform_error(model, problem)
     bound = uniform_error_bound(
         BoundInputs(n=n, k=k, r=r, alpha=1.0, L=1.0, d=1, p_star=1.0, delta=0.05)
     ).value
@@ -650,7 +650,7 @@ def test_observed_uniform_error_stays_below_closed_form_bound():
 def test_error_norms_reject_unsupported_inputs(rng):
     model2d = KnnModel.fit(rng.random((20, 2)), rng.integers(0, 2, 20), 3)
     with pytest.raises(UnsupportedSpecError):
-        uniform_error(model2d, constant_problem(0.5).eta)
+        uniform_error(model2d, constant_problem(0.5))
     model = KnnModel.fit(rng.random(20), rng.integers(0, 2, 20), 3)
     with pytest.raises(UnsupportedSpecError):
         uniform_error(model, RegressionFunctionSpec(atom=0.5))
@@ -710,7 +710,7 @@ def test_error_norms_are_computed_once_per_model_and_eta(monkeypatch):
     monkeypatch.setattr(KnnModel, "_path", counting_path)
     gen = np.random.default_rng(5)
     model = KnnModel.fit(gen.random(50), gen.integers(0, 2, 50), 7)
-    eta, other = _random_eta(gen), exp2_uci_problem(0.1).eta
+    eta, other = _random_eta(gen), exp2_uci_problem(0.1)
     sup = uniform_error(model, eta)
     assert len(calls) == 1
     l1 = average_error(model, eta)
@@ -719,7 +719,7 @@ def test_error_norms_are_computed_once_per_model_and_eta(monkeypatch):
     assert len(calls) == 1
     average_error(model, other)  # a different eta is computed anew
     assert len(calls) == 2
-    uniform_error(model, exp2_uci_problem(0.1).eta)  # an equal eta is not
+    uniform_error(model, exp2_uci_problem(0.1))  # an equal eta is not
     assert len(calls) == 2
     assert set(model._norms) == {eta, other}
     fresh = dataclasses.replace(model)

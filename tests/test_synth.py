@@ -5,7 +5,6 @@ import pytest
 
 from stochthresh.errors import ParameterDomainError
 from stochthresh.synth import (
-    SyntheticProblem,
     constant_problem,
     exp1_problem,
     exp2_nonuci_problem,
@@ -31,43 +30,49 @@ def test_imbalance_degree_is_sup_of_regression_function():
 
 def test_three_plateau_problem_values():
     p = exp1_problem()
-    assert p.eta.evaluate(0.0) == 0.0
-    assert p.eta.evaluate(0.5) == 0.5
-    assert p.eta.evaluate(1.0) == 1.0
-    assert p.eta.evaluate(0.2) == 0.0
-    assert p.eta.evaluate(0.9) == 1.0
+    assert p.evaluate(0.0) == 0.0
+    assert p.evaluate(0.5) == 0.5
+    assert p.evaluate(1.0) == 1.0
+    assert p.evaluate(0.2) == 0.0
+    assert p.evaluate(0.9) == 1.0
 
 
 def test_linear_ramp_problem_values():
     p = exp2_uci_problem(0.2)
-    assert p.eta.evaluate(0.0) == 0.2
-    assert p.eta.evaluate(1.0) == 0.0
-    assert p.eta.evaluate(0.5) == pytest.approx(0.1, abs=1e-15)
+    assert p.evaluate(0.0) == 0.2
+    assert p.evaluate(1.0) == 0.0
+    assert p.evaluate(0.5) == pytest.approx(0.1, abs=1e-15)
 
 
 def test_spike_problem_values():
     p = exp2_nonuci_problem(0.2)
-    assert p.eta.evaluate(0.0) == 1.0
-    assert p.eta.evaluate(0.1) == 0.5  # halfway down the spike
-    assert p.eta.evaluate(0.2) == 0.0
-    assert p.eta.evaluate(0.7) == 0.0
+    assert p.evaluate(0.0) == 1.0
+    assert p.evaluate(0.1) == 0.5  # halfway down the spike
+    assert p.evaluate(0.2) == 0.0
+    assert p.evaluate(0.7) == 0.0
     # Full-width spike is a single ramp over the whole domain.
     wide = exp2_nonuci_problem(1.0)
     assert wide.r == 1.0
-    assert wide.eta.evaluate(0.5) == 0.5
+    assert wide.evaluate(0.5) == 0.5
 
 
 def test_singleton_and_constant_values():
-    assert singleton_problem(0.7).eta.evaluate(0.0) == 0.7
-    assert constant_problem(0.25).eta.evaluate(0.83) == 0.25
+    assert singleton_problem(0.7).evaluate(0.0) == 0.7
+    assert constant_problem(0.25).evaluate(0.83) == 0.25
 
 
-def test_custom_problem_wraps_spec():
-    eta = RegressionFunctionSpec(pieces=(Piece(0.0, 1.0, 0.4, 0.4),))
-    p = SyntheticProblem(name="flat", eta=eta)
-    assert p.name == "flat"
-    assert p.r == 0.4
-    assert p.eta.evaluate(0.3) == 0.4
+def test_generate_draws_from_a_custom_eta():
+    step = RegressionFunctionSpec(
+        pieces=(Piece(0.0, 0.5, 0.0, 0.0), Piece(0.5, 1.0, 1.0, 1.0))
+    )
+    assert step.r == 1.0
+    ds = generate(step, 200, seed=4)
+    assert np.array_equal(ds.labels, (ds.covariates[:, 0] > 0.5).astype(np.int64))
+    # A hand-built flat eta draws exactly what constant_problem's does.
+    flat = RegressionFunctionSpec(pieces=(Piece(0.0, 1.0, 0.4, 0.4),))
+    a, b = generate(flat, 50, seed=1), generate(constant_problem(0.4), 50, seed=1)
+    for got, want in zip((a.covariates, a.labels, a.draws), (b.covariates, b.labels, b.draws)):
+        assert np.array_equal(got, want)
 
 
 def test_problem_parameter_validation():
@@ -143,7 +148,7 @@ def test_linear_ramp_positive_fraction_matches_half_r():
 
 def test_generated_plateau_scores_are_exact_ties():
     ds = generate(exp1_problem(), 500, seed=9)
-    vals = exp1_problem().eta.evaluate(ds.covariates[:, 0])
+    vals = exp1_problem().evaluate(ds.covariates[:, 0])
     assert set(np.unique(vals)) <= {0.0, 0.5, 1.0}
     # All three plateaus get hit at this sample size.
     assert set(np.unique(vals)) == {0.0, 0.5, 1.0}

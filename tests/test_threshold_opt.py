@@ -72,7 +72,7 @@ def test_all_negative_labels_reach_the_all_negative_value(rng):
 
 def test_small_generated_instance_matches_oracle():
     train = generate(exp1_problem(), 12, 3)
-    scores = exp1_problem().eta.evaluate(train.covariates[:, 0])
+    scores = exp1_problem().evaluate(train.covariates[:, 0])
     samples = (scores, train.labels, train.draws)
     fast = optimize_threshold(samples, PRODUCT)
     slow = brute_force_threshold(samples, PRODUCT)
@@ -509,7 +509,7 @@ def grid_cells(eta: RegressionFunctionSpec, n_t: int = 40_001) -> np.ndarray:
 def test_population_search_beats_a_fine_grid():
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(20261018)))
     etas = [random_plateau_eta(gen) for _ in range(8)]
-    etas += [exp1_problem().eta, exp2_uci_problem(0.01).eta, exp2_nonuci_problem(0.1).eta]
+    etas += [exp1_problem(), exp2_uci_problem(0.01), exp2_nonuci_problem(0.1)]
     for eta in etas:
         cells = grid_cells(eta)
         for spec in representative_specs():
@@ -535,7 +535,7 @@ def test_population_search_reads_the_cells_in_three_calls(monkeypatch):
     monkeypatch.setattr(threshold_opt, "population_confusion_parts", counted)
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(20261019)))
     etas = [random_plateau_eta(gen) for _ in range(3)]
-    etas += [exp1_problem().eta, exp2_nonuci_problem(0.1).eta, singleton_problem(0.5).eta]
+    etas += [exp1_problem(), exp2_nonuci_problem(0.1), singleton_problem(0.5)]
     for eta in etas:
         for spec in representative_specs():
             calls.clear()
@@ -546,7 +546,7 @@ def test_population_search_reads_the_cells_in_three_calls(monkeypatch):
 
 
 def test_singleton_optimum_matches_closed_form():
-    eta = singleton_problem(0.5).eta
+    eta = singleton_problem(0.5)
     for theta in (0.5, 1.0, 2.0, 3.7):
         res = optimize_population_threshold(eta, CmmSpec("tp_pow_theta_tn", theta))
         assert res.threshold.t == 0.5
@@ -559,7 +559,7 @@ def test_singleton_optimum_matches_closed_form():
 
 
 def test_three_plateau_population_optimum_is_stochastic():
-    res = optimize_population_threshold(exp1_problem().eta, PRODUCT)
+    res = optimize_population_threshold(exp1_problem(), PRODUCT)
     assert (res.threshold.t, res.threshold.p) == (0.5, 0.5)
     assert res.metric_value == pytest.approx(25 / 144, abs=1e-16)
 
@@ -569,6 +569,6 @@ def test_spike_population_f1_matches_closed_form():
     # u^2 + u - 1 = 0, giving F1* = 3 - sqrt(5) independent of r.
     for r in (0.01, 0.1, 0.5):
         res = optimize_population_threshold(
-            exp2_nonuci_problem(r).eta, CmmSpec("f_beta", 1.0)
+            exp2_nonuci_problem(r), CmmSpec("f_beta", 1.0)
         )
         assert abs(res.metric_value - (3.0 - np.sqrt(5.0))) <= 1e-12
