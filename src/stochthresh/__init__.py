@@ -72,7 +72,6 @@ from .bounds import (
 )
 from .io import (
     LabeledDataset,
-    ZScoreTransform,
     load_csv,
     save_csv,
     split,
@@ -115,7 +114,7 @@ __all__ = [
     "uniform_error_bound", "estimation_error_bound", "regret_bound",
     "cmm_lipschitz_constant",
     # io
-    "LabeledDataset", "ZScoreTransform", "load_csv", "save_csv", "zscore",
+    "LabeledDataset", "load_csv", "save_csv", "zscore",
     "split", "write_results_csv",
     # experiments
     "ExperimentConfig", "default_n_grid", "trial_seed_sequence",

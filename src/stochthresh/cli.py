@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Usage errors (bad flags, malformed option values) exit with code 2; data
-and domain errors (missing files, schema violations, infeasible parameter
-combinations) exit with code 1 and a message.  A ``--config`` JSON file
+and domain errors (missing or unreadable files, schema violations,
+infeasible parameter combinations) exit with code 1 and a message.  A ``--config`` JSON file
 supplies defaults that explicit flags override.  Its keys are the option
 names with underscores, and each value is parsed by its flag's own parser,
 so a malformed value exits 2 naming the flag, exactly as on the command
@@ -50,13 +50,13 @@ __all__ = ["main"]
 
 
 def _friendly(fn):
-    """Map package/data errors to exit code 1 with the error message."""
+    """Map package/data errors and OS errors to exit code 1 with the error message."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (StochthreshError, FileNotFoundError, IsADirectoryError) as exc:
+        except (StochthreshError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
 
     return wrapper
@@ -234,7 +234,7 @@ def fraud(data, out, **options):
 def _read_scored_csv(path):
     """Read a CSV with columns score,label[,draw] (any order, extra cols rejected).
 
-    The draws are range-checked by the sweep that reads them.
+    The scores and draws are range-checked by the sweep that reads them.
     """
     ds = load_csv(path, label_column="label")
     names = ds.feature_names
@@ -244,9 +244,6 @@ def _read_scored_csv(path):
     if unexpected:
         raise SchemaError(f"{path}: unexpected columns {sorted(unexpected)}")
     scores = ds.covariates[:, names.index("score")]
-    # NaN fails both comparisons, so it is rejected too.
-    if not (scores.min() >= 0.0 and scores.max() <= 1.0):
-        raise SchemaError(f"{path}: scores must be finite and lie in [0, 1]")
     draws = ds.covariates[:, names.index("draw")] if "draw" in names else None
     return scores, ds.labels, draws
 

@@ -161,16 +161,11 @@ def _seed_key(master_seed: int, tag: int, n_index: int, trial: int) -> str:
     return f"{master_seed}:{tag}:{n_index}:{trial}"
 
 
-def _ci95_half(values: np.ndarray) -> float:
+def _standard_error(values: np.ndarray, z: float = 1.0) -> float:
+    """``z`` standard errors of the mean (z = 1.96: a 95 % interval's half-width)."""
     if values.size < 2:
         return 0.0
-    return float(1.96 * values.std(ddof=1) / np.sqrt(values.size))
-
-
-def _standard_error(values: np.ndarray) -> float:
-    if values.size < 2:
-        return 0.0
-    return float(values.std(ddof=1) / np.sqrt(values.size))
+    return float(z * values.std(ddof=1) / np.sqrt(values.size))
 
 
 def _group_columns(rows, key_cols, value_cols) -> list[tuple[tuple, list[np.ndarray]]]:
@@ -316,7 +311,7 @@ def run_experiment1(cfg: ExperimentConfig, out=None):
     summary_rows = [
         (
             first[0], first[6], regrets.size,
-            float(values.mean()), float(regrets.mean()), _ci95_half(regrets),
+            float(values.mean()), float(regrets.mean()), _standard_error(regrets, z=1.96),
         )
         for first, (values, regrets) in _group_columns(rows, (0, 6), (7, 8))
     ]
@@ -375,10 +370,10 @@ def run_experiment2(cfg: ExperimentConfig, out=None):
     summary_rows = [
         (
             first[0], first[6], linf.size, first[3], first[4],
-            float(linf.mean()), _ci95_half(linf),
-            float(l1.mean()), _ci95_half(l1),
-            float(reg.mean()), _ci95_half(reg),
-            float(reg_s.mean()), _ci95_half(reg_s),
+            float(linf.mean()), _standard_error(linf, z=1.96),
+            float(l1.mean()), _standard_error(l1, z=1.96),
+            float(reg.mean()), _standard_error(reg, z=1.96),
+            float(reg_s.mean()), _standard_error(reg_s, z=1.96),
         )
         for first, (linf, l1, reg, reg_s) in _group_columns(rows, (0, 6), (7, 8, 9, 10))
     ]
@@ -414,8 +409,7 @@ def _fraud_trial(data, master_seed, k_values, stratified, downsample_negative_ra
             for ds in (train, val, test)
         )
     # Standardize with training statistics only, so nothing of val or test leaks in.
-    train, transform = zscore(train)
-    val, test = transform.apply(val), transform.apply(test)
+    train, val, test = zscore(train, val, test)
     kept_pos = train.positive_count + val.positive_count + test.positive_count
     kept_n = train.n + val.n + test.n
     imbalance = (kept_n - kept_pos) / kept_pos if kept_pos else float("inf")

@@ -30,7 +30,6 @@ from .errors import (
 
 __all__ = [
     "LabeledDataset",
-    "ZScoreTransform",
     "SPLIT_FRACTIONS",
     "load_csv",
     "save_csv",
@@ -117,8 +116,10 @@ def load_csv(
     """Read a headered UTF-8 CSV into a dataset.
 
     All columns except the label (and the optional draw column) are features,
-    kept in header order.  Labels must be exactly 0 or 1; missing cells and
-    unparsable numbers raise with the offending line number.
+    kept in header order; a header name that repeats, or one column named
+    as both label and draw, raises.  Labels must be exactly 0 or 1; missing
+    cells and unparsable numbers raise with the offending line number, and
+    a file that is not UTF-8 raises :class:`ParseError`.
 
     The row-by-row ``csv`` parse decides every result and every error.  One
     ``np.loadtxt`` pass over the data rows stands in for it only when it
@@ -129,8 +130,13 @@ def load_csv(
     ``csv.Error`` on a cell over the limit.
     """
     path = Path(path)
-    ds = _load_vectorized(path, label_column, draw_column)
-    return ds if ds is not None else _load_rows(path, label_column, draw_column)
+    try:
+        ds = _load_vectorized(path, label_column, draw_column)
+        return ds if ds is not None else _load_rows(path, label_column, draw_column)
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x}: {exc.reason}"
+        ) from None
 
 
 def _read_header(
@@ -142,6 +148,13 @@ def _read_header(
     except StopIteration:
         raise SchemaError(f"{path}: empty file, expected a header row") from None
     header = [h.strip() for h in header]
+    if len(set(header)) < len(header):
+        name = next(h for i, h in enumerate(header) if h in header[:i])
+        raise SchemaError(f"{path}: column {name!r} repeats in header {header}")
+    if draw_column == label_column:
+        raise SchemaError(
+            f"{path}: column {label_column!r} cannot be both the label and the draws"
+        )
     if label_column not in header:
         raise SchemaError(
             f"{path}: no {label_column!r} column in header {header}"
@@ -201,7 +214,8 @@ def _load_vectorized(
     twice; no data cell holds a quote; no data line is long enough to hold
     a cell over ``csv.field_size_limit()``; every line is a row of
     ``len(header)`` cells (loadtxt skips blank lines, which the rows
-    reject); labels are 0 or 1 and draws lie in [0, 1], NaN excluded.
+    reject); :class:`LabeledDataset` accepts the labels and draws, so the
+    row parse is left to name the line of a bad one.
 
     loadtxt reads the path itself, in chunks, which is faster than the
     lines of a Python handle; a file name that numpy decompresses by its
@@ -238,21 +252,16 @@ def _load_vectorized(
         return None
     if values.shape != (lines, len(header)):
         return None
-    labels = values[:, label_i]
-    if not np.all((labels == 0.0) | (labels == 1.0)):
+    try:
+        # The labels stay floats here, so 0.5 fails the 0/1 check.
+        return LabeledDataset(
+            covariates=np.ascontiguousarray(values[:, feature_is]),
+            labels=values[:, label_i],
+            draws=None if draw_i is None else values[:, draw_i],
+            feature_names=tuple(header[i] for i in feature_is),
+        )
+    except SchemaError:
         return None
-    draws = None
-    if draw_i is not None:
-        draws = values[:, draw_i].copy()
-        # NaN fails both comparisons.
-        if not (draws.min() >= 0.0 and draws.max() <= 1.0):
-            return None
-    return LabeledDataset(
-        covariates=np.ascontiguousarray(values[:, feature_is]),
-        labels=labels.astype(np.int64),
-        draws=draws,
-        feature_names=tuple(header[i] for i in feature_is),
-    )
 
 
 def _load_rows(
@@ -326,51 +335,40 @@ def save_csv(ds: LabeledDataset, path, include_draws: bool = True) -> None:
     write_results_csv(path, header, zip(*columns), {})
 
 
-@dataclass(frozen=True)
-class ZScoreTransform:
-    """Per-feature standardization fitted on one dataset, applicable to others.
-
-    Uses the population standard deviation (ddof = 0).
-    """
-
-    means: tuple[float, ...]
-    sds: tuple[float, ...]
-
-    def apply(self, ds: LabeledDataset) -> LabeledDataset:
-        if ds.d != len(self.means):
-            raise ShapeError(
-                f"transform fitted on {len(self.means)} features, dataset has {ds.d}"
-            )
-        x = (ds.covariates - np.asarray(self.means)) / np.asarray(self.sds)
-        return LabeledDataset(
-            covariates=x,
-            labels=ds.labels,
-            draws=ds.draws,
-            feature_names=ds.feature_names,
-        )
-
-
 def varying_features(covariates: np.ndarray) -> np.ndarray:
     """Per column of an (n, d) matrix: does any value differ from row 0's?"""
     return np.any(covariates != covariates[0], axis=0)
 
 
-def zscore(ds: LabeledDataset) -> tuple[LabeledDataset, ZScoreTransform]:
-    """Standardize features to mean 0, sd 1; labels and draws pass through."""
-    means = ds.covariates.mean(axis=0)
-    sds = ds.covariates.std(axis=0)
+def zscore(train: LabeledDataset, *others: LabeledDataset) -> tuple[LabeledDataset, ...]:
+    """``train`` and then each of ``others``, standardized by train's statistics.
+
+    Every feature has train's mean subtracted and is divided by train's
+    population standard deviation (ddof = 0), so train's features get mean
+    0 and sd 1 and nothing of the other datasets leaks in.  Labels and
+    draws pass through.
+    """
+    means = train.covariates.mean(axis=0)
+    sds = train.covariates.std(axis=0)
     # A constant column's mean can round, leaving a tiny nonzero sd behind.
-    flat = np.flatnonzero(~varying_features(ds.covariates) | (sds == 0.0))
+    flat = np.flatnonzero(~varying_features(train.covariates) | (sds == 0.0))
     if flat.size:
-        name = ds.feature_names[int(flat[0])]
+        name = train.feature_names[int(flat[0])]
         raise DegenerateFeatureError(
             f"feature {name!r} has zero variance and cannot be standardized"
         )
-    transform = ZScoreTransform(
-        means=tuple(float(m) for m in means),
-        sds=tuple(float(s) for s in sds),
+    for ds in others:
+        if ds.d != train.d:
+            raise ShapeError(f"train has {train.d} features, a dataset has {ds.d}")
+    return tuple(
+        LabeledDataset(
+            covariates=(ds.covariates - means) / sds,
+            labels=ds.labels,
+            draws=ds.draws,
+            feature_names=ds.feature_names,
+        )
+        for ds in (train, *others)
     )
-    return transform.apply(ds), transform
 
 
 #: Train, validation and test shares of every :func:`split`.

@@ -6,8 +6,8 @@ descending): prefix j labels the first j sorted samples 0 and the rest 1.
 A prefix that ends between two rows with the same (score, draw) pair is
 not one of them, since the rule labels both rows alike; the searches skip
 it.
-:class:`SortedSample` is that sort plus the cumulative positive count, and
-the confusion cells of a prefix are integer counts divided by n.  The
+:func:`_sweep_order` is that sort; a cumulative positive count over it
+gives the confusion cells of a prefix as integer counts divided by n.  The
 stochastic sweep reads all n + 1 prefixes, the deterministic search only
 the cuts between distinct scores: O(n log n) and *exactly* optimal, with
 no grid.  The sweep order comes from unstable argsorts and a key that is
@@ -97,8 +97,8 @@ def _cells(j: np.ndarray, cum_pos: np.ndarray, n: int, npos: int):
     return cum_neg / n, (n - npos - cum_neg) / n, cum_pos / n, (npos - cum_pos) / n
 
 
-class SortedSample:
-    """A sample's sweep order and its cumulative positive count.
+def _sweep_order(scores: np.ndarray, draws: np.ndarray):
+    """(order, repeat): a sample's sweep order and the prefixes no threshold makes.
 
     Rows sort by score ascending, then draw descending, then original
     index — the order of ``np.lexsort((-draws, scores))``.  One unstable
@@ -111,32 +111,19 @@ class SortedSample:
     near g, or draw 0 against the next group's draw 1) fall back to
     ``np.lexsort``.
 
-    ``order`` is that permutation of the input rows.  Labels are gathered
-    through it once, for ``cum_pos``; the searches read scores and draws
-    through it only at the winning prefix.  ``repeat[i]`` tells that sorted
-    row i + 1 has the (score, draw) pair of row i, so that no threshold
-    produces prefix i + 1.  Equal pairs have equal keys, so only the lexsort
-    fallback can hold one; otherwise ``repeat`` is ``None``.
+    ``order`` is that permutation of the input rows.  ``repeat[i]`` tells
+    that sorted row i + 1 has the (score, draw) pair of row i, so that no
+    threshold produces prefix i + 1.  Equal pairs have equal keys, so only
+    the lexsort fallback can hold one; otherwise ``repeat`` is ``None``.
     """
-
-    def __init__(self, scores: np.ndarray, labels: np.ndarray, draws: np.ndarray):
-        order = np.argsort(scores)
-        by_key = _key_order(scores[order], draws[order])
-        self.repeat = None
-        if by_key is None:
-            self.order = np.lexsort((-draws, scores))
-            s, z = scores[self.order], draws[self.order]
-            self.repeat = (s[1:] == s[:-1]) & (z[1:] == z[:-1])
-        else:
-            # A permutation inside tie groups, composed with the score order.
-            self.order = order[by_key]
-        self.cum_pos = np.zeros(scores.size + 1, dtype=np.int64)
-        np.cumsum(labels[self.order], out=self.cum_pos[1:])
-
-    def cells(self):
-        """Confusion cells (tn, fp, fn, tp) of all n + 1 prefixes, as counts / n."""
-        n = self.order.size
-        return _cells(np.arange(n + 1), self.cum_pos, n, int(self.cum_pos[-1]))
+    order = np.argsort(scores)
+    by_key = _key_order(scores[order], draws[order])
+    if by_key is not None:
+        # A permutation inside tie groups, composed with the score order.
+        return order[by_key], None
+    order = np.lexsort((-draws, scores))
+    s, z = scores[order], draws[order]
+    return order, (s[1:] == s[:-1]) & (z[1:] == z[:-1])
 
 
 def _prefix_threshold(
@@ -163,16 +150,23 @@ def optimize_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
     the winning classification.
     """
     scores, labels, draws = as_sample_arrays(samples, require_draws=True)
-    sample = SortedSample(scores, labels, draws)
-    vals = np.asarray(_cmm_values(spec, *sample.cells()))
-    if sample.repeat is not None:
-        vals[1:-1][sample.repeat] = -np.inf
+    order, repeat = _sweep_order(scores, draws)
+    # Labels are gathered through the order once; scores and draws only at
+    # the winning prefix.
+    n = scores.size
+    cum_pos = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(labels[order], out=cum_pos[1:])
+    vals = np.asarray(
+        _cmm_values(spec, *_cells(np.arange(n + 1), cum_pos, n, int(cum_pos[-1])))
+    )
+    if repeat is not None:
+        vals[1:-1][repeat] = -np.inf
     # The sweep order leads with the largest draw among the smallest scores.
-    first = sample.order[0]
+    first = order[0]
     skip = int(scores[first] == 0.0 and draws[first] == 1.0)
     best = skip + int(np.argmax(vals[skip:]))
     return ThresholdSearchResult(
-        threshold=_prefix_threshold(best, scores, draws, sample.order),
+        threshold=_prefix_threshold(best, scores, draws, order),
         metric_value=float(vals[best]),
         classification_prefix_index=best,
     )

@@ -79,6 +79,78 @@ def test_tune_threshold_deterministic_and_stored_draws(runner, tmp_path):
     assert json.loads(sto.output)["method"] == "stochastic"
 
 
+def _tie_heavy_scored_rows(with_draws: bool) -> tuple[list[str], list[list]]:
+    """40 rows on a 1/8 score lattice, with draws on a 1/3 lattice when asked.
+
+    The lattice draws repeat (score, draw) pairs, so the sweep falls back to
+    its lexsort; without a draw column the CLI's seeded Philox draws are
+    distinct and the key sort decides.
+    """
+    rows = []
+    for i in range(40):
+        score = (i * 5 % 9) / 8.0
+        row = [score, int((i * 7 % 11) / 10.0 < score)]
+        if with_draws:
+            row.append((i % 4) / 3.0)
+        rows.append(row)
+    return ["score", "label", "draw"][: 2 + with_draws], rows
+
+
+#: tune-threshold --metric f_beta:1 output (stochastic, then --deterministic)
+#: on the table with its draw column, then on the same table without it.
+TUNE_THRESHOLD_PINNED = {
+    (True, False): """\
+{
+  "method": "stochastic",
+  "metric": "f_beta:1",
+  "p": 0.6666666666666666,
+  "prefix_index": 16,
+  "t": 0.375,
+  "value": 0.7619047619047619
+}
+""",
+    (True, True): """\
+{
+  "method": "deterministic",
+  "metric": "f_beta:1",
+  "p": 0.0,
+  "prefix_index": 14,
+  "t": 0.25,
+  "value": 0.7272727272727273
+}
+""",
+    (False, False): """\
+{
+  "method": "stochastic",
+  "metric": "f_beta:1",
+  "p": 0.9611456604643658,
+  "prefix_index": 12,
+  "t": 0.25,
+  "value": 0.7391304347826088
+}
+""",
+    (False, True): """\
+{
+  "method": "deterministic",
+  "metric": "f_beta:1",
+  "p": 0.0,
+  "prefix_index": 14,
+  "t": 0.25,
+  "value": 0.7272727272727273
+}
+""",
+}
+
+
+@pytest.mark.parametrize("with_draws,deterministic", list(TUNE_THRESHOLD_PINNED))
+def test_tune_threshold_output_is_pinned(runner, tmp_path, with_draws, deterministic):
+    p = write_csv(tmp_path / "scored.csv", *_tie_heavy_scored_rows(with_draws))
+    args = ["tune-threshold", "--data", str(p), "--metric", "f_beta:1"]
+    result = runner.invoke(main, args + ["--deterministic"] * deterministic)
+    assert result.exit_code == 0, result.output
+    assert result.output == TUNE_THRESHOLD_PINNED[with_draws, deterministic]
+
+
 def test_tune_threshold_error_exit_codes(runner, tmp_path):
     missing = runner.invoke(main, ["tune-threshold", "--data", str(tmp_path / "no.csv")])
     assert missing.exit_code == 1
@@ -93,9 +165,10 @@ def test_tune_threshold_error_exit_codes(runner, tmp_path):
     assert result.exit_code == 1
     nan_score = tmp_path / "nan.csv"
     write_csv(nan_score, ["score", "label"], [[0.2, 0], ["nan", 1], [0.7, 1]])
-    result = runner.invoke(main, ["tune-threshold", "--data", str(nan_score)])
-    assert result.exit_code == 1
-    assert "finite" in result.output
+    for flags in ([], ["--deterministic"]):
+        result = runner.invoke(main, ["tune-threshold", "--data", str(nan_score), *flags])
+        assert result.exit_code == 1
+        assert "score nan at row 1 outside [0, 1]" in result.output
     nan_draw = tmp_path / "nan_draw.csv"
     write_csv(nan_draw, ["score", "label", "draw"], [[0.2, 0, 0.5], [0.7, 1, "nan"]])
     for flags in ([], ["--deterministic"]):
@@ -108,6 +181,30 @@ def test_tune_threshold_error_exit_codes(runner, tmp_path):
         main, ["tune-threshold", "--data", str(bad_metric), "--metric", "nope"]
     )
     assert result.exit_code == 2
+
+
+def test_os_errors_and_non_utf8_files_exit_one_with_a_message(runner, tmp_path):
+    ok = write_csv(tmp_path / "ok.csv", ["score", "label"], [[0.5, 1]])
+    for args in (
+        ["tune-threshold", "--data", str(ok / "child")],
+        ["generate", "--problem", "exp1", "--n", "5", "--out", str(ok / "x.csv")],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert "Not a directory" in result.output
+        assert "Traceback" not in result.output
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"score,label\n0.5,1\n0.25\xff,0\n")
+    result = runner.invoke(main, ["tune-threshold", "--data", str(latin1)])
+    assert result.exit_code == 1
+    assert f"{latin1}: not UTF-8 text" in result.output
+
+
+def test_fit_knn_rejects_a_repeated_label_column(runner, tmp_path):
+    p = write_csv(tmp_path / "d.csv", ["x", "label", "label"], [[0.1, 0, 0], [0.4, 1, 1]])
+    result = runner.invoke(main, ["fit-knn", "--data", str(p), "--k", "1"])
+    assert result.exit_code == 1
+    assert "'label' repeats" in result.output
 
 
 # ---------------------------------------------------------------------------

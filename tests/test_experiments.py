@@ -402,13 +402,14 @@ def test_fraud_pipeline_writes_files(tmp_path):
 def test_fraud_pipeline_fits_zscore_on_training_split(tmp_path, monkeypatch):
     fitted = []
 
-    def recording_zscore(ds):
-        fitted.append(ds.n)
-        return zscore(ds)
+    def recording_zscore(train, *others):
+        fitted.append((train.n, *(ds.n for ds in others)))
+        return zscore(train, *others)
 
     monkeypatch.setattr(experiments, "zscore", recording_zscore)
     run_fraud_pipeline(_standin_csv(tmp_path), trials=2, master_seed=1, k_values=(4,))
-    assert fitted == [240, 240]  # the 60 % training split of 400 rows, per trial
+    # Per trial: the 60 % training split of 400 rows, then validation and test.
+    assert fitted == [(240, 80, 80), (240, 80, 80)]
 
 
 def test_fraud_pipeline_drops_a_feature_constant_on_every_row(tmp_path):

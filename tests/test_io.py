@@ -22,7 +22,6 @@ from stochthresh.errors import (
 )
 from stochthresh.io import (
     LabeledDataset,
-    ZScoreTransform,
     load_csv,
     save_csv,
     split,
@@ -154,6 +153,30 @@ def test_load_csv_schema_errors(tmp_path):
         load_csv(p)
     p.write_text("x,label\n", encoding="utf-8")
     with pytest.raises(DegenerateInputError, match="no data rows"):
+        load_csv(p)
+
+
+def test_load_csv_gives_each_header_column_one_role(tmp_path):
+    p = tmp_path / "roles.csv"
+    # A second label column would otherwise become a feature.
+    p.write_text("x,label,label\n0.5,1,1\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="'label' repeats"):
+        load_csv(p)
+    p.write_text("x,x,label\n0.5,0.25,1\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="'x' repeats"):
+        load_csv(p)
+    p.write_text("x,label\n0.5,1\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="'label' cannot be both"):
+        load_csv(p, draw_column="label")
+
+
+@pytest.mark.parametrize("rows_before", [1, 5_000])
+def test_load_csv_rejects_a_file_that_is_not_utf8(tmp_path, rows_before):
+    # A bad byte in the first decoded chunk fails the header read; a later one
+    # fails the read of the data rows.
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"x,label\n" + b"0.5,1\n" * rows_before + b"0.25\xff,0\n")
+    with pytest.raises(ParseError, match=r"latin1\.csv: not UTF-8 text: byte 0xff"):
         load_csv(p)
 
 
@@ -366,19 +389,17 @@ def test_save_csv_can_exclude_draws(tmp_path):
 
 def test_zscore_exact_two_point_case():
     ds = LabeledDataset(covariates=[1.0, 3.0], labels=[0, 1])
-    out, tf = zscore(ds)
+    unseen = LabeledDataset(covariates=[4.0], labels=[0])
+    out, applied = zscore(ds, unseen)
     assert out.covariates[:, 0].tolist() == [-1.0, 1.0]
-    assert tf.means == (2.0,)
-    assert tf.sds == (1.0,)
-    # The fitted transform applies to unseen data with the same constants.
-    applied = tf.apply(LabeledDataset(covariates=[4.0], labels=[0]))
+    # The other datasets are standardized by train's mean 2 and sd 1.
     assert applied.covariates[0, 0] == 2.0
 
 
 def test_zscore_standardizes_each_feature(rng):
     x = rng.normal(loc=[5.0, -3.0], scale=[2.0, 0.5], size=(200, 2))
     ds = LabeledDataset(covariates=x, labels=rng.integers(0, 2, 200))
-    out, _ = zscore(ds)
+    (out,) = zscore(ds)
     assert np.allclose(out.covariates.mean(axis=0), 0.0, atol=1e-10)
     assert np.allclose(out.covariates.std(axis=0), 1.0, atol=1e-10)
     # Labels and draws pass through untouched.
@@ -405,10 +426,10 @@ def test_zscore_rejects_constant_feature_whose_mean_rounds():
         zscore(ds)
 
 
-def test_zscore_transform_shape_mismatch():
-    tf = ZScoreTransform(means=(0.0, 0.0), sds=(1.0, 1.0))
+def test_zscore_rejects_a_dataset_of_another_width():
+    train = LabeledDataset(covariates=[[1.0, 2.0], [3.0, 5.0]], labels=[0, 1])
     with pytest.raises(ShapeError):
-        tf.apply(LabeledDataset(covariates=[1.0], labels=[0]))
+        zscore(train, LabeledDataset(covariates=[1.0], labels=[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from stochthresh.classify import Piece, RegressionFunctionSpec
 from stochthresh.errors import ParameterDomainError
 from stochthresh.metrics import _cmm_values, _score_cuts
 from stochthresh import threshold_opt
-from stochthresh.threshold_opt import SortedSample
+from stochthresh.threshold_opt import _sweep_order
 from stochthresh.synth import (
     exp1_problem,
     exp2_nonuci_problem,
@@ -212,14 +212,15 @@ TIE_SCORES = st.sampled_from([-0.0, 0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 1.0]
 TIE_DRAWS = st.sampled_from([0.0, 0.5, np.nextafter(0.5, 0.0), 1.0])
 
 
-def assert_sweep_order(scores, labels, draws):
-    """SortedSample equals the lexsort order: the permutation and prefix counts."""
+def assert_sweep_order(scores, draws):
+    """``_sweep_order`` equals the lexsort order and marks exactly its repeated pairs."""
     want = lexsort_sweep_reference(scores, draws)
-    sample = SortedSample(scores, labels, draws)
+    order, repeat = _sweep_order(scores, draws)
     # The permutation, since 0.0 == -0.0 hides a swapped pair from the values.
-    assert np.array_equal(sample.order, want)
-    assert sample.cum_pos[0] == 0
-    assert np.array_equal(sample.cum_pos[1:], np.cumsum(labels[want]))
+    assert np.array_equal(order, want)
+    s, z = scores[want], draws[want]
+    pairs = (s[1:] == s[:-1]) & (z[1:] == z[:-1])
+    assert not pairs.any() if repeat is None else np.array_equal(repeat, pairs)
 
 
 def assert_score_cuts(scores, labels):
@@ -246,7 +247,7 @@ def test_kernel_order_equals_lexsort(pairs):
     scores = np.array([p[0] for p in pairs])
     draws = np.array([p[1] for p in pairs])
     labels = np.array([p[2] for p in pairs])
-    assert_sweep_order(scores, labels, draws)
+    assert_sweep_order(scores, draws)
     # Without draws the searches read counts only at the cuts between
     # distinct scores, which no order inside a tie group changes.
     assert_score_cuts(scores, labels)
@@ -279,9 +280,7 @@ def test_kernel_order_with_one_equal_draw_pair_at_size(first, last, pair):
     draws[[first, last]] = pair
     scores = gen.integers(0, 50, n) / 49.0
     scores[last] = scores[first]
-    labels = gen.integers(0, 2, n)
-    labels[[first, last]] = (1, 0)
-    assert_sweep_order(scores, labels, draws)
+    assert_sweep_order(scores, draws)
 
 
 AT_SIZE = 200_000
@@ -291,20 +290,20 @@ def test_key_order_on_score_steps_with_distinct_grid_draws():
     gen = np.random.default_rng(21)
     scores = gen.binomial(100, 0.5, AT_SIZE) / 100.0
     draws = gen.choice(10**9 + 1, AT_SIZE, replace=False) / 1e9
-    assert_sweep_order(scores, gen.integers(0, 2, AT_SIZE), draws)
+    assert_sweep_order(scores, draws)
 
 
 def test_key_order_on_score_steps_with_uniform_draws():
     gen = np.random.default_rng(22)
     scores = gen.binomial(100, 0.5, AT_SIZE) / 100.0
-    assert_sweep_order(scores, gen.integers(0, 2, AT_SIZE), gen.random(AT_SIZE))
+    assert_sweep_order(scores, gen.random(AT_SIZE))
 
 
 def test_key_order_on_continuous_scores():
     gen = np.random.default_rng(23)
     scores = gen.random(AT_SIZE)
     assert np.unique(scores).size == AT_SIZE
-    assert_sweep_order(scores, gen.integers(0, 2, AT_SIZE), gen.random(AT_SIZE))
+    assert_sweep_order(scores, gen.random(AT_SIZE))
 
 
 @pytest.mark.parametrize("leader", [0, 1])
@@ -314,18 +313,16 @@ def test_key_collision_one_ulp_apart_in_a_high_group_falls_back(leader):
     gen = np.random.default_rng(24)
     scores = gen.integers(0, 2_000, AT_SIZE) / 1_999.0
     draws = gen.random(AT_SIZE)
-    labels = gen.integers(0, 2, AT_SIZE)
     level = np.unique(scores)[1_500]
     pair = [1_000, 150_000]
     first, last = pair[leader], pair[1 - leader]
     # ``first`` has the larger draw, so it leads in the sweep order.
     scores[pair] = level
     draws[[first, last]] = 0.5, np.nextafter(0.5, 0.0)
-    labels[[first, last]] = 1, 0
     group = float(np.searchsorted(np.unique(scores), level))
     assert group >= 1_024
     assert group - draws[first] == group - draws[last]  # g - draw merges the pair
-    assert_sweep_order(scores, labels, draws)
+    assert_sweep_order(scores, draws)
 
 
 def test_key_order_with_signed_zero_scores_in_one_group():
@@ -333,7 +330,7 @@ def test_key_order_with_signed_zero_scores_in_one_group():
     scores = gen.integers(0, 20, AT_SIZE) / 19.0
     scores[(scores == 0.0) & (gen.random(AT_SIZE) < 0.5)] = -0.0
     assert np.signbit(scores).any() and (scores == 0.0).sum() > np.signbit(scores).sum()
-    assert_sweep_order(scores, gen.integers(0, 2, AT_SIZE), gen.random(AT_SIZE))
+    assert_sweep_order(scores, gen.random(AT_SIZE))
 
 
 @pytest.mark.parametrize("n", [40, 3_000, 50_000])
