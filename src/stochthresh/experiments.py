@@ -190,7 +190,8 @@ def _one_blas_thread() -> None:
 
     Each worker's BLAS otherwise starts a thread per core, and the workers
     oversubscribe the cores.  Results cannot depend on the thread count: the
-    GEMM filter of the n-d k-NN holds in any summation order.
+    slack of the n-d k-NN's GEMM filter is proven for any summation order
+    (``knn._gemm_filter``), and the exact recheck decides every prediction.
     """
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas*.so")):

@@ -115,6 +115,9 @@ def load_csv(
 ) -> LabeledDataset:
     """Read a headered UTF-8 CSV into a dataset.
 
+    A leading UTF-8 byte-order mark, as spreadsheet programs write it, is
+    not part of the first header name.
+
     All columns except the label (and the optional draw column) are features,
     kept in header order; a header name that repeats, or one column named
     as both label and draw, raises.  Labels must be exactly 0 or 1; missing
@@ -223,7 +226,7 @@ def _load_vectorized(
     """
     if path.suffix in _DECOMPRESSED_SUFFIXES:
         return None
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         if not fh.seekable():
             return None
         reader = csv.reader(fh)
@@ -268,7 +271,7 @@ def _load_rows(
     path: Path, label_column: str, draw_column: str | None
 ) -> LabeledDataset:
     """The row-by-row ``csv`` parse that decides :func:`load_csv`."""
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header, label_i, draw_i, feature_is = _read_header(
             reader, path, label_column, draw_column

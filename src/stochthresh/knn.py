@@ -21,17 +21,23 @@ In more dimensions, query rows go in blocks of ``budget // (n * d)``
 rows.  That rule bounds the recheck below, which gathers a ``(rows, width,
 d)`` array of candidate rows: ``width`` reaches n when the slack admits
 every column (features offset by 1e8, say), and the gather then holds
-``rows * n * d`` elements.  The few ``(rows, n)`` arrays of the filter hold
-at most ``budget / d`` elements each.
-Each block is filtered with one GEMM: the expanded squared distances
-``|q|^2 - 2 q.x + |x|^2`` are partitioned to ``k_max``, and every training
-row within a proven rounding-error slack of that ``k_max``-th value stays a
-candidate.  The candidates' exact squared distances ``((q - x)**2).sum()``
-are then recomputed, and the selection runs on them bit for bit as on the
-full distance row: the candidates arrive in canonical order, so one stable
-sort by distance puts the ``k_max`` nearest first in (distance, canonical
-index) order.  Cumulative label sums along that order give the prediction
-for every ``k <= k_max`` from one distance pass:
+``rows * n * d`` elements.  The filter's three ``(rows, n)`` arrays hold
+at most ``budget / d`` elements each.  They are one workspace, allocated
+once per call and reused by every block, so a long query set does not
+return its block temporaries to the system and fault them back in; the
+recheck's gather reuses the partition scratch whenever it fits there.
+Each block is filtered with one GEMM of augmented rows,
+``[q, 1, |q|^2] . [-2x, |x|^2, 1]``, which sums the expanded squared
+distance ``|q|^2 - 2 q.x + |x|^2`` in one product; its right-hand side is
+built once per call.  Those distances are partitioned to ``k_max``, and
+every training row within a proven rounding-error slack of that
+``k_max``-th value stays a candidate.  The candidates' exact squared
+distances ``((q - x)**2).sum()`` are then recomputed, and the selection
+runs on them bit for bit as on the full distance row: the candidates
+arrive in canonical order, so one stable sort by distance puts the
+``k_max`` nearest first in (distance, canonical index) order; rows that
+admit fewer candidates than the widest are padded.  Cumulative label sums along that order give the
+prediction for every ``k <= k_max`` from one distance pass:
 :meth:`KnnModel.predict_path`.  Single-k :meth:`KnnModel.predict` is the
 one-element case.
 
@@ -245,24 +251,48 @@ class KnnModel:
         cols_k = np.asarray(ks) - 1
         ks_f = np.asarray(ks, dtype=np.float64)
         out = np.empty((len(ks), m), dtype=np.float64)
-        sq_x = np.einsum("ij,ij->i", self.x, self.x)
         chunk = max(1, _BLOCK_ELEMENTS // (n * d))
+        # The filter's right-hand factor [-2x, |x|^2, 1]^T; scaling by -2 is
+        # exact.
+        xa = np.empty((d + 2, n))
+        xa[d + 1] = 1.0
+        with np.errstate(over="ignore"):
+            np.multiply(self.x.T, -2.0, out=xa[:d])
+            np.einsum("ij,ij->i", self.x, self.x, out=xa[d])
+        # One workspace for every block: its left-hand factor [q, 1, |q|^2],
+        # the filter's distances, the scratch they are partitioned in (then
+        # the recheck's gather), and the mask.
+        rows_ws = min(m, chunk)
+        qa = np.empty((rows_ws, d + 2))
+        qa[:, d] = 1.0
+        e = np.empty((rows_ws, n))
+        part = np.empty((rows_ws, n))
+        admit = np.empty((rows_ws, n), dtype=bool)
         for i0 in range(0, m, chunk):
             block = q[i0 : i0 + chunk]
             rows = block.shape[0]
-            admit = _gemm_filter(block, self.x, sq_x, k_max)
+            qa[:rows, :d] = block
+            with np.errstate(over="ignore"):
+                np.einsum("ij,ij->i", block, block, out=qa[:rows, d + 1])
+            _gemm_filter(qa[:rows], xa, k_max, e[:rows], part[:rows], admit[:rows])
             # Recheck: exact distances of the admitted columns only, one query
             # per row in ascending canonical index, padded with NaN (which
             # never compares true; each row admits at least k_max columns).
-            flat = np.flatnonzero(admit)
+            flat = np.flatnonzero(admit[:rows])
             counts = np.diff(np.searchsorted(flat, np.arange(rows + 1) * n))
-            valid = np.arange(counts.max()) < counts[:, None]
+            width = int(counts.max())
+            valid = np.arange(width) < counts[:, None]
             cand = np.zeros(valid.shape, dtype=np.intp)
             cand[valid] = flat % n
-            del admit, flat
-            # In place on the gathered rows: the one (rows, width, d)
-            # temporary, with the bits of ((block[:, None] - x) ** 2).sum().
-            xc = self.x[cand]
+            del flat
+            # In place on the gathered rows: the one (rows, width, d) array,
+            # with the bits of ((block[:, None] - x) ** 2).sum().  The
+            # partition scratch is dead by now; it holds the gather when that
+            # fits.  Every index is in range, so mode="clip" changes nothing
+            # but lets np.take write to ``out`` unbuffered.
+            size = rows * width * d
+            xc = part.reshape(-1)[:size].reshape(rows, width, d) if size <= part.size else None
+            xc = np.take(self.x, cand, axis=0, out=xc, mode="clip")
             np.subtract(block[:, None, :], xc, out=xc)
             np.square(xc, out=xc)
             d2 = xc.sum(axis=2)
@@ -283,41 +313,58 @@ class KnnModel:
 
 
 def _gemm_filter(
-    block: np.ndarray, x: np.ndarray, sq_x: np.ndarray, k_max: int
-) -> np.ndarray:
-    """Mask of the (query row, training row) pairs that may be k_max-nearest.
+    qa: np.ndarray, xa: np.ndarray, k_max: int,
+    e: np.ndarray, part: np.ndarray, admit: np.ndarray,
+) -> None:
+    """Set ``admit`` to the (query row, training row) pairs that may be k_max-nearest.
 
-    The mask admits every pair whose exact distance ``((q - x)**2).sum()``
-    is at most the k_max-th smallest of its query row.
+    ``qa`` holds the block's query rows as ``[q, 1, s_q]`` and ``xa`` the
+    training rows as ``[-2x, s_x, 1]^T``, where s_q and s_x are |q|^2 and
+    |x|^2 rounded as sums of d squares.  ``e`` (rows, n) receives the
+    product, ``part`` of its shape is scratch, and so is ``admit`` until it
+    holds the mask.  The mask admits
+    every pair whose exact distance ``((q - x)**2).sum()`` is at most the
+    k_max-th smallest of its query row.
 
     Let D be a pair's true squared distance, u = eps / 2, R = |q| + max|x|
-    and gamma_j = j u / (1 - j u).  In any summation order, with or without
-    FMA (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3):
-    the exact expression d2 has |d2 - D| <= gamma_{d+2} D <= gamma_{d+2} R^2,
-    and the expansion e = |q|^2 - 2 q.x + |x|^2 has |e - D| <= gamma_{d+2} R^2.
-    So |e - d2| <= 2 gamma_{d+2} R^2, about (d + 2) eps R^2; the slack
-    (d + 4) eps R^2 also covers the rounding of |q|, max|x|, R^2 and the
+    and gamma_j = j u / (1 - j u).  A sum whose every term passes at most j
+    roundings (a product or an addition each, in any summation order, with
+    or without FMA) is off by at most gamma_j times the sum of its terms'
+    absolute values (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3).
+    - The exact expression d2: each of its d terms passes a subtraction, a
+      square and at most d - 1 additions, so |d2 - D| <= gamma_{d+1} D
+      <= gamma_{d+1} R^2.
+    - The filter e: D = |q|^2 - 2 q.x + |x|^2 is a sum of 3d terms whose
+      absolute values sum to at most (|q| + |x|)^2 <= R^2.  A square summed
+      into s_q or s_x passes its own rounding and at most d - 1 additions
+      there; the GEMM's product by 1 is exact, and its at most d + 1
+      additions follow: 2d + 1 roundings.  A term q_j (-2 x_j) passes the
+      GEMM's product and at most d + 1 additions.  So
+      |e - D| <= gamma_{2d+1} R^2.
+    So |e - d2| <= (gamma_{2d+1} + gamma_{d+1}) R^2, about (3d + 2) eps R^2
+    / 2; the slack (2d + 4) eps R^2 exceeds that by at least 3.5 eps R^2,
+    which covers the rounding of |q|, max|x|, R^2, the slack itself and the
     bound's sum.  Underflow costs each of a pair's at most 9d operations no
     more than one smallest normal, even where a kernel flushes subnormals to
-    zero; the 16 (d + 4) tiny term covers that.
+    zero; the 16 (2d + 4) tiny term covers that.
 
     The k_max smallest e each have d2 <= e_kth + slack, so the exact k_max-th
     distance is at most that, and every pair at or below it has
     e <= e_kth + 2 slack.  A row with a non-finite e gets an infinite bound
     and admits every column, a NaN e too, since NaN fails ``e > bound``.
     """
-    d = block.shape[1]
+    d = qa.shape[1] - 2
     with np.errstate(over="ignore", invalid="ignore"):
-        sq_q = np.einsum("ij,ij->i", block, block)
-        e = (-2.0 * block) @ x.T  # scaling by -2 is exact
-        e += sq_q[:, None]
-        e += sq_x
-        radius = np.sqrt(sq_q) + np.sqrt(sq_x.max())
-        slack = (d + 4) * (_EPS * radius**2 + 16.0 * _TINY)
-        e_kth = np.partition(e, k_max - 1, axis=1)[:, k_max - 1]
-        bound = np.where(np.isfinite(e).all(axis=1), e_kth + 2.0 * slack, np.inf)
-        admit = e > bound[:, None]
-    return np.logical_not(admit, out=admit)
+        np.matmul(qa, xa, out=e)
+        radius = np.sqrt(qa[:, d + 1]) + np.sqrt(xa[d].max())
+        slack = (2 * d + 4) * (_EPS * radius**2 + 16.0 * _TINY)
+        np.copyto(part, e)
+        part.partition(k_max - 1, axis=1)
+        np.isfinite(e, out=admit)
+        bound = np.where(admit.all(axis=1), part[:, k_max - 1] + 2.0 * slack, np.inf)
+        np.greater(e, bound[:, None], out=admit)
+    np.logical_not(admit, out=admit)
 
 
 #: Names :func:`select_k` accepts.

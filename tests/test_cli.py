@@ -151,6 +151,15 @@ def test_tune_threshold_output_is_pinned(runner, tmp_path, with_draws, determini
     assert result.output == TUNE_THRESHOLD_PINNED[with_draws, deterministic]
 
 
+def test_tune_threshold_reads_a_file_with_a_byte_order_mark(runner, tmp_path):
+    plain = write_csv(tmp_path / "scored.csv", *_tie_heavy_scored_rows(False))
+    p = tmp_path / "bom.csv"
+    p.write_bytes("\ufeff".encode("utf-8") + plain.read_bytes())
+    result = runner.invoke(main, ["tune-threshold", "--data", str(p), "--metric", "f_beta:1"])
+    assert result.exit_code == 0, result.output
+    assert result.output == TUNE_THRESHOLD_PINNED[False, False]
+
+
 def test_tune_threshold_error_exit_codes(runner, tmp_path):
     missing = runner.invoke(main, ["tune-threshold", "--data", str(tmp_path / "no.csv")])
     assert missing.exit_code == 1

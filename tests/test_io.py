@@ -180,6 +180,16 @@ def test_load_csv_rejects_a_file_that_is_not_utf8(tmp_path, rows_before):
         load_csv(p)
 
 
+@pytest.mark.parametrize("first", ["x0", '"x0"'])
+def test_load_csv_drops_a_byte_order_mark(tmp_path, first):
+    p = tmp_path / "bom.csv"
+    p.write_bytes(f"\ufeff{first},label\n0.5,1\n0.25,0\n".encode("utf-8"))
+    for load in (load_csv, stochthresh.io._load_rows):
+        ds = load(p, "label", None)
+        assert ds.feature_names == ("x0",)
+        assert ds.covariates.tolist() == [[0.5], [0.25]]
+
+
 def _outcome(load, path, draw_column):
     """A loader's dataset, or the type and text of what it raised."""
     try:
@@ -207,6 +217,7 @@ LOAD_CASES = {
     "no final newline": ("x,label\n0.5,1\n0.25,0", None),
     "quoted cell": ('x,label\n"0.5",1\n0.25,0\n', None),
     "quoted header": ('"x","label"\n0.5,1\n0.25,0\n', None),
+    "byte-order mark": ('\ufeff"x",label\n0.5,1\n0.25,0\n', None),
     "underscore digits": ("x,label\n1_0,1\n0.25,0\n", None),
     "non-ascii digit": ("x,label\n٣,1\n0.25,0\n", None),
     "extra field": ("x,label\n0.5,1\n0.25,0,7\n", None),

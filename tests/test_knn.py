@@ -7,6 +7,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stochthresh import (
     BoundInputs,
@@ -221,27 +224,80 @@ def test_single_k_predict_is_the_path_row(rng):
 
 
 def test_distance_block_size_counts_dimension(monkeypatch):
-    # Query rows per block = max(1, budget // (n * d)).  Each block is
-    # partitioned twice: all n filter distances, then its exact candidates.
+    # Query rows per block = max(1, budget // (n * d)).  Each block makes one
+    # filter GEMM, into the first ``rows`` rows of the call's workspace.
     shapes = []
-    real_partition = np.partition
+    real_matmul = np.matmul
 
-    def recording_partition(a, kth, axis):
-        shapes.append(a.shape)
-        return real_partition(a, kth, axis=axis)
+    def recording_matmul(a, b, out=None):
+        shapes.append(out.shape)
+        return real_matmul(a, b, out=out)
 
-    monkeypatch.setattr(knn.np, "partition", recording_partition)
+    monkeypatch.setattr(knn.np, "matmul", recording_matmul)
     monkeypatch.setattr(knn, "_BLOCK_ELEMENTS", 600)
     rng = np.random.default_rng(0)
     model = KnnModel.fit(rng.random((20, 10)), rng.integers(0, 2, 20), 2)
     model.predict(rng.random((7, 10)))
-    assert [s[0] for s in shapes] == [3, 3, 3, 3, 1, 1]
-    assert shapes[::2] == [(3, 20), (3, 20), (1, 20)]
+    assert shapes == [(3, 20), (3, 20), (1, 20)]
     shapes.clear()
     model = KnnModel.fit(rng.random((100, 10)), rng.integers(0, 2, 100), 2)
     model.predict(rng.random((2, 10)))  # one row already exceeds the budget
-    assert [s[0] for s in shapes] == [1, 1, 1, 1]
-    assert shapes[::2] == [(1, 100), (1, 100)]
+    assert shapes == [(1, 100), (1, 100)]
+
+
+def test_predict_path_workspace_keeps_no_stale_rows(rng, tiny_blocks):
+    # 49 distinct grid points at d = 2: 10 query rows per block, so 23
+    # queries make blocks of 10, 10 and 3 that share one workspace.  Random
+    # queries see no distance tie, so each of their rows admits exactly
+    # k_max columns; grid queries tie at the k_max-th distance in numbers
+    # that differ by row, so the middle block pads its narrower rows.
+    x = np.stack(np.meshgrid(np.arange(7.0), np.arange(7.0)), axis=-1).reshape(-1, 2)
+    model = KnnModel.fit(x, rng.integers(0, 2, 49), 6)
+    smooth = 6.0 * rng.random((13, 2))
+    grid = rng.integers(0, 7, size=(10, 2)).astype(np.float64)
+    grid[:2] = ((0.0, 0.0), (3.0, 3.0))  # 6 and 9 pairs within the 6th distance
+    queries = np.vstack((smooth[:10], grid, smooth[10:]))
+
+    def within_kth(row):
+        d2 = ((row - model.x) ** 2).sum(axis=1)
+        return int((d2 <= np.sort(d2)[5]).sum())
+
+    widths = [within_kth(row) for row in queries]
+    assert widths[:10] == [6] * 10 and widths[20:] == [6] * 3
+    assert widths[10:12] == [6, 9]
+    _assert_path_matches_reference(model, queries, (1, 2, 6))
+    _assert_path_matches_reference(model, queries, (3, 6, 4))
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_predict_path_matches_argsort_reference_on_lattices(monkeypatch, data):
+    # Integer training rows, some repeated, and half-integer queries: exact
+    # distances, many ties at every k.  Budgets of 1 and 64 put one or a few
+    # query rows in a block.
+    d = data.draw(st.integers(2, 5), label="d")
+    coord = st.integers(0, data.draw(st.integers(1, 4), label="side") - 1)
+    x = data.draw(hnp.arrays(np.int64, (data.draw(st.integers(1, 30)), d), elements=coord))
+    x = np.vstack((x, x[: data.draw(st.integers(0, len(x)), label="copies")]))
+    y = data.draw(hnp.arrays(np.int64, len(x), elements=st.integers(0, 1)), label="y")
+    queries = 0.5 * data.draw(
+        hnp.arrays(np.int64, (data.draw(st.integers(0, 12)), d), elements=st.integers(-1, 8)),
+        label="twice the queries",
+    )
+    ks = data.draw(st.lists(st.integers(1, len(x)), min_size=1, max_size=4), label="ks")
+    monkeypatch.setattr(knn, "_BLOCK_ELEMENTS", data.draw(st.sampled_from((1, 64, 1 << 20))))
+    _assert_path_matches_reference(KnnModel.fit(x, y, ks[0]), queries, tuple(ks))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_predict_on_zero_query_rows(rng, d):
+    model = KnnModel.fit(rng.random((12, d)), rng.integers(0, 2, 12), 3)
+    assert model.predict_path(np.empty((0, d)), (1, 3, 12)).shape == (3, 0)
+    assert model.predict(np.empty((0, d))).shape == (0,)
 
 
 # The n-d path filters pairs by the BLAS expansion |q|^2 - 2 q.x + |x|^2 and
