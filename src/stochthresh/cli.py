@@ -100,7 +100,7 @@ def _config_defaults(ctx, param, path):
     if path is None:
         return
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise click.ClickException(str(exc)) from exc

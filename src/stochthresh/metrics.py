@@ -260,15 +260,19 @@ def _score_cuts(scores: np.ndarray, labels: np.ndarray):
 
     ``rows_le[g]`` counts the scores ``<= u[g]`` and ``pos_le[g]`` the
     positive-labeled ones among them (int64), so prefix ``rows_le[g]`` of
-    any score-sorted order holds ``pos_le[g]`` positives.  Two value sorts
-    and one ``searchsorted`` give them; no permutation is built or applied.
-    ``0.0`` and ``-0.0`` are one distinct score, of either sign.
+    any score-sorted order holds ``pos_le[g]`` positives.  One value sort
+    gives them, of int64 keys ``2 bits(score) + label``: the scores must lie
+    in [0, 1], where the bit patterns of nonnegative floats order as the
+    floats do and stay below 2^62.  No permutation is built or applied.  ``0.0``
+    and ``-0.0`` are one distinct score, reported as ``0.0``.
     """
-    s = np.sort(scores)
-    rows_le = np.append(np.flatnonzero(s[1:] != s[:-1]) + 1, s.size)
-    u = s[rows_le - 1]
-    pos_le = np.searchsorted(np.sort(scores[labels == 1]), u, side="right")
-    return u, rows_le, pos_le
+    key = (scores + 0.0).view(np.int64) << 1  # + 0.0 turns -0.0 into 0.0
+    key |= labels
+    key.sort()
+    cum_pos = np.cumsum(key & 1)
+    key >>= 1
+    rows_le = np.append(np.flatnonzero(key[1:] != key[:-1]) + 1, key.size)
+    return key[rows_le - 1].view(np.float64), rows_le, cum_pos[rows_le - 1]
 
 
 def roc_and_auroc(scores, labels) -> RocCurve:
@@ -299,6 +303,10 @@ def roc_and_auroc(scores, labels) -> RocCurve:
         raise DegenerateInputError(
             "ROC needs at least one positive and one negative label"
         )
+    if s.min() < 0.0 or s.max() > 1.0:
+        # _score_cuts reads scores in [0, 1]; the ROC needs only their order
+        # and ties, which dense ranks over n keep.
+        s = np.unique(s, return_inverse=True)[1] / s.size
     _, rows_le, pos_le = _score_cuts(s, y)
     # Rows and positives at or above each distinct score, highest first.
     rows_ge = y.size - np.append(0, rows_le[:-1])[::-1]

@@ -8,16 +8,53 @@ not one of them, since the rule labels both rows alike; the searches skip
 it.
 :func:`_sweep_order` is that sort; a cumulative positive count over it
 gives the confusion cells of a prefix as integer counts divided by n.  The
-stochastic sweep reads all n + 1 prefixes, the deterministic search only
-the cuts between distinct scores: O(n log n) and *exactly* optimal, with
-no grid.  The sweep order comes from unstable argsorts and a key that is
-exact unless two keys collide (then ``np.lexsort`` decides).  The
-deterministic search needs no order at all: the counts at each distinct
-score come from value sorts (``metrics._score_cuts``), which no order
-inside a tie group can change.  A quadratic brute-force twin sorts on its
-own and re-materializes every prefix from scratch, so it is an independent
-oracle that evaluates measures on bit-identical cells and must agree
-exactly.
+stochastic sweep reads every prefix, the deterministic search only the
+cuts between distinct scores: O(n log n) and *exactly* optimal, with no
+grid.  The sweep order comes from unstable argsorts and a key that is
+exact unless two keys collide (then ``np.lexsort`` decides).  The cuts
+need no order at all: the counts at each distinct score come from a value
+sort (``metrics._score_cuts``), which no order inside a tie group can
+change, and :func:`_cut_values` evaluates them for both searches.  A
+quadratic brute-force twin sorts on its own and re-materializes every
+prefix from scratch, so it is an independent oracle that evaluates
+measures on bit-identical cells and must agree exactly.
+
+The corner bound.  Every prefix whose last row lies in the tie group of
+distinct score g differs from the cut before the group only in how the
+group's rows are labeled.  Labeling the rest of the group's negatives 0
+and its positives 1 moves false-positive mass to true negatives and
+false-negative mass to true positives, and reaches the group's *corner*:
+all of its negatives labeled 0, none of its positives.  Every registered
+measure is monotone under that error correction (the measure contract in
+:mod:`.metrics`; the float parameters the code uses keep it), so the
+corner's exact value bounds every such prefix, the group's last cut
+included, and group 0's corner also bounds prefix 0.  From
+``_PRUNE_MIN_ROWS`` rows on the sweep therefore evaluates the cuts and,
+in one vectorized call, the corners (both from counts, with the sweep's
+expression); it sorts only the rows from the first group whose corner
+plus ``_CORNER_SLACK`` reaches the best reachable cut value to the last
+such group, and evaluates their prefixes.  The group that holds the first
+maximum is in that range, so the result is the full sweep's bit for bit,
+and the winning (t, p) is read from the winning prefix's actual last row.
+On a tie-heavy sample with 1/100 score steps that range holds a fifth to
+a quarter of the rows.  Below ``_PRUNE_MIN_ROWS`` rows the extra numpy
+calls cost more than the full sort saves, and the sweep sorts every row.
+
+The slack.  Let u = 2^-53.  Each cell count / n is within relative u of
+its exact value, and every measure value lies in [-1, 1].  Accuracy,
+weighted accuracy and tp_tn_product add at most 3 roundings, so a float
+value is within E <= 4u of the exact value of the same counts; precision,
+recall and f_beta (sums of nonnegative terms, one division) within 8u.
+For mcc the numerator tp tn - fp fn cancels: its error is at most
+4u (tp tn + fp fn) <= 4u (tp + fp)(tn + fn), and the denominator
+sqrt((tp + fp)(tn + fn) P N) amplifies it by at most 1 / (2 sqrt(P N))
+<= sqrt(n) with P, N >= 1 / n (else the value is exactly 0), so
+E <= (4 sqrt(n) + 8) u.  For tp^theta tn the relative error u of tp grows
+to theta u and tp^theta theta <= 1 / (e ln(1 / tp)) <= n, since tp is
+exactly 1 or at most 1 - 1 / n; with pow's own rounding E <= (n + 4) u.
+A prefix beats its corner in floats by at most 2E, and 2 (n + 4) u is
+below ``_CORNER_SLACK`` = 2^-20 for every n < 2^31; a sample that large
+holds 48 GiB of input arrays.
 
 The population search is exact too.  The population cells are linear in
 p on the tie set of a breakpoint (eta's piece values or atom, 0 and 1),
@@ -75,6 +112,15 @@ class ThresholdSearchResult:
         j = self.classification_prefix_index
         if j is not None and j < 0:
             raise ParameterDomainError(f"prefix index {j!r} must be >= 0")
+
+
+#: Rows from which :func:`optimize_threshold` sorts only the open tie groups.
+#: The measured per-call crossover on exp1's and exp2's tuning samples lies
+#: between 2,154 rows (full sort faster) and 3,594 rows (pruned faster).
+_PRUNE_MIN_ROWS = 3_000
+
+#: Above twice the rounding error of any measure value (module docstring).
+_CORNER_SLACK = 2.0**-20
 
 
 def _key_order(s: np.ndarray, z: np.ndarray) -> np.ndarray | None:
@@ -141,15 +187,22 @@ def _prefix_threshold(
     return StochasticThreshold(float(scores[row]), float(draws[row]))
 
 
-def optimize_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
-    """Exactly maximize the measure over all stochastic thresholds.
+def _cut_values(scores: np.ndarray, labels: np.ndarray, spec: CmmSpec):
+    """(u, rows, pos, vals) at prefix 0 and at the cut after each distinct score.
 
-    Every sample must carry its stored uniform draw.  Ties in the measure
-    break toward the smallest reachable prefix index.  The returned (t, p)
-    is the (score, draw) pair of the last excluded sample, and reproduces
-    the winning classification.
+    ``u`` is ``_score_cuts``' distinct scores; ``rows`` and ``pos`` hold
+    0 for prefix 0 and then the rows and positives at or below each
+    ``u[g]``; ``vals`` is the measure there, by the sweep's expression on
+    the same integers, so a cut's value has the sweep's bits.
     """
-    scores, labels, draws = as_sample_arrays(samples, require_draws=True)
+    u, rows_le, pos_le = _score_cuts(scores, labels)
+    rows, pos = np.append(0, rows_le), np.append(0, pos_le)
+    vals = np.asarray(_cmm_values(spec, *_cells(rows, pos, scores.size, int(pos[-1]))))
+    return u, rows, pos, vals
+
+
+def _full_sweep(scores, labels, draws, spec: CmmSpec) -> ThresholdSearchResult:
+    """The sweep over all n + 1 prefixes of one sort of every row."""
     order, repeat = _sweep_order(scores, draws)
     # Labels are gathered through the order once; scores and draws only at
     # the winning prefix.
@@ -170,6 +223,69 @@ def optimize_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
         metric_value=float(vals[best]),
         classification_prefix_index=best,
     )
+
+
+def _open_groups(spec: CmmSpec, rows, pos, best: float) -> np.ndarray:
+    """Indices of the tie groups whose corner comes within the slack of ``best``.
+
+    Group g holds sorted rows ``rows[g]`` to ``rows[g + 1]`` (``_cut_values``);
+    its corner labels all of its negatives 0 and all of its positives 1.  A
+    one-row group has no prefix inside it, but it opens too when its corner
+    (its last cut if the row is negative, else the cut before it) reaches
+    ``best``, because the winning row is read from the sorted rows.
+    """
+    n, npos = int(rows[-1]), int(pos[-1])
+    corner_j = rows[1:] - (pos[1:] - pos[:-1])
+    corner = np.asarray(_cmm_values(spec, *_cells(corner_j, pos[:-1], n, npos)))
+    return np.flatnonzero(corner + _CORNER_SLACK >= best)
+
+
+def _pruned_sweep(scores, labels, draws, spec: CmmSpec) -> ThresholdSearchResult:
+    """The sweep that sorts only the rows of the open tie groups (module docstring)."""
+    n = scores.size
+    u, rows, pos, vals = _cut_values(scores, labels, spec)
+    if u[0] == 0.0 and np.any(draws[scores == 0.0] == 1.0):
+        vals[0] = -np.inf  # no threshold reaches prefix 0
+    # Each group's corner bounds its last cut and group 0's bounds prefix 0,
+    # so the group ending at the best cut (group 0 for prefix 0) is open.
+    open_groups = _open_groups(spec, rows, pos, vals.max())
+    first, last = open_groups[0], open_groups[-1]
+    # The rows of groups first..last, in row order, so that their sweep
+    # order is the full one's between prefixes rows[first] and rows[last + 1].
+    sub = np.flatnonzero((scores >= u[first]) & (scores <= u[last]))
+    sub_order, repeat = _sweep_order(scores[sub], draws[sub])
+    order = sub[sub_order]
+    cum_pos = np.cumsum(labels[order])
+    cum_pos += pos[first]
+    j = np.arange(rows[first] + 1, rows[last + 1] + 1)
+    sub_vals = np.asarray(_cmm_values(spec, *_cells(j, cum_pos, n, int(pos[-1]))))
+    if repeat is not None:
+        sub_vals[:-1][repeat] = -np.inf
+    k = int(np.argmax(sub_vals))
+    if not sub_vals[k] > vals[0]:  # prefix 0 is the first maximum
+        return ThresholdSearchResult(
+            _prefix_threshold(0, scores, draws, order), float(vals[0]), 0
+        )
+    return ThresholdSearchResult(
+        threshold=_prefix_threshold(k + 1, scores, draws, order),
+        metric_value=float(sub_vals[k]),
+        classification_prefix_index=int(j[k]),
+    )
+
+
+def optimize_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
+    """Exactly maximize the measure over all stochastic thresholds.
+
+    Every sample must carry its stored uniform draw.  Ties in the measure
+    break toward the smallest reachable prefix index.  The returned (t, p)
+    is the (score, draw) pair of the last excluded sample, and reproduces
+    the winning classification.  From ``_PRUNE_MIN_ROWS`` rows on, only the
+    tie groups named in the module docstring are sorted; the result is the
+    same bit for bit.
+    """
+    scores, labels, draws = as_sample_arrays(samples, require_draws=True)
+    sweep = _full_sweep if scores.size < _PRUNE_MIN_ROWS else _pruned_sweep
+    return sweep(scores, labels, draws, spec)
 
 
 def brute_force_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
@@ -224,18 +340,14 @@ def optimize_threshold_deterministic(samples, spec: CmmSpec) -> ThresholdSearchR
     all-1 labeling has t = 0.
     """
     scores, labels, _ = as_sample_arrays(samples)
-    u, rows_le, pos_le = _score_cuts(scores, labels)
-    offset = int(u[0] > 0.0)  # prefix 0 leads the candidates
-    if offset:
-        rows_le, pos_le = np.append(0, rows_le), np.append(0, pos_le)
-    cells = _cells(rows_le, pos_le, scores.size, int(pos_le[-1]))
-    vals = np.asarray(_cmm_values(spec, *cells))
+    u, rows, _, vals = _cut_values(scores, labels, spec)
+    if not u[0] > 0.0:  # prefix 0 needs every score above t = 0
+        vals[0] = -np.inf
     i = int(np.argmax(vals))
-    g = i - offset
     return ThresholdSearchResult(
-        threshold=StochasticThreshold(float(u[g]) + 0.0 if g >= 0 else 0.0, 0.0),
+        threshold=StochasticThreshold(float(u[i - 1]) if i else 0.0, 0.0),
         metric_value=float(vals[i]),
-        classification_prefix_index=int(rows_le[i]),
+        classification_prefix_index=int(rows[i]),
     )
 
 

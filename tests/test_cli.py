@@ -496,6 +496,17 @@ def test_config_values_write_the_same_files_as_flags(runner, tmp_path, command, 
     assert from_config == from_flags
 
 
+def test_a_config_file_with_a_byte_order_mark_is_read(runner, tmp_path):
+    # Some editors save UTF-8 with a leading U+FEFF, which json.load rejects.
+    args = _fraud_data(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('\ufeff{"seed": 3}', encoding="utf-8")
+    assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
+    from_config = _written_files(runner, tmp_path, "config", [*args, "--config", str(cfg)])
+    assert from_config == _written_files(runner, tmp_path, "flags", [*args, "--seed", "3"])
+    assert from_config != _written_files(runner, tmp_path, "default", args)
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------

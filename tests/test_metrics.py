@@ -248,12 +248,16 @@ def argsort_roc(scores, labels):
     return tuple(zip(map(float, fpr), map(float, tpr))), float(np.trapezoid(tpr, fpr))
 
 
-@pytest.mark.parametrize("kind", ["tie-heavy", "continuous"])
+@pytest.mark.parametrize("kind", ["tie-heavy", "continuous", "outside [0, 1]"])
 def test_roc_from_score_cuts_equals_the_argsort_roc(kind):
     gen = np.random.default_rng(100_000)
     scores, labels = tie_heavy_sample(gen, 100_000)
     if kind == "continuous":
         scores = gen.random(scores.size)
+    elif kind == "outside [0, 1]":  # ties kept, and a signed-zero group
+        scores = (scores - 0.5) * 1e6
+        scores[:100] = 0.0
+        scores[:100:2] = -0.0
     knots, auroc = argsort_roc(scores, labels)
     got = roc_and_auroc(scores, labels)
     assert np.array(got.knots).tobytes() == np.array(knots).tobytes()

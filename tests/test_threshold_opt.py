@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -47,12 +49,33 @@ def random_tied_instance(gen: np.random.Generator, n: int):
     return scores, labels, draws
 
 
+def result_bits(res) -> tuple:
+    th = res.threshold
+    return (th.t.hex(), th.p.hex(), res.metric_value.hex(), res.classification_prefix_index)
+
+
+#: ``_PRUNE_MIN_ROWS`` values that force each side of the sweep's row count.
+SWEEP_SIDES = {"full": 2**62, "pruned": 0}
+
+
+def sweep(sample, spec: CmmSpec):
+    """``optimize_threshold`` on the full and on the pruned side; both must
+    give the same result bit for bit, which is returned."""
+    results = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for side, rows in SWEEP_SIDES.items():
+            mp.setattr(threshold_opt, "_PRUNE_MIN_ROWS", rows)
+            results[side] = optimize_threshold(sample, spec)
+    assert result_bits(results["pruned"]) == result_bits(results["full"]), spec
+    return results["full"]
+
+
 # ---------------------------------------------------------------------------
 # empirical sweep
 
 
 def test_separable_instance_reaches_perfect_accuracy():
-    res = optimize_threshold(
+    res = sweep(
         (np.array([0.9, 0.8, 0.3]), np.array([1, 1, 0]), np.zeros(3)), ACC
     )
     assert res.metric_value == 1.0
@@ -66,7 +89,7 @@ def test_all_negative_labels_reach_the_all_negative_value(rng):
     draws = rng.random(20)
     all_neg = ConfusionMatrix(tn=1.0, fp=0.0, fn=0.0, tp=0.0)
     for spec in representative_specs():
-        res = optimize_threshold((scores, labels, draws), spec)
+        res = sweep((scores, labels, draws), spec)
         assert res.metric_value == evaluate_cmm(spec, all_neg)
 
 
@@ -74,28 +97,23 @@ def test_small_generated_instance_matches_oracle():
     train = generate(exp1_problem(), 12, 3)
     scores = exp1_problem().evaluate(train.covariates[:, 0])
     samples = (scores, train.labels, train.draws)
-    fast = optimize_threshold(samples, PRODUCT)
+    fast = sweep(samples, PRODUCT)
     slow = brute_force_threshold(samples, PRODUCT)
     assert fast.metric_value == slow.metric_value
     assert fast.classification_prefix_index == slow.classification_prefix_index
 
 
 def test_single_sample_prefers_classify_all_one():
-    res = optimize_threshold(([0.7], [1], [0.4]), ACC)
+    res = sweep(([0.7], [1], [0.4]), ACC)
     assert res.metric_value == 1.0
     assert res.classification_prefix_index == 0
     assert (res.threshold.t, res.threshold.p) == (0.0, 1.0)
 
 
-def result_bits(res) -> tuple:
-    th = res.threshold
-    return (th.t.hex(), th.p.hex(), res.metric_value.hex(), res.classification_prefix_index)
-
-
 def test_all_one_is_skipped_when_a_zero_score_has_draw_one():
     # No (t, p) labels the first row 1: s > t needs t < 0, z < p needs p > 1.
     sample = (np.array([0.0, 0.5]), np.array([1, 1]), np.array([1.0, 0.3]))
-    fast = optimize_threshold(sample, ACC)
+    fast = sweep(sample, ACC)
     assert result_bits(fast) == result_bits(brute_force_threshold(sample, ACC))
     assert (fast.metric_value, fast.classification_prefix_index) == (0.5, 1)
     assert evaluate_cmm(ACC, empirical_confusion(fast.threshold, sample)) == 0.5
@@ -109,14 +127,14 @@ def test_sweep_equals_brute_force_when_draws_reach_one():
         sample = (gen.integers(0, 3, size=n) / 2.0, gen.integers(0, 2, size=n),
                   gen.integers(0, 3, size=n) / 2.0)
         spec = specs[int(gen.integers(0, len(specs)))]
-        fast = optimize_threshold(sample, spec)
+        fast = sweep(sample, spec)
         assert result_bits(fast) == result_bits(brute_force_threshold(sample, spec))
         if fast.classification_prefix_index == 0:
             assert not np.any((sample[0] == 0.0) & (sample[2] == 1.0))
 
 
 def test_tied_scores_split_by_draw_ordering():
-    res = optimize_threshold(
+    res = sweep(
         (np.array([0.5, 0.5]), np.array([1, 0]), np.array([0.2, 0.8])), PRODUCT
     )
     # The draw-0.8 sample sorts first and is excluded; the draw-0.2 sample
@@ -130,7 +148,7 @@ def test_a_repeated_score_draw_pair_is_never_split():
     # Any (t, p) labels both rows alike, so prefix 1, accuracy 1.0 at
     # (0.5, 0.3), is not a classification; it used to be reported.
     sample = (np.array([0.5, 0.5]), np.array([0, 1]), np.array([0.3, 0.3]))
-    fast = optimize_threshold(sample, ACC)
+    fast = sweep(sample, ACC)
     assert result_bits(fast) == result_bits(brute_force_threshold(sample, ACC))
     assert (fast.metric_value, fast.classification_prefix_index) == (0.5, 0)
     assert evaluate_cmm(ACC, empirical_confusion(fast.threshold, sample)) == 0.5
@@ -151,7 +169,7 @@ def test_every_reported_threshold_gives_its_value_on_lattices(seed, n, signed_ze
         draws[(draws == 0.0) & (gen.random(n) < 0.5)] = -0.0
     sample = (scores, gen.integers(0, 2, size=n), draws)
     for spec in representative_specs():
-        fast = optimize_threshold(sample, spec)
+        fast = sweep(sample, spec)
         assert result_bits(fast) == result_bits(brute_force_threshold(sample, spec))
         again = evaluate_cmm(spec, empirical_confusion(fast.threshold, sample))
         assert again == fast.metric_value
@@ -167,10 +185,128 @@ def test_sweep_equals_brute_force_on_tied_instances(seed, n, spec_i):
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     scores, labels, draws = random_tied_instance(gen, n)
     spec = representative_specs()[spec_i]
-    fast = optimize_threshold((scores, labels, draws), spec)
+    fast = sweep((scores, labels, draws), spec)
     slow = brute_force_threshold((scores, labels, draws), spec)
     assert fast.metric_value == slow.metric_value
     assert fast.classification_prefix_index == slow.classification_prefix_index
+
+
+# ---------------------------------------------------------------------------
+# pruned sweep: only the tie groups whose corner reaches the best cut are sorted
+
+
+def score_step_sample(gen: np.random.Generator, n: int):
+    """The benchmark's tune layout: scores on 1/100 steps, about 30 % positives
+    scored higher, and distinct draws on a 1e-9 grid."""
+    labels = (gen.random(n) < 0.3).astype(np.int64)
+    scores = gen.binomial(100, np.where(labels == 1, 0.55, 0.45)) / 100.0
+    return scores, labels, gen.choice(10**9 + 1, n, replace=False) / 1e9
+
+
+@pytest.mark.parametrize("layout", ["score steps", "continuous", "tied draws"])
+def test_pruned_sweep_equals_full_sweep_at_size(layout):
+    # 5e4 rows is past the brute-force oracle's reach, so the full sweep,
+    # which that oracle checks on small samples, is the reference here.
+    gen = np.random.default_rng(50_000)
+    scores, labels, draws = score_step_sample(gen, 50_000)
+    if layout == "continuous":
+        scores = gen.random(scores.size)
+    elif layout == "tied draws":  # repeated pairs, the lexsort fallback, skips
+        draws = gen.integers(0, 1_001, scores.size) / 1_000.0
+        scores[:300] = 0.0
+        scores[:300:2] = -0.0
+        draws[:3] = 1.0
+    assert scores.size >= threshold_opt._PRUNE_MIN_ROWS
+    for spec in representative_specs():
+        sweep((scores, labels, draws), spec)
+
+
+def test_pruned_sweep_sorts_under_a_third_of_a_tie_heavy_sample(monkeypatch):
+    sorted_rows = []
+
+    def counted(scores, draws):
+        sorted_rows.append(scores.size)
+        return _sweep_order(scores, draws)
+
+    monkeypatch.setattr(threshold_opt, "_sweep_order", counted)
+    scores, labels, draws = score_step_sample(np.random.default_rng(31), 50_000)
+    for spec in representative_specs():
+        sorted_rows.clear()
+        optimize_threshold((scores, labels, draws), spec)
+        assert 0 < sum(sorted_rows) < scores.size / 3, spec
+
+
+def exact_key(spec: CmmSpec, tn, fp, fn, tp) -> Fraction:
+    """A rational that orders Fraction cells as the measure's exact values do.
+
+    It is the value itself, or for mcc value * |value| and for
+    ``tp^theta * tn`` value^q with theta = p / q.  The representative
+    parameters are dyadic, so the float code's coefficients are exact too.
+    """
+    q = Fraction(spec.param) if spec.param is not None else None
+    if spec.kind == "accuracy":
+        return tp + tn
+    if spec.kind == "weighted_accuracy":
+        return (1 - q) * tp + q * tn
+    if spec.kind == "tp_tn_product":
+        return tp * tn
+    if spec.kind == "tp_pow_theta_tn":
+        return tp**q.numerator * tn**q.denominator
+    if spec.kind == "mcc":
+        num = tp * tn - fp * fn
+        den = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
+        return num * abs(num) / den if den else Fraction(0)
+    if spec.kind == "precision":
+        num, den = tp, tp + fp
+    elif spec.kind == "recall":
+        num, den = tp, tp + fn
+    else:
+        num, den = (1 + q * q) * tp, (1 + q * q) * tp + fp + q * q * fn
+    return num / den if den else Fraction(0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=1, max_value=40),
+    signed_zeros=st.booleans(),
+)
+def test_corners_bound_their_groups_and_closed_groups_miss_the_optimum(
+    seed, n, signed_zeros
+):
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    scores = gen.integers(0, 5, size=n) / 4.0
+    draws = gen.integers(0, 5, size=n) / 4.0
+    if signed_zeros:
+        scores[(scores == 0.0) & (gen.random(n) < 0.5)] = -0.0
+    labels = gen.integers(0, 2, size=n)
+    order = lexsort_sweep_reference(scores, draws)
+    s, z = scores[order], draws[order]
+    cum_pos = np.concatenate(([0], np.cumsum(labels[order]))).tolist()
+    npos = cum_pos[-1]
+    reachable = [j for j in range(n + 1) if (
+        j == n or (j == 0 and not np.any((scores == 0.0) & (draws == 1.0)))
+        or (0 < j < n and not (s[j] == s[j - 1] and z[j] == z[j - 1]))
+    )]
+
+    def cells(j, pos):
+        neg = j - pos
+        return (Fraction(neg, n), Fraction(n - npos - neg, n), Fraction(pos, n),
+                Fraction(npos - pos, n))
+
+    for spec in representative_specs():
+        exact = [exact_key(spec, *cells(j, cum_pos[j])) for j in range(n + 1)]
+        best = max(exact[j] for j in reachable)
+        _, rows, pos, vals = threshold_opt._cut_values(scores, labels, spec)
+        best_cut = max(v for j, v in zip(rows.tolist(), vals) if j in reachable)
+        open_groups = threshold_opt._open_groups(spec, rows, pos, best_cut)
+        rows, pos = rows.tolist(), pos.tolist()
+        for g in range(len(rows) - 1):
+            a, b = rows[g], rows[g + 1]
+            corner = exact_key(spec, *cells(b - (pos[g + 1] - pos[g]), pos[g]))
+            assert max(exact[a:b + 1]) <= corner, (spec, g)
+            if g not in open_groups:  # no prefix ending in the group may win
+                assert max(exact[a + 1:b + 1]) < best, (spec, g)
 
 
 def test_brute_force_rejects_large_instances():
@@ -433,7 +569,7 @@ def test_deterministic_equals_stochastic_on_distinct_positive_scores(rng):
         labels = rng.integers(0, 2, size=n)
         draws = rng.random(n)
         spec = representative_specs()[int(rng.integers(0, 14))]
-        sto = optimize_threshold((scores, labels, draws), spec)
+        sto = sweep((scores, labels, draws), spec)
         det = optimize_threshold_deterministic((scores, labels), spec)
         assert det.metric_value == sto.metric_value
         assert det.classification_prefix_index == sto.classification_prefix_index
@@ -444,7 +580,7 @@ def test_deterministic_cannot_split_a_pure_tie():
     samples = (np.array([0.5, 0.5]), np.array([1, 0]))
     det = optimize_threshold_deterministic(samples, PRODUCT)
     assert det.metric_value == 0.0
-    sto = optimize_threshold(
+    sto = sweep(
         (np.array([0.5, 0.5]), np.array([1, 0]), np.array([0.2, 0.8])), PRODUCT
     )
     assert sto.metric_value == 0.25
