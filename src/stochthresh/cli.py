@@ -50,13 +50,13 @@ __all__ = ["main"]
 
 
 def _friendly(fn):
-    """Map package/data errors and OS errors to exit code 1 with the error message."""
+    """Map package/data errors, OS errors and float overflows to exit code 1 with the message."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (StochthreshError, OSError) as exc:
+        except (StochthreshError, OSError, OverflowError) as exc:
             raise click.ClickException(str(exc)) from exc
 
     return wrapper

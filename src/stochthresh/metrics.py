@@ -81,8 +81,8 @@ class CmmSpec:
     """A registered measure kind plus its parameter, if the kind takes one.
 
     Parametric kinds: ``weighted_accuracy`` (weight in (0, 1)), ``f_beta``
-    (beta > 0), ``tp_pow_theta_tn`` (theta > 0).  All other kinds must be
-    constructed with ``param=None``.
+    (beta > 0 with a finite beta^2), ``tp_pow_theta_tn`` (theta > 0).  All
+    other kinds must be constructed with ``param=None``.
     """
 
     kind: str
@@ -113,6 +113,8 @@ class CmmSpec:
             raise ParameterDomainError(
                 f"{self.kind} parameter must be positive, got {p!r}"
             )
+        if self.kind == "f_beta" and not np.isfinite(p * p):
+            raise ParameterDomainError(f"f_beta parameter {p!r} squared overflows")
 
     @classmethod
     def parse(cls, text: str) -> "CmmSpec":

@@ -38,7 +38,7 @@ maximum is in that range, so the result is the full sweep's bit for bit,
 and the winning (t, p) is read from the winning prefix's actual last row.
 On a tie-heavy sample with 1/100 score steps that range holds a fifth to
 a quarter of the rows.  Below ``_PRUNE_MIN_ROWS`` rows the extra numpy
-calls cost more than the full sort saves, and the sweep sorts every row.
+calls cost more than the full sort saves, and every group counts as open.
 
 The slack.  Let u = 2^-53.  Each cell count / n is within relative u of
 its exact value, and every measure value lies in [-1, 1].  Accuracy,
@@ -201,30 +201,6 @@ def _cut_values(scores: np.ndarray, labels: np.ndarray, spec: CmmSpec):
     return u, rows, pos, vals
 
 
-def _full_sweep(scores, labels, draws, spec: CmmSpec) -> ThresholdSearchResult:
-    """The sweep over all n + 1 prefixes of one sort of every row."""
-    order, repeat = _sweep_order(scores, draws)
-    # Labels are gathered through the order once; scores and draws only at
-    # the winning prefix.
-    n = scores.size
-    cum_pos = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(labels[order], out=cum_pos[1:])
-    vals = np.asarray(
-        _cmm_values(spec, *_cells(np.arange(n + 1), cum_pos, n, int(cum_pos[-1])))
-    )
-    if repeat is not None:
-        vals[1:-1][repeat] = -np.inf
-    # The sweep order leads with the largest draw among the smallest scores.
-    first = order[0]
-    skip = int(scores[first] == 0.0 and draws[first] == 1.0)
-    best = skip + int(np.argmax(vals[skip:]))
-    return ThresholdSearchResult(
-        threshold=_prefix_threshold(best, scores, draws, order),
-        metric_value=float(vals[best]),
-        classification_prefix_index=best,
-    )
-
-
 def _open_groups(spec: CmmSpec, rows, pos, best: float) -> np.ndarray:
     """Indices of the tie groups whose corner comes within the slack of ``best``.
 
@@ -240,52 +216,59 @@ def _open_groups(spec: CmmSpec, rows, pos, best: float) -> np.ndarray:
     return np.flatnonzero(corner + _CORNER_SLACK >= best)
 
 
-def _pruned_sweep(scores, labels, draws, spec: CmmSpec) -> ThresholdSearchResult:
-    """The sweep that sorts only the rows of the open tie groups (module docstring)."""
-    n = scores.size
-    u, rows, pos, vals = _cut_values(scores, labels, spec)
-    if u[0] == 0.0 and np.any(draws[scores == 0.0] == 1.0):
-        vals[0] = -np.inf  # no threshold reaches prefix 0
-    # Each group's corner bounds its last cut and group 0's bounds prefix 0,
-    # so the group ending at the best cut (group 0 for prefix 0) is open.
-    open_groups = _open_groups(spec, rows, pos, vals.max())
-    first, last = open_groups[0], open_groups[-1]
-    # The rows of groups first..last, in row order, so that their sweep
-    # order is the full one's between prefixes rows[first] and rows[last + 1].
-    sub = np.flatnonzero((scores >= u[first]) & (scores <= u[last]))
-    sub_order, repeat = _sweep_order(scores[sub], draws[sub])
-    order = sub[sub_order]
-    cum_pos = np.cumsum(labels[order])
-    cum_pos += pos[first]
-    j = np.arange(rows[first] + 1, rows[last + 1] + 1)
-    sub_vals = np.asarray(_cmm_values(spec, *_cells(j, cum_pos, n, int(pos[-1]))))
-    if repeat is not None:
-        sub_vals[:-1][repeat] = -np.inf
-    k = int(np.argmax(sub_vals))
-    if not sub_vals[k] > vals[0]:  # prefix 0 is the first maximum
-        return ThresholdSearchResult(
-            _prefix_threshold(0, scores, draws, order), float(vals[0]), 0
-        )
-    return ThresholdSearchResult(
-        threshold=_prefix_threshold(k + 1, scores, draws, order),
-        metric_value=float(sub_vals[k]),
-        classification_prefix_index=int(j[k]),
-    )
-
-
 def optimize_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
     """Exactly maximize the measure over all stochastic thresholds.
 
     Every sample must carry its stored uniform draw.  Ties in the measure
     break toward the smallest reachable prefix index.  The returned (t, p)
     is the (score, draw) pair of the last excluded sample, and reproduces
-    the winning classification.  From ``_PRUNE_MIN_ROWS`` rows on, only the
-    tie groups named in the module docstring are sorted; the result is the
+    the winning classification.  Only the rows of the open tie groups
+    named in the module docstring are sorted, and below
+    ``_PRUNE_MIN_ROWS`` rows every group counts as open; the result is the
     same bit for bit.
     """
     scores, labels, draws = as_sample_arrays(samples, require_draws=True)
-    sweep = _full_sweep if scores.size < _PRUNE_MIN_ROWS else _pruned_sweep
-    return sweep(scores, labels, draws, spec)
+    n = scores.size
+    # The input rows of the sorted run between prefixes lo and hi, and the
+    # positives before it.
+    run, lo, hi, pos_lo, npos = slice(None), 0, n, 0, None
+    if n >= _PRUNE_MIN_ROWS:
+        u, rows, pos, vals = _cut_values(scores, labels, spec)
+        if u[0] == 0.0 and np.any(draws[scores == 0.0] == 1.0):
+            vals[0] = -np.inf  # no threshold reaches prefix 0
+        # Each group's corner bounds its last cut and group 0's bounds prefix 0,
+        # so the group ending at the best cut (group 0 for prefix 0) is open,
+        # and every cut of a closed group lies below the best one.
+        open_groups = _open_groups(spec, rows, pos, vals.max())
+        first, last = open_groups[0], open_groups[-1]
+        lo, hi, pos_lo = int(rows[first]), int(rows[last + 1]), int(pos[first])
+        npos = int(pos[-1])
+        # The rows of groups first..last, in row order, so that their sweep
+        # order is the full one's between prefixes lo and hi.
+        run = np.flatnonzero((scores >= u[first]) & (scores <= u[last]))
+    order, repeat = _sweep_order(scores[run], draws[run])
+    if hi - lo < n:  # else the run is every row, in row order
+        order = run[order]
+    # Labels are gathered through the order once; scores and draws only at
+    # the winning prefix.
+    cum_pos = np.zeros(hi - lo + 1, dtype=np.int64)
+    np.cumsum(labels[order], out=cum_pos[1:])
+    if pos_lo:
+        cum_pos += pos_lo
+    npos = int(cum_pos[-1]) if npos is None else npos
+    vals = np.asarray(_cmm_values(spec, *_cells(np.arange(lo, hi + 1), cum_pos, n, npos)))
+    if repeat is not None:
+        vals[1:-1][repeat] = -np.inf
+    # The sweep order leads with the largest draw among the smallest scores,
+    # and only a run that starts at prefix 0 holds a score of 0.
+    if scores[order[0]] == 0.0 and draws[order[0]] == 1.0:
+        vals[0] = -np.inf  # no threshold reaches prefix 0
+    k = int(np.argmax(vals))
+    return ThresholdSearchResult(
+        threshold=_prefix_threshold(k, scores, draws, order),
+        metric_value=float(vals[k]),
+        classification_prefix_index=lo + k,
+    )
 
 
 def brute_force_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:

@@ -190,6 +190,13 @@ def test_tune_threshold_error_exit_codes(runner, tmp_path):
         main, ["tune-threshold", "--data", str(bad_metric), "--metric", "nope"]
     )
     assert result.exit_code == 2
+    for flags in ([], ["--deterministic"]):
+        result = runner.invoke(
+            main,
+            ["tune-threshold", "--data", str(bad_metric), "--metric", "f_beta:1e200", *flags],
+        )
+        assert result.exit_code == 2
+        assert "squared overflows" in result.output
 
 
 def test_os_errors_and_non_utf8_files_exit_one_with_a_message(runner, tmp_path):
@@ -349,6 +356,17 @@ def test_bounds_regime_violation_exits_one(runner):
     )
     assert result.exit_code == 1
     assert "regime" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["--n", "10", "--k", "5", "--d", "2000"],  # the shattering bound exceeds a float
+    ["--n", "100", "--sup-err", "1e200", "--beta-margin", "2"],  # sup_err^beta overflows
+])
+def test_bounds_overflow_exits_one_with_a_message(runner, args):
+    result = runner.invoke(main, ["bounds", *args])
+    assert result.exit_code == 1
+    assert "Error:" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_bounds_requires_n(runner):

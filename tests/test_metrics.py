@@ -158,6 +158,8 @@ def test_spec_validation_and_parse_roundtrip():
     with pytest.raises(ParameterDomainError):
         CmmSpec("tp_pow_theta_tn", -1.0)
     with pytest.raises(ParameterDomainError):
+        CmmSpec("f_beta", 1e200)  # beta^2 overflows, and the measure would be NaN
+    with pytest.raises(ParameterDomainError):
         CmmSpec.parse("f_beta:nope")
     for text in ("accuracy", "f_beta:0.5", "weighted_accuracy:0.25"):
         spec = CmmSpec.parse(text)

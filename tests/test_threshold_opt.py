@@ -203,12 +203,16 @@ def score_step_sample(gen: np.random.Generator, n: int):
     return scores, labels, gen.choice(10**9 + 1, n, replace=False) / 1e9
 
 
-@pytest.mark.parametrize("layout", ["score steps", "continuous", "tied draws"])
+@pytest.mark.parametrize("layout", [
+    "score steps", "continuous", "tied draws",
+    "all positive", "all positive, score 0 with draw 1", "all negative",
+])
 def test_pruned_sweep_equals_full_sweep_at_size(layout):
     # 5e4 rows is past the brute-force oracle's reach, so the full sweep,
     # which that oracle checks on small samples, is the reference here.
     gen = np.random.default_rng(50_000)
     scores, labels, draws = score_step_sample(gen, 50_000)
+    n = scores.size
     if layout == "continuous":
         scores = gen.random(scores.size)
     elif layout == "tied draws":  # repeated pairs, the lexsort fallback, skips
@@ -216,9 +220,26 @@ def test_pruned_sweep_equals_full_sweep_at_size(layout):
         scores[:300] = 0.0
         scores[:300:2] = -0.0
         draws[:3] = 1.0
+    elif layout == "all negative":
+        labels[:] = 0
+    elif layout.startswith("all positive"):
+        labels[:] = 1
+        if layout.endswith("draw 1"):  # no threshold reaches prefix 0
+            scores[0], draws[0] = 0.0, 1.0
     assert scores.size >= threshold_opt._PRUNE_MIN_ROWS
     for spec in representative_specs():
-        sweep((scores, labels, draws), spec)
+        res = sweep((scores, labels, draws), spec)
+        # The two ends of the sorted run: its first prefix, the one after
+        # it, and prefix n.
+        winner = {
+            "all positive": 0,
+            "all positive, score 0 with draw 1": 1,
+            "all negative": n if spec.kind in ("accuracy", "weighted_accuracy") else 0,
+        }.get(layout)
+        if winner is not None:
+            assert res.classification_prefix_index == winner, spec
+            applied = empirical_confusion(res.threshold, (scores, labels, draws))
+            assert evaluate_cmm(spec, applied) == res.metric_value, spec
 
 
 def test_pruned_sweep_sorts_under_a_third_of_a_tie_heavy_sample(monkeypatch):
