@@ -26,7 +26,6 @@ __all__ = [
     "RegressionFunctionSpec",
     "empirical_confusion",
     "population_confusion_parts",
-    "as_sample_arrays",
 ]
 
 

@@ -2,7 +2,8 @@
 
 Usage errors (bad flags, malformed option values) exit with code 2; data
 and domain errors (missing or unreadable files, schema violations,
-infeasible parameter combinations) exit with code 1 and a message.  A ``--config`` JSON file
+infeasible parameter combinations, a result that is not a finite number)
+exit with code 1 and a message.  A ``--config`` JSON file
 supplies defaults that explicit flags override.  Its keys are the option
 names with underscores, and each value is parsed by its flag's own parser,
 so a malformed value exits 2 naming the flag, exactly as on the command
@@ -12,7 +13,6 @@ line; an unreadable file or an unknown key exits 1.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 
 import click
@@ -49,19 +49,6 @@ from .threshold_opt import optimize_threshold, optimize_threshold_deterministic
 __all__ = ["main"]
 
 
-def _friendly(fn):
-    """Map package/data errors, OS errors and float overflows to exit code 1 with the message."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (StochthreshError, OSError, OverflowError) as exc:
-            raise click.ClickException(str(exc)) from exc
-
-    return wrapper
-
-
 def _parse_metric(ctx, param, value):
     if value is None:
         return None
@@ -94,16 +81,15 @@ def _config_defaults(ctx, param, path):
     """Make the --config JSON object the command's option defaults.
 
     Click then parses each value with the matching flag's type and
-    callback.  Unreadable files and keys that name no option of the
-    command (``config``, ``out`` and ``data`` are flag-only) exit 1.
+    callback.  Keys that name no option of the command (``config``,
+    ``out`` and ``data`` are flag-only) exit 1, as do unreadable files,
+    through ``main``'s error boundary.
     """
     if path is None:
         return
     try:
         with open(path, encoding="utf-8-sig") as fh:
             cfg = json.load(fh)
-    except OSError as exc:
-        raise click.ClickException(str(exc)) from exc
     except ValueError as exc:
         raise click.ClickException(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -133,10 +119,27 @@ def _given(options: dict, **library_names) -> dict:
 
 
 def _echo_json(obj) -> None:
-    click.echo(json.dumps(obj, indent=2, sort_keys=True))
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # an overflowed bound is inf, which JSON cannot hold
+        raise click.ClickException("a result is not a finite number") from exc
+    click.echo(text)
 
 
-@click.group()
+class _ErrorBoundary(click.Group):
+    """A group whose subcommands, option callbacks included, run inside one error map.
+
+    Package/data errors, OS errors and float overflows exit 1 with the message.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (StochthreshError, OSError, OverflowError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_ErrorBoundary)
 @click.version_option(__version__, prog_name="stochthresh")
 def main() -> None:
     """Stochastic threshold classifiers: tuning, experiments, bounds."""
@@ -172,7 +175,6 @@ def _experiment_options(fn):
               help="Measure to optimize, e.g. tp_tn_product or f_beta:1.")
 @click.option("--score-source", type=click.Choice(["knn", "eta"]), default=None,
               help="Tune on regressor scores (knn) or on true regression values (eta).")
-@_friendly
 def experiment_exp1(out, **options):
     """Balanced plateaus: stochastic vs deterministic threshold regret."""
     cfg = ExperimentConfig("exp1", **_given(options, seed="master_seed"))
@@ -183,7 +185,6 @@ def experiment_exp1(out, **options):
 
 @experiment.command("exp2")
 @_experiment_options
-@_friendly
 def experiment_exp2(out, **options):
     """Shrinking imbalance r = n^-1/2: error norms and F1 regret."""
     cfg = ExperimentConfig("exp2", **_given(options, seed="master_seed"))
@@ -215,7 +216,6 @@ def experiment_exp2(out, **options):
 @click.option("--workers", type=int, default=None)
 @click.option("--out", type=str, default=None)
 @_config_option
-@_friendly
 def fraud(data, out, **options):
     """Imbalanced-data pipeline: split 60/20/20, z-score on train, tune per k, test F1."""
     _, summary = run_fraud_pipeline(
@@ -256,7 +256,6 @@ def _read_scored_csv(path):
               help="Restrict to p = 0 thresholds.")
 @click.option("--seed", type=_SEED, default=0,
               help="Seed for synthetic draws when the CSV has no draw column.")
-@_friendly
 def tune_threshold(data_path, metric, deterministic, seed):
     """Exactly optimize a threshold on scored data; prints JSON."""
     spec = metric if metric is not None else CmmSpec("accuracy")
@@ -300,7 +299,6 @@ def tune_threshold(data_path, metric, deterministic, seed):
 @click.option("--rule-alpha", type=float, default=1.0)
 @click.option("--query", "queries", type=_CommaList(float), multiple=True,
               help="Query point, comma-separated coordinates; repeatable.")
-@_friendly
 def fit_knn(data_path, label_column, draw_column, k, rule_name, rule_r, rule_alpha, queries):
     """Fit a k-NN regressor on a CSV and print predictions as JSON."""
     if (k is None) == (rule_name is None):
@@ -342,7 +340,6 @@ def fit_knn(data_path, label_column, draw_column, k, rule_name, rule_r, rule_alp
 @click.option("--sup-err", type=float, default=None,
               help="Regression sup-error to feed the regret bound.")
 @_config_option
-@_friendly
 def bounds_cmd(sup_err, **options):
     """Evaluate the closed-form bounds; prints a JSON record."""
     # Checks every parameter, also unread ones; the regret bound ignores k.
@@ -376,7 +373,6 @@ def bounds_cmd(sup_err, **options):
 @click.option("--out", type=str, required=True)
 @click.option("--draws/--no-draws", "with_draws", default=True,
               help="Include the stored uniform draw column.")
-@_friendly
 def generate_cmd(problem, r, value, n, seed, out, with_draws):
     """Sample a synthetic dataset and write it as CSV."""
     if problem in ("exp2-uci", "exp2-nonuci"):

@@ -49,9 +49,6 @@ __all__ = [
     "run_experiment1",
     "run_experiment2",
     "run_fraud_pipeline",
-    "EXP1_COLUMNS",
-    "EXP2_COLUMNS",
-    "FRAUD_COLUMNS",
 ]
 
 EXP1_COLUMNS = ("n", "trial", "seed", "k", "r", "metric", "method", "value", "regret")

@@ -30,11 +30,9 @@ from .errors import (
 
 __all__ = [
     "LabeledDataset",
-    "SPLIT_FRACTIONS",
     "load_csv",
     "save_csv",
     "zscore",
-    "varying_features",
     "split",
     "write_results_csv",
 ]

@@ -361,6 +361,10 @@ def test_bounds_regime_violation_exits_one(runner):
 @pytest.mark.parametrize("args", [
     ["--n", "10", "--k", "5", "--d", "2000"],  # the shattering bound exceeds a float
     ["--n", "100", "--sup-err", "1e200", "--beta-margin", "2"],  # sup_err^beta overflows
+    # These three return inf, which has no JSON form.
+    ["--n", "100", "--k", "2", "--d", "1", "--l-const", "1e308"],  # bias term
+    ["--n", "100", "--k", "2", "--delta", "1e-320"],  # log term: estimation and deviation
+    ["--n", "100", "--sup-err", "1e300", "--l-metric", "1e300"],  # regret bound
 ])
 def test_bounds_overflow_exits_one_with_a_message(runner, args):
     result = runner.invoke(main, ["bounds", *args])
@@ -680,3 +684,48 @@ def test_fraud_bad_k_list(runner, tmp_path):
     save_csv(generate(exp2_nonuci_problem(0.3), 60, seed=4), data, include_draws=False)
     result = runner.invoke(main, ["fraud", "--data", str(data), "--k-list", "2,x"])
     assert result.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# the error boundary
+# ---------------------------------------------------------------------------
+
+#: One domain error per leaf command; ``{data}`` is a valid table, ``{label2}``
+#: a scored CSV with a label 2 and ``{out}`` a fresh output path.
+DOMAIN_ERRORS = [
+    (["experiment", "exp1", "--trials", "0"], "trials=0"),
+    (["experiment", "exp2", "--trials", "0"], "trials=0"),
+    (["fraud", "--data", "{data}", "--trials", "0"], "trials=0"),
+    (["tune-threshold", "--data", "{label2}"], "label must be 0 or 1"),
+    (["fit-knn", "--data", "{data}", "--k", "0"], "k=0"),
+    (["bounds", "--n", "100", "--r", "7"], "r=7.0"),
+    (["generate", "--problem", "exp2-uci", "--r", "2", "--n", "5", "--out", "{out}"], "r=2.0"),
+]
+
+
+@pytest.mark.parametrize("args, message", DOMAIN_ERRORS)
+def test_every_command_exits_one_on_a_domain_error(runner, tmp_path, args, message):
+    data = tmp_path / "d.csv"
+    save_csv(generate(exp2_nonuci_problem(0.3), 60, seed=4), data, include_draws=False)
+    paths = {
+        "{data}": str(data),
+        "{label2}": str(write_csv(tmp_path / "s.csv", ["score", "label"], [[0.5, 2]])),
+        "{out}": str(tmp_path / "out.csv"),
+    }
+    result = runner.invoke(main, [paths.get(a, a) for a in args])
+    assert result.exit_code == 1, result.output
+    assert "Error:" in result.output and message in result.output
+    assert "Traceback" not in result.output
+
+
+def test_the_domain_error_cases_name_every_command():
+    def leaves(group, path=()):
+        for name, cmd in group.commands.items():
+            if hasattr(cmd, "commands"):
+                yield from leaves(cmd, (*path, name))
+            else:
+                yield (*path, name)
+
+    missing = [leaf for leaf in leaves(main)
+               if not any(tuple(args[:len(leaf)]) == leaf for args, _ in DOMAIN_ERRORS)]
+    assert not missing
