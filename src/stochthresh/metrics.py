@@ -4,8 +4,7 @@ A confusion matrix here stores population *fractions*, not counts: the four
 cells are nonnegative and sum to one.  A measure maps such a matrix to a
 score in which correcting errors never hurts: moving false-positive mass to
 true-negative, or false-negative mass to true-positive, may only increase
-the value.  :func:`check_cmm_monotonicity` verifies that direction for a
-concrete matrix and shift pair.
+the value.
 
 Ratio-style measures adopt the convention that a zero denominator yields 0,
 and the correlation measure returns 0 whenever any of its four marginal
@@ -26,15 +25,13 @@ __all__ = [
     "CmmSpec",
     "RocCurve",
     "REGISTERED_KINDS",
-    "representative_specs",
     "evaluate_cmm",
-    "check_cmm_monotonicity",
     "roc_and_auroc",
 ]
 
-#: Tolerance for cell-range / sum-to-one validation and for the monotonicity
-#: comparison.  Cells produced as integer counts divided by n are exact, so
-#: this only absorbs float noise from user-constructed matrices.
+#: Tolerance for cell-range / sum-to-one validation.  Cells produced as
+#: integer counts divided by n are exact, so this only absorbs float noise
+#: from user-constructed matrices.
 CELL_TOL = 1e-12
 
 REGISTERED_KINDS = (
@@ -186,49 +183,6 @@ def evaluate_cmm(spec: CmmSpec, c: ConfusionMatrix) -> float:
     return float(_cmm_values(spec, c.tn, c.fp, c.fn, c.tp))
 
 
-def check_cmm_monotonicity(
-    spec: CmmSpec, c: ConfusionMatrix, eps1: float, eps2: float
-) -> bool:
-    """True iff correcting errors by (eps1, eps2) does not decrease the value.
-
-    ``eps1`` moves false-positive mass to true-negative; ``eps2`` moves
-    false-negative mass to true-positive.  Both must fit inside the matrix's
-    error cells.  The comparison allows slack ``CELL_TOL`` for float noise.
-    """
-    if not 0.0 <= eps1 <= c.fp + CELL_TOL:
-        raise ParameterDomainError(
-            f"eps1={eps1!r} outside [0, fp={c.fp!r}]"
-        )
-    if not 0.0 <= eps2 <= c.fn + CELL_TOL:
-        raise ParameterDomainError(
-            f"eps2={eps2!r} outside [0, fn={c.fn!r}]"
-        )
-    shifted = ConfusionMatrix(
-        tn=c.tn + eps1,
-        fp=max(c.fp - eps1, 0.0),
-        fn=max(c.fn - eps2, 0.0),
-        tp=c.tp + eps2,
-    )
-    return evaluate_cmm(spec, c) <= evaluate_cmm(spec, shifted) + CELL_TOL
-
-
-def representative_specs() -> tuple[CmmSpec, ...]:
-    """One spec per parameter-free kind, three per parametric kind.
-
-    The enumeration the invariance and acceptance tests share, so that
-    "all registered measures" means the same thing in each of them.
-    """
-    specs: list[CmmSpec] = []
-    for kind in REGISTERED_KINDS:
-        if kind in _PARAM_FREE:
-            specs.append(CmmSpec(kind))
-        elif kind == "weighted_accuracy":
-            specs.extend(CmmSpec(kind, w) for w in (0.25, 0.5, 0.75))
-        else:
-            specs.extend(CmmSpec(kind, p) for p in (0.5, 1.0, 2.0))
-    return tuple(specs)
-
-
 @dataclass(frozen=True)
 class RocCurve:
     """ROC knots (fpr, tpr) from (0, 0) to (1, 1) plus the area under them.
@@ -260,21 +214,28 @@ class RocCurve:
 def _score_cuts(scores: np.ndarray, labels: np.ndarray):
     """Distinct scores ``u`` ascending, with the rows and positives at or below each.
 
-    ``rows_le[g]`` counts the scores ``<= u[g]`` and ``pos_le[g]`` the
-    positive-labeled ones among them (int64), so prefix ``rows_le[g]`` of
-    any score-sorted order holds ``pos_le[g]`` positives.  One value sort
-    gives them, of int64 keys ``2 bits(score) + label``: the scores must lie
-    in [0, 1], where the bit patterns of nonnegative floats order as the
-    floats do and stay below 2^62.  No permutation is built or applied.  ``0.0``
-    and ``-0.0`` are one distinct score, reported as ``0.0``.
+    ``rows[0] = pos[0] = 0``; ``rows[g + 1]`` counts the scores ``<= u[g]``
+    and ``pos[g + 1]`` the positive-labeled ones among them (int64), so
+    prefix ``rows[g]`` of any score-sorted order holds ``pos[g]`` positives
+    and tie group g holds its sorted rows ``rows[g]`` to ``rows[g + 1]``.
+    One value sort gives them, of int64 keys ``2 bits(score) + label``: the
+    scores must lie in [0, 1], where the bit patterns of nonnegative floats
+    order as the floats do and stay below 2^62.  No permutation is built or
+    applied.  ``0.0`` and ``-0.0`` are one distinct score, reported as
+    ``0.0``.
     """
     key = (scores + 0.0).view(np.int64) << 1  # + 0.0 turns -0.0 into 0.0
     key |= labels
     key.sort()
-    cum_pos = np.cumsum(key & 1)
+    n = key.size
+    cum_pos = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(key & 1, out=cum_pos[1:])
     key >>= 1
-    rows_le = np.append(np.flatnonzero(key[1:] != key[:-1]) + 1, key.size)
-    return key[rows_le - 1].view(np.float64), rows_le, cum_pos[rows_le - 1]
+    cut = np.empty(n + 1, dtype=bool)
+    cut[0] = cut[n] = True
+    np.not_equal(key[1:], key[:-1], out=cut[1:n])
+    rows = np.flatnonzero(cut)
+    return key[rows[1:] - 1].view(np.float64), rows, cum_pos[rows]
 
 
 def roc_and_auroc(scores, labels) -> RocCurve:
@@ -309,10 +270,10 @@ def roc_and_auroc(scores, labels) -> RocCurve:
         # _score_cuts reads scores in [0, 1]; the ROC needs only their order
         # and ties, which dense ranks over n keep.
         s = np.unique(s, return_inverse=True)[1] / s.size
-    _, rows_le, pos_le = _score_cuts(s, y)
+    _, rows, pos = _score_cuts(s, y)
     # Rows and positives at or above each distinct score, highest first.
-    rows_ge = y.size - np.append(0, rows_le[:-1])[::-1]
-    tp_at = npos - np.append(0, pos_le[:-1])[::-1]
+    rows_ge = y.size - rows[:-1][::-1]
+    tp_at = npos - pos[:-1][::-1]
     fp_at = rows_ge - tp_at
     fpr = np.concatenate(([0.0], fp_at / nneg))
     tpr = np.concatenate(([0.0], tp_at / npos))

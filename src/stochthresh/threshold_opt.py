@@ -8,14 +8,14 @@ not one of them, since the rule labels both rows alike; the searches skip
 it.
 :func:`_sweep_order` is that sort; a cumulative positive count over it
 gives the confusion cells of a prefix as integer counts divided by n.  The
-stochastic sweep reads every prefix, the deterministic search only the
-cuts between distinct scores: O(n log n) and *exactly* optimal, with no
-grid.  The sweep order comes from unstable argsorts and a key that is
-exact unless two keys collide (then ``np.lexsort`` decides).  The cuts
-need no order at all: the counts at each distinct score come from a value
-sort (``metrics._score_cuts``), which no order inside a tie group can
-change, and :func:`_cut_values` evaluates them for both searches.  A
-quadratic brute-force twin sorts on its own and re-materializes every
+stochastic sweep reads the prefixes of the tie groups that can hold the
+optimum (the corner bound below), the deterministic search only the cuts
+between distinct scores: O(n log n) and *exactly* optimal, with no grid.
+The sweep order comes from unstable argsorts and a key that is exact
+unless two keys collide (then ``np.lexsort`` decides).  The cuts need no
+order at all: the counts at each distinct score come from a value sort
+(``metrics._score_cuts``), which no order inside a tie group can change,
+and both searches read them.  A quadratic brute-force twin sorts on its own and re-materializes every
 prefix from scratch, so it is an independent oracle that evaluates
 measures on bit-identical cells and must agree exactly.
 
@@ -28,17 +28,15 @@ all of its negatives labeled 0, none of its positives.  Every registered
 measure is monotone under that error correction (the measure contract in
 :mod:`.metrics`; the float parameters the code uses keep it), so the
 corner's exact value bounds every such prefix, the group's last cut
-included, and group 0's corner also bounds prefix 0.  From
-``_PRUNE_MIN_ROWS`` rows on the sweep therefore evaluates the cuts and,
-in one vectorized call, the corners (both from counts, with the sweep's
-expression); it sorts only the rows from the first group whose corner
-plus ``_CORNER_SLACK`` reaches the best reachable cut value to the last
-such group, and evaluates their prefixes.  The group that holds the first
-maximum is in that range, so the result is the full sweep's bit for bit,
-and the winning (t, p) is read from the winning prefix's actual last row.
-On a tie-heavy sample with 1/100 score steps that range holds a fifth to
-a quarter of the rows.  Below ``_PRUNE_MIN_ROWS`` rows the extra numpy
-calls cost more than the full sort saves, and every group counts as open.
+included, and group 0's corner also bounds prefix 0.  The sweep therefore
+evaluates prefix 0, the cuts and the corners (from counts, with the sweep's
+expression, in one vectorized call); it sorts only the rows from the first
+group whose corner plus ``_CORNER_SLACK`` reaches the best reachable cut
+value to the last such group, and evaluates their prefixes.  The group
+that holds the first maximum is in that range, so the result is the one a
+sweep over every prefix gives, bit for bit, and the winning (t, p) is read
+from the winning prefix's actual last row.  On a tie-heavy sample with
+1/100 score steps that range holds a fifth to a quarter of the rows.
 
 The slack.  Let u = 2^-53.  Each cell count / n is within relative u of
 its exact value, and every measure value lies in [-1, 1].  Accuracy,
@@ -114,11 +112,6 @@ class ThresholdSearchResult:
             raise ParameterDomainError(f"prefix index {j!r} must be >= 0")
 
 
-#: Rows from which :func:`optimize_threshold` sorts only the open tie groups.
-#: The measured per-call crossover on exp1's and exp2's tuning samples lies
-#: between 2,154 rows (full sort faster) and 3,594 rows (pruned faster).
-_PRUNE_MIN_ROWS = 3_000
-
 #: Above twice the rounding error of any measure value (module docstring).
 _CORNER_SLACK = 2.0**-20
 
@@ -137,10 +130,11 @@ def _key_order(s: np.ndarray, z: np.ndarray) -> np.ndarray | None:
     return None if np.any(key[1:] == key[:-1]) else by_key
 
 
-def _cells(j: np.ndarray, cum_pos: np.ndarray, n: int, npos: int):
-    """Cells (tn, fp, fn, tp) as counts / n of prefixes j holding ``cum_pos`` positives."""
+def _values(spec: CmmSpec, j: np.ndarray, cum_pos: np.ndarray, n: int, npos: int):
+    """The measure at prefixes j holding ``cum_pos`` positives, with cells as counts / n."""
     cum_neg = j - cum_pos
-    return cum_neg / n, (n - npos - cum_neg) / n, cum_pos / n, (npos - cum_pos) / n
+    cells = cum_neg / n, (n - npos - cum_neg) / n, cum_pos / n, (npos - cum_pos) / n
+    return np.asarray(_cmm_values(spec, *cells))
 
 
 def _sweep_order(scores: np.ndarray, draws: np.ndarray):
@@ -179,41 +173,37 @@ def _prefix_threshold(
 
     Prefix 0 (everything labeled 1) maps to t = 0 with p = 1 — p = 0 could
     not re-admit a sample whose score is exactly 0.  No threshold reaches it
-    when a row has score 0 and draw 1, so the searches skip it then.
+    when a row has score 0 and draw 1, so the searches skip it then.  A
+    score or draw of ``-0.0`` is reported as ``+0.0``.
     """
     if j == 0:
         return StochasticThreshold(0.0, 1.0)
     row = order[j - 1]
-    return StochasticThreshold(float(scores[row]), float(draws[row]))
+    return StochasticThreshold(float(scores[row]) + 0.0, float(draws[row]) + 0.0)
 
 
-def _cut_values(scores: np.ndarray, labels: np.ndarray, spec: CmmSpec):
-    """(u, rows, pos, vals) at prefix 0 and at the cut after each distinct score.
+def _open_groups(spec: CmmSpec, rows, pos, reach0: bool) -> np.ndarray:
+    """Indices of the tie groups whose corner comes within the slack of the best cut.
 
-    ``u`` is ``_score_cuts``' distinct scores; ``rows`` and ``pos`` hold
-    0 for prefix 0 and then the rows and positives at or below each
-    ``u[g]``; ``vals`` is the measure there, by the sweep's expression on
-    the same integers, so a cut's value has the sweep's bits.
+    ``rows`` and ``pos`` are ``_score_cuts``' counts at prefix 0 and at
+    each cut.  Prefix 0 (only when ``reach0``), the cuts and the corners
+    are evaluated in one call, by the sweep's expression, so a cut's value
+    has the sweep's bits.  Group g's corner labels all of its negatives 0
+    and all of its positives 1.  Each corner bounds its group's last cut
+    and group 0's bounds prefix 0, so the group ending at the best cut
+    (group 0 for prefix 0) is open, and every cut of a closed group lies
+    below the best one.  A one-row group has no prefix inside it, but it
+    opens too when its corner reaches the best cut, because the winning
+    row is read from the sorted rows.
     """
-    u, rows_le, pos_le = _score_cuts(scores, labels)
-    rows, pos = np.append(0, rows_le), np.append(0, pos_le)
-    vals = np.asarray(_cmm_values(spec, *_cells(rows, pos, scores.size, int(pos[-1]))))
-    return u, rows, pos, vals
-
-
-def _open_groups(spec: CmmSpec, rows, pos, best: float) -> np.ndarray:
-    """Indices of the tie groups whose corner comes within the slack of ``best``.
-
-    Group g holds sorted rows ``rows[g]`` to ``rows[g + 1]`` (``_cut_values``);
-    its corner labels all of its negatives 0 and all of its positives 1.  A
-    one-row group has no prefix inside it, but it opens too when its corner
-    (its last cut if the row is negative, else the cut before it) reaches
-    ``best``, because the winning row is read from the sorted rows.
-    """
-    n, npos = int(rows[-1]), int(pos[-1])
+    m, n, npos = rows.size, int(rows[-1]), int(pos[-1])
     corner_j = rows[1:] - (pos[1:] - pos[:-1])
-    corner = np.asarray(_cmm_values(spec, *_cells(corner_j, pos[:-1], n, npos)))
-    return np.flatnonzero(corner + _CORNER_SLACK >= best)
+    j, cum_pos = np.concatenate((rows, corner_j)), np.concatenate((pos, pos[:-1]))
+    vals = _values(spec, j, cum_pos, n, npos)
+    cuts, corners = vals[:m], vals[m:]
+    if not reach0:
+        cuts[0] = -np.inf
+    return np.flatnonzero(corners + _CORNER_SLACK >= cuts.max())
 
 
 def optimize_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
@@ -223,46 +213,31 @@ def optimize_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
     break toward the smallest reachable prefix index.  The returned (t, p)
     is the (score, draw) pair of the last excluded sample, and reproduces
     the winning classification.  Only the rows of the open tie groups
-    named in the module docstring are sorted, and below
-    ``_PRUNE_MIN_ROWS`` rows every group counts as open; the result is the
-    same bit for bit.
+    named in the module docstring are sorted.
     """
     scores, labels, draws = as_sample_arrays(samples, require_draws=True)
-    n = scores.size
-    # The input rows of the sorted run between prefixes lo and hi, and the
-    # positives before it.
-    run, lo, hi, pos_lo, npos = slice(None), 0, n, 0, None
-    if n >= _PRUNE_MIN_ROWS:
-        u, rows, pos, vals = _cut_values(scores, labels, spec)
-        if u[0] == 0.0 and np.any(draws[scores == 0.0] == 1.0):
-            vals[0] = -np.inf  # no threshold reaches prefix 0
-        # Each group's corner bounds its last cut and group 0's bounds prefix 0,
-        # so the group ending at the best cut (group 0 for prefix 0) is open,
-        # and every cut of a closed group lies below the best one.
-        open_groups = _open_groups(spec, rows, pos, vals.max())
-        first, last = open_groups[0], open_groups[-1]
-        lo, hi, pos_lo = int(rows[first]), int(rows[last + 1]), int(pos[first])
-        npos = int(pos[-1])
-        # The rows of groups first..last, in row order, so that their sweep
-        # order is the full one's between prefixes lo and hi.
-        run = np.flatnonzero((scores >= u[first]) & (scores <= u[last]))
+    u, rows, pos = _score_cuts(scores, labels)
+    n, npos = scores.size, int(pos[-1])
+    # No threshold reaches prefix 0 when a row has score 0 and draw 1.
+    reach0 = not (u[0] == 0.0 and np.any(draws[scores == 0.0] == 1.0))
+    open_groups = _open_groups(spec, rows, pos, reach0)
+    first, last = open_groups[0], open_groups[-1]
+    lo, hi = int(rows[first]), int(rows[last + 1])
+    # The rows of groups first..last, in row order, so that their sweep
+    # order is the full one's between prefixes lo and hi.
+    run = np.flatnonzero((scores >= u[first]) & (scores <= u[last]))
     order, repeat = _sweep_order(scores[run], draws[run])
-    if hi - lo < n:  # else the run is every row, in row order
-        order = run[order]
+    order = run[order]
     # Labels are gathered through the order once; scores and draws only at
     # the winning prefix.
     cum_pos = np.zeros(hi - lo + 1, dtype=np.int64)
     np.cumsum(labels[order], out=cum_pos[1:])
-    if pos_lo:
-        cum_pos += pos_lo
-    npos = int(cum_pos[-1]) if npos is None else npos
-    vals = np.asarray(_cmm_values(spec, *_cells(np.arange(lo, hi + 1), cum_pos, n, npos)))
+    cum_pos += pos[first]
+    vals = _values(spec, np.arange(lo, hi + 1), cum_pos, n, npos)
     if repeat is not None:
         vals[1:-1][repeat] = -np.inf
-    # The sweep order leads with the largest draw among the smallest scores,
-    # and only a run that starts at prefix 0 holds a score of 0.
-    if scores[order[0]] == 0.0 and draws[order[0]] == 1.0:
-        vals[0] = -np.inf  # no threshold reaches prefix 0
+    if lo == 0 and not reach0:
+        vals[0] = -np.inf
     k = int(np.argmax(vals))
     return ThresholdSearchResult(
         threshold=_prefix_threshold(k, scores, draws, order),
@@ -323,7 +298,8 @@ def optimize_threshold_deterministic(samples, spec: CmmSpec) -> ThresholdSearchR
     all-1 labeling has t = 0.
     """
     scores, labels, _ = as_sample_arrays(samples)
-    u, rows, _, vals = _cut_values(scores, labels, spec)
+    u, rows, pos = _score_cuts(scores, labels)
+    vals = _values(spec, rows, pos, scores.size, int(pos[-1]))
     if not u[0] > 0.0:  # prefix 0 needs every score above t = 0
         vals[0] = -np.inf
     i = int(np.argmax(vals))

@@ -27,12 +27,7 @@ from stochthresh.bounds import (
 from stochthresh.classify import population_confusion_parts
 from stochthresh.experiments import ExperimentConfig, run_experiment1, run_experiment2
 from stochthresh.knn import KnnModel, select_k, uniform_error
-from stochthresh.metrics import (
-    CmmSpec,
-    ConfusionMatrix,
-    check_cmm_monotonicity,
-    representative_specs,
-)
+from stochthresh.metrics import CmmSpec, ConfusionMatrix
 from stochthresh.synth import (
     exp1_problem,
     exp2_uci_problem,
@@ -44,6 +39,8 @@ from stochthresh.threshold_opt import (
     optimize_population_threshold,
     optimize_threshold,
 )
+
+from helpers import check_cmm_monotonicity, representative_specs
 
 
 def _cli_env() -> dict[str, str]:

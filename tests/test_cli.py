@@ -79,6 +79,20 @@ def test_tune_threshold_deterministic_and_stored_draws(runner, tmp_path):
     assert json.loads(sto.output)["method"] == "stochastic"
 
 
+def test_tune_threshold_reports_a_signed_zero_score_as_positive_zero(runner, tmp_path):
+    # Both searches label the -0.0 row 0 and the 0.5 row 1; the stochastic
+    # one used to print that row's score as "t": -0.0.
+    p = write_csv(tmp_path / "scored.csv", ["score", "label", "draw"],
+                  [[-0.0, 0, 0.3], [0.5, 1, 0.4]])
+    for extra in ([], ["--deterministic"]):
+        args = ["tune-threshold", "--data", str(p), "--metric", "accuracy", *extra]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        got = json.loads(result.output)
+        assert (got["value"], got["prefix_index"]) == (1.0, 1)
+        assert '"t": 0.0' in result.output, extra
+
+
 def _tie_heavy_scored_rows(with_draws: bool) -> tuple[list[str], list[list]]:
     """40 rows on a 1/8 score lattice, with draws on a 1/3 lattice when asked.
 

@@ -11,14 +11,12 @@ from stochthresh import (
     CmmSpec,
     ConfusionMatrix,
     REGISTERED_KINDS,
-    check_cmm_monotonicity,
     evaluate_cmm,
-    representative_specs,
     roc_and_auroc,
 )
 from stochthresh.errors import DegenerateInputError, ParameterDomainError
 
-from helpers import tie_heavy_sample
+from helpers import check_cmm_monotonicity, representative_specs, tie_heavy_sample
 
 
 def cm(tn, fp, fn, tp) -> ConfusionMatrix:

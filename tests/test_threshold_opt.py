@@ -20,10 +20,10 @@ from stochthresh import (
     optimize_threshold,
     optimize_threshold_deterministic,
     population_confusion_parts,
-    representative_specs,
 )
 from stochthresh.classify import Piece, RegressionFunctionSpec
 from stochthresh.errors import ParameterDomainError
+from stochthresh.knn import KnnModel
 from stochthresh.metrics import _cmm_values, _score_cuts
 from stochthresh import threshold_opt
 from stochthresh.threshold_opt import _sweep_order
@@ -35,7 +35,12 @@ from stochthresh.synth import (
     singleton_problem,
 )
 
-from helpers import lexsort_sweep_reference, tie_heavy_sample
+from helpers import (
+    full_sweep_reference,
+    lexsort_sweep_reference,
+    representative_specs,
+    tie_heavy_sample,
+)
 
 ACC = CmmSpec("accuracy")
 PRODUCT = CmmSpec("tp_tn_product")
@@ -54,28 +59,12 @@ def result_bits(res) -> tuple:
     return (th.t.hex(), th.p.hex(), res.metric_value.hex(), res.classification_prefix_index)
 
 
-#: ``_PRUNE_MIN_ROWS`` values that force each side of the sweep's row count.
-SWEEP_SIDES = {"full": 2**62, "pruned": 0}
-
-
-def sweep(sample, spec: CmmSpec):
-    """``optimize_threshold`` on the full and on the pruned side; both must
-    give the same result bit for bit, which is returned."""
-    results = {}
-    with pytest.MonkeyPatch.context() as mp:
-        for side, rows in SWEEP_SIDES.items():
-            mp.setattr(threshold_opt, "_PRUNE_MIN_ROWS", rows)
-            results[side] = optimize_threshold(sample, spec)
-    assert result_bits(results["pruned"]) == result_bits(results["full"]), spec
-    return results["full"]
-
-
 # ---------------------------------------------------------------------------
 # empirical sweep
 
 
 def test_separable_instance_reaches_perfect_accuracy():
-    res = sweep(
+    res = optimize_threshold(
         (np.array([0.9, 0.8, 0.3]), np.array([1, 1, 0]), np.zeros(3)), ACC
     )
     assert res.metric_value == 1.0
@@ -89,7 +78,7 @@ def test_all_negative_labels_reach_the_all_negative_value(rng):
     draws = rng.random(20)
     all_neg = ConfusionMatrix(tn=1.0, fp=0.0, fn=0.0, tp=0.0)
     for spec in representative_specs():
-        res = sweep((scores, labels, draws), spec)
+        res = optimize_threshold((scores, labels, draws), spec)
         assert res.metric_value == evaluate_cmm(spec, all_neg)
 
 
@@ -97,14 +86,14 @@ def test_small_generated_instance_matches_oracle():
     train = generate(exp1_problem(), 12, 3)
     scores = exp1_problem().evaluate(train.covariates[:, 0])
     samples = (scores, train.labels, train.draws)
-    fast = sweep(samples, PRODUCT)
+    fast = optimize_threshold(samples, PRODUCT)
     slow = brute_force_threshold(samples, PRODUCT)
     assert fast.metric_value == slow.metric_value
     assert fast.classification_prefix_index == slow.classification_prefix_index
 
 
 def test_single_sample_prefers_classify_all_one():
-    res = sweep(([0.7], [1], [0.4]), ACC)
+    res = optimize_threshold(([0.7], [1], [0.4]), ACC)
     assert res.metric_value == 1.0
     assert res.classification_prefix_index == 0
     assert (res.threshold.t, res.threshold.p) == (0.0, 1.0)
@@ -113,7 +102,7 @@ def test_single_sample_prefers_classify_all_one():
 def test_all_one_is_skipped_when_a_zero_score_has_draw_one():
     # No (t, p) labels the first row 1: s > t needs t < 0, z < p needs p > 1.
     sample = (np.array([0.0, 0.5]), np.array([1, 1]), np.array([1.0, 0.3]))
-    fast = sweep(sample, ACC)
+    fast = optimize_threshold(sample, ACC)
     assert result_bits(fast) == result_bits(brute_force_threshold(sample, ACC))
     assert (fast.metric_value, fast.classification_prefix_index) == (0.5, 1)
     assert evaluate_cmm(ACC, empirical_confusion(fast.threshold, sample)) == 0.5
@@ -127,14 +116,14 @@ def test_sweep_equals_brute_force_when_draws_reach_one():
         sample = (gen.integers(0, 3, size=n) / 2.0, gen.integers(0, 2, size=n),
                   gen.integers(0, 3, size=n) / 2.0)
         spec = specs[int(gen.integers(0, len(specs)))]
-        fast = sweep(sample, spec)
+        fast = optimize_threshold(sample, spec)
         assert result_bits(fast) == result_bits(brute_force_threshold(sample, spec))
         if fast.classification_prefix_index == 0:
             assert not np.any((sample[0] == 0.0) & (sample[2] == 1.0))
 
 
 def test_tied_scores_split_by_draw_ordering():
-    res = sweep(
+    res = optimize_threshold(
         (np.array([0.5, 0.5]), np.array([1, 0]), np.array([0.2, 0.8])), PRODUCT
     )
     # The draw-0.8 sample sorts first and is excluded; the draw-0.2 sample
@@ -148,7 +137,7 @@ def test_a_repeated_score_draw_pair_is_never_split():
     # Any (t, p) labels both rows alike, so prefix 1, accuracy 1.0 at
     # (0.5, 0.3), is not a classification; it used to be reported.
     sample = (np.array([0.5, 0.5]), np.array([0, 1]), np.array([0.3, 0.3]))
-    fast = sweep(sample, ACC)
+    fast = optimize_threshold(sample, ACC)
     assert result_bits(fast) == result_bits(brute_force_threshold(sample, ACC))
     assert (fast.metric_value, fast.classification_prefix_index) == (0.5, 0)
     assert evaluate_cmm(ACC, empirical_confusion(fast.threshold, sample)) == 0.5
@@ -169,8 +158,9 @@ def test_every_reported_threshold_gives_its_value_on_lattices(seed, n, signed_ze
         draws[(draws == 0.0) & (gen.random(n) < 0.5)] = -0.0
     sample = (scores, gen.integers(0, 2, size=n), draws)
     for spec in representative_specs():
-        fast = sweep(sample, spec)
+        fast = optimize_threshold(sample, spec)
         assert result_bits(fast) == result_bits(brute_force_threshold(sample, spec))
+        assert not np.signbit([fast.threshold.t, fast.threshold.p]).any()
         again = evaluate_cmm(spec, empirical_confusion(fast.threshold, sample))
         assert again == fast.metric_value
 
@@ -185,7 +175,7 @@ def test_sweep_equals_brute_force_on_tied_instances(seed, n, spec_i):
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     scores, labels, draws = random_tied_instance(gen, n)
     spec = representative_specs()[spec_i]
-    fast = sweep((scores, labels, draws), spec)
+    fast = optimize_threshold((scores, labels, draws), spec)
     slow = brute_force_threshold((scores, labels, draws), spec)
     assert fast.metric_value == slow.metric_value
     assert fast.classification_prefix_index == slow.classification_prefix_index
@@ -208,8 +198,8 @@ def score_step_sample(gen: np.random.Generator, n: int):
     "all positive", "all positive, score 0 with draw 1", "all negative",
 ])
 def test_pruned_sweep_equals_full_sweep_at_size(layout):
-    # 5e4 rows is past the brute-force oracle's reach, so the full sweep,
-    # which that oracle checks on small samples, is the reference here.
+    # 5e4 rows is past the brute-force oracle's reach, so a sweep over every
+    # prefix of one lexsort is the reference here.
     gen = np.random.default_rng(50_000)
     scores, labels, draws = score_step_sample(gen, 50_000)
     n = scores.size
@@ -226,9 +216,10 @@ def test_pruned_sweep_equals_full_sweep_at_size(layout):
         labels[:] = 1
         if layout.endswith("draw 1"):  # no threshold reaches prefix 0
             scores[0], draws[0] = 0.0, 1.0
-    assert scores.size >= threshold_opt._PRUNE_MIN_ROWS
     for spec in representative_specs():
-        res = sweep((scores, labels, draws), spec)
+        res = optimize_threshold((scores, labels, draws), spec)
+        want = full_sweep_reference(scores, labels, draws, spec)
+        assert result_bits(res) == result_bits(want), spec
         # The two ends of the sorted run: its first prefix, the one after
         # it, and prefix n.
         winner = {
@@ -242,19 +233,39 @@ def test_pruned_sweep_equals_full_sweep_at_size(layout):
             assert evaluate_cmm(spec, applied) == res.metric_value, spec
 
 
-def test_pruned_sweep_sorts_under_a_third_of_a_tie_heavy_sample(monkeypatch):
-    sorted_rows = []
+@pytest.fixture
+def sorted_rows(monkeypatch) -> list[int]:
+    """The row count of every ``_sweep_order`` call the sweep makes."""
+    rows = []
 
     def counted(scores, draws):
-        sorted_rows.append(scores.size)
+        rows.append(scores.size)
         return _sweep_order(scores, draws)
 
     monkeypatch.setattr(threshold_opt, "_sweep_order", counted)
+    return rows
+
+
+def test_pruned_sweep_sorts_under_a_third_of_a_tie_heavy_sample(sorted_rows):
     scores, labels, draws = score_step_sample(np.random.default_rng(31), 50_000)
     for spec in representative_specs():
         sorted_rows.clear()
         optimize_threshold((scores, labels, draws), spec)
         assert 0 < sum(sorted_rows) < scores.size / 3, spec
+
+
+def test_pruned_sweep_sorts_part_of_a_small_tie_heavy_sample(sorted_rows):
+    # The k = 21 k-NN scores of an exp1 tuning sample lie on a 1/21 grid.
+    for seed in (1, 2, 3):
+        train = generate(exp1_problem(), 500, seed)
+        model = KnnModel.fit(train.covariates, train.labels, 21)
+        sample = (model.predict(train.covariates[:, 0]), train.labels, train.draws)
+        for spec in representative_specs():
+            sorted_rows.clear()
+            res = optimize_threshold(sample, spec)
+            assert 0 < sum(sorted_rows) < 500, (seed, spec)
+            want = brute_force_threshold(sample, spec)
+            assert result_bits(res) == result_bits(want), (seed, spec)
 
 
 def exact_key(spec: CmmSpec, tn, fp, fn, tp) -> Fraction:
@@ -318,9 +329,8 @@ def test_corners_bound_their_groups_and_closed_groups_miss_the_optimum(
     for spec in representative_specs():
         exact = [exact_key(spec, *cells(j, cum_pos[j])) for j in range(n + 1)]
         best = max(exact[j] for j in reachable)
-        _, rows, pos, vals = threshold_opt._cut_values(scores, labels, spec)
-        best_cut = max(v for j, v in zip(rows.tolist(), vals) if j in reachable)
-        open_groups = threshold_opt._open_groups(spec, rows, pos, best_cut)
+        _, rows, pos = _score_cuts(scores, labels)
+        open_groups = threshold_opt._open_groups(spec, rows, pos, 0 in reachable)
         rows, pos = rows.tolist(), pos.tolist()
         for g in range(len(rows) - 1):
             a, b = rows[g], rows[g + 1]
@@ -382,14 +392,14 @@ def assert_sweep_order(scores, draws):
 
 def assert_score_cuts(scores, labels):
     """``_score_cuts`` equals a stable-argsort cumsum read at the cuts."""
-    u, rows_le, pos_le = _score_cuts(scores, labels)
+    u, rows, pos = _score_cuts(scores, labels)
     order = np.argsort(scores, kind="stable")
     s = scores[order]
     cum_pos = np.concatenate(([0], np.cumsum(labels[order])))
     cuts = [j for j in range(1, s.size + 1) if j == s.size or s[j] != s[j - 1]]
-    assert rows_le.dtype == pos_le.dtype == np.int64
-    assert rows_le.tolist() == cuts
-    assert pos_le.tolist() == cum_pos[cuts].tolist()
+    assert rows.dtype == pos.dtype == np.int64
+    assert rows.tolist() == [0] + cuts
+    assert pos.tolist() == cum_pos[[0] + cuts].tolist()
     assert np.array_equal(u, s[np.array(cuts) - 1])  # 0.0 == -0.0: either sign
     assert np.all(u[1:] > u[:-1])
 
@@ -533,8 +543,8 @@ def test_deterministic_candidates_equal_the_loop(rng):
     cases += [rng.integers(0, 5, size=int(n)) / 4.0 for n in rng.integers(1, 40, 30)]
     for scores in cases:
         labels = rng.integers(0, 2, scores.size)
-        u, rows_le, _ = _score_cuts(scores, labels)
-        got = ([0] if u[0] > 0.0 else []) + rows_le.tolist()
+        u, rows, _ = _score_cuts(scores, labels)
+        got = ([0] if u[0] > 0.0 else []) + rows[1:].tolist()
         assert got == generator_candidates(np.sort(scores))
         res = optimize_threshold_deterministic((scores, labels), ACC)
         assert res.classification_prefix_index in got
@@ -590,7 +600,7 @@ def test_deterministic_equals_stochastic_on_distinct_positive_scores(rng):
         labels = rng.integers(0, 2, size=n)
         draws = rng.random(n)
         spec = representative_specs()[int(rng.integers(0, 14))]
-        sto = sweep((scores, labels, draws), spec)
+        sto = optimize_threshold((scores, labels, draws), spec)
         det = optimize_threshold_deterministic((scores, labels), spec)
         assert det.metric_value == sto.metric_value
         assert det.classification_prefix_index == sto.classification_prefix_index
@@ -601,7 +611,7 @@ def test_deterministic_cannot_split_a_pure_tie():
     samples = (np.array([0.5, 0.5]), np.array([1, 0]))
     det = optimize_threshold_deterministic(samples, PRODUCT)
     assert det.metric_value == 0.0
-    sto = sweep(
+    sto = optimize_threshold(
         (np.array([0.5, 0.5]), np.array([1, 0]), np.array([0.2, 0.8])), PRODUCT
     )
     assert sto.metric_value == 0.25
