@@ -187,9 +187,7 @@ class RegressionFunctionSpec:
     @property
     def r(self) -> float:
         """Sup of the function (imbalance degree); 0 only for the zero function."""
-        if self.atom is not None:
-            return float(self.atom)
-        return float(max(max(p.v_lo, p.v_hi) for p in self.pieces))
+        return float(max(max(p.v_lo, p.v_hi) for p in self._pieces_or_atom()))
 
     def knots(self) -> tuple[float, ...]:
         """Domain breakpoints of the piecewise definition."""

@@ -141,7 +141,9 @@ class KnnModel:
         # against -0.0 included) a stable lexsort over every column is.
         order = np.argsort(x[:, 0])
         xs = x[order]
-        if (xs[1:, 0] == xs[:-1, 0]).any():
+        tied = xs[1:, 0] == xs[:-1, 0]
+        has_ties = bool(tied.any())
+        if has_ties:
             order = np.lexsort(tuple(x[:, j] for j in range(x.shape[1] - 1, -1, -1)))
             xs = x[order]
         xs = np.ascontiguousarray(xs)
@@ -151,8 +153,10 @@ class KnnModel:
             flat = xs[:, 0]
             prefix = np.concatenate(([0.0], np.cumsum(ys)))
             h = flat[: n - k] + flat[k:]
-            first = np.concatenate(([True], flat[1:] != flat[:-1]))
-            if not first.all():
+            if has_ties:
+                # The lexsort keeps the first column ascending, so ``tied``
+                # still marks the rows equal to the row before.
+                first = np.concatenate(([True], ~tied))
                 # Row i lies in the run of equal values [runs[0, i], runs[1, i]).
                 starts = np.flatnonzero(first)
                 run_of = np.cumsum(first) - 1

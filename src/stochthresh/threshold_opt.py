@@ -11,13 +11,15 @@ gives the confusion cells of a prefix as integer counts divided by n.  The
 stochastic sweep reads the prefixes of the tie groups that can hold the
 optimum (the corner bound below), the deterministic search only the cuts
 between distinct scores: O(n log n) and *exactly* optimal, with no grid.
-The sweep order comes from unstable argsorts and a key that is exact
-unless two keys collide (then ``np.lexsort`` decides).  The cuts need no
-order at all: the counts at each distinct score come from a value sort
-(``metrics._score_cuts``), which no order inside a tie group can change,
-and both searches read them.  A quadratic brute-force twin sorts on its own and re-materializes every
-prefix from scratch, so it is an independent oracle that evaluates
-measures on bit-identical cells and must agree exactly.
+The cuts need no order at all: the counts at each distinct score come
+from a value sort (``metrics._score_cuts``), which no order inside a tie
+group can change, and both searches read them.  The sweep order numbers
+the rows by the distinct scores found there and sorts the float key
+``2g - draw`` once; it is exact unless two keys collide (then
+``np.lexsort`` decides).  A quadratic brute-force twin sorts on its own
+and re-materializes every prefix from scratch, so it is an independent
+oracle that evaluates measures on bit-identical cells and must agree
+exactly.
 
 The corner bound.  Every prefix whose last row lies in the tie group of
 distinct score g differs from the cut before the group only in how the
@@ -116,20 +118,6 @@ class ThresholdSearchResult:
 _CORNER_SLACK = 2.0**-20
 
 
-def _key_order(s: np.ndarray, z: np.ndarray) -> np.ndarray | None:
-    """Permutation of score-sorted rows (scores s, draws z) into sweep order.
-
-    ``None`` when two ``g - draw`` keys are equal, so the key cannot order them.
-    """
-    group = np.zeros(s.size, dtype=np.int64)
-    np.cumsum(s[1:] != s[:-1], out=group[1:])
-    key = group - z  # float64; group < 2^53 converts exactly
-    del group
-    by_key = np.argsort(key)
-    key = key[by_key]
-    return None if np.any(key[1:] == key[:-1]) else by_key
-
-
 def _values(spec: CmmSpec, j: np.ndarray, cum_pos: np.ndarray, n: int, npos: int):
     """The measure at prefixes j holding ``cum_pos`` positives, with cells as counts / n."""
     cum_neg = j - cum_pos
@@ -137,33 +125,34 @@ def _values(spec: CmmSpec, j: np.ndarray, cum_pos: np.ndarray, n: int, npos: int
     return np.asarray(_cmm_values(spec, *cells))
 
 
-def _sweep_order(scores: np.ndarray, draws: np.ndarray):
-    """(order, repeat): a sample's sweep order and the prefixes no threshold makes.
+def _sweep_order(g: np.ndarray, draws: np.ndarray):
+    """(order, repeat): a run's sweep order and the prefixes no threshold makes.
 
-    Rows sort by score ascending, then draw descending, then original
-    index — the order of ``np.lexsort((-draws, scores))``.  One unstable
-    score argsort numbers the distinct-score groups g = 0, 1, ..., and one
-    unstable argsort of the float key ``g - draw`` orders the rows.
-    Rounding is monotone and draws lie in [0, 1], so a smaller key means a
-    smaller (g, -draw); when no two sorted keys are equal the key order is
-    therefore exactly the lexsort order.  Equal keys (equal draws in a
-    group, ``0.0`` against ``-0.0``, draws closer than the float spacing
-    near g, or draw 0 against the next group's draw 1) fall back to
+    ``g`` numbers each row's score among the run's distinct scores, which
+    ``metrics._score_cuts`` found, so ``0.0`` and ``-0.0`` share a number.
+    Rows sort by g ascending, then draw descending, then original index —
+    the order of ``np.lexsort((-draws, g))``, which is that of
+    ``np.lexsort((-draws, scores))``.  One unstable argsort of the float
+    key ``2g - draw`` orders the rows.  Rounding is monotone and draws lie
+    in [0, 1], so a smaller key means a smaller (g, -draw); when no two
+    sorted keys are equal the key order is therefore exactly the lexsort
+    order.  Equal keys (equal draws in a group, ``0.0`` against ``-0.0``,
+    or draws closer than the float spacing near 2g) fall back to
     ``np.lexsort``.
 
     ``order`` is that permutation of the input rows.  ``repeat[i]`` tells
-    that sorted row i + 1 has the (score, draw) pair of row i, so that no
+    that sorted row i + 1 has the (g, draw) pair of row i, so that no
     threshold produces prefix i + 1.  Equal pairs have equal keys, so only
     the lexsort fallback can hold one; otherwise ``repeat`` is ``None``.
     """
-    order = np.argsort(scores)
-    by_key = _key_order(scores[order], draws[order])
-    if by_key is not None:
-        # A permutation inside tie groups, composed with the score order.
-        return order[by_key], None
-    order = np.lexsort((-draws, scores))
-    s, z = scores[order], draws[order]
-    return order, (s[1:] == s[:-1]) & (z[1:] == z[:-1])
+    key = 2 * g - draws  # float64; 2g < 2^53 converts exactly
+    order = np.argsort(key)
+    key = key[order]
+    if not np.any(key[1:] == key[:-1]):
+        return order, None
+    order = np.lexsort((-draws, g))
+    g, z = g[order], draws[order]
+    return order, (g[1:] == g[:-1]) & (z[1:] == z[:-1])
 
 
 def _prefix_threshold(
@@ -226,7 +215,8 @@ def optimize_threshold(samples, spec: CmmSpec) -> ThresholdSearchResult:
     # The rows of groups first..last, in row order, so that their sweep
     # order is the full one's between prefixes lo and hi.
     run = np.flatnonzero((scores >= u[first]) & (scores <= u[last]))
-    order, repeat = _sweep_order(scores[run], draws[run])
+    g = np.searchsorted(u[first : last + 1], scores[run])
+    order, repeat = _sweep_order(g, draws[run])
     order = run[order]
     # Labels are gathered through the order once; scores and draws only at
     # the winning prefix.
@@ -358,9 +348,7 @@ def optimize_population_threshold(
     The cells come from three array calls: at the breakpoints, at the
     quarter-points of every interval, and at the candidates.
     """
-    values = [eta.atom] if eta.atom is not None else [
-        v for pc in eta.pieces for v in (pc.v_lo, pc.v_hi)
-    ]
+    values = [v for pc in eta._pieces_or_atom() for v in (pc.v_lo, pc.v_hi)]
     breaks = np.unique(np.concatenate(([0.0, 1.0], values)))
     base, tie = population_confusion_parts(eta, breaks)
     # Inside (a, b) the cells are quadratic in t = mid + half * u; cells at

@@ -211,6 +211,10 @@ def test_tune_threshold_error_exit_codes(runner, tmp_path):
         )
         assert result.exit_code == 2
         assert "squared overflows" in result.output
+    no_score = write_csv(tmp_path / "no_score.csv", ["draw", "label"], [[0.5, 1]])
+    result = runner.invoke(main, ["tune-threshold", "--data", str(no_score)])
+    assert result.exit_code == 1
+    assert "need 'score' and 'label'" in result.output
 
 
 def test_os_errors_and_non_utf8_files_exit_one_with_a_message(runner, tmp_path):
@@ -473,7 +477,8 @@ def test_config_accepts_every_key_its_command_reads(runner, tmp_path):
     (["experiment", "exp1"], {"n_grid": 100}, "--n-grid"),
     (["experiment", "exp1"], {"trials": "x"}, "--trials"),
     (["bounds"], {"n": 800, "r": "abc"}, "--r"),
-], ids=["exp1-n_grid", "exp1-trials", "bounds-r"])
+    (["fraud", "--data", "missing.csv"], {"k_list": []}, "--k-list"),
+], ids=["exp1-n_grid", "exp1-trials", "bounds-r", "fraud-k_list"])
 def test_malformed_config_value_is_a_usage_error_naming_the_flag(
     runner, tmp_path, args, mapping, flag
 ):
@@ -698,6 +703,9 @@ def test_fraud_bad_k_list(runner, tmp_path):
     save_csv(generate(exp2_nonuci_problem(0.3), 60, seed=4), data, include_draws=False)
     result = runner.invoke(main, ["fraud", "--data", str(data), "--k-list", "2,x"])
     assert result.exit_code == 2
+    result = runner.invoke(main, ["fraud", "--data", str(data), "--k-list", ","])
+    assert result.exit_code == 2
+    assert "Invalid value for '--k-list': empty list" in result.output
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from stochthresh import (
     CmmSpec,
     ConfusionMatrix,
     REGISTERED_KINDS,
+    RocCurve,
     evaluate_cmm,
     roc_and_auroc,
 )
@@ -187,6 +188,23 @@ def test_roc_tied_scores_collapse_to_group_knots():
     curve = roc_and_auroc([0.8, 0.8, 0.2, 0.2], [1, 0, 1, 0])
     assert curve.knots == ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0))
     assert curve.auroc == 0.5
+
+
+def test_roc_curve_computes_its_own_area():
+    assert RocCurve(((0.0, 0.0), (0.25, 0.75), (1.0, 1.0))).auroc == 0.75
+
+
+@pytest.mark.parametrize(
+    "knots, error, match",
+    [
+        (((0.0, 0.0),), DegenerateInputError, "two knots"),
+        (((0.0, 0.0), (1.0, 0.5)), ParameterDomainError, "run from"),
+        (((0.0, 0.0), (0.5, 0.5), (0.25, 0.75), (1.0, 1.0)), ParameterDomainError, "monotone"),
+    ],
+)
+def test_roc_curve_rejects_bad_knots(knots, error, match):
+    with pytest.raises(error, match=match):
+        RocCurve(knots)
 
 
 def test_roc_rejects_degenerate_labels():

@@ -238,9 +238,9 @@ def sorted_rows(monkeypatch) -> list[int]:
     """The row count of every ``_sweep_order`` call the sweep makes."""
     rows = []
 
-    def counted(scores, draws):
-        rows.append(scores.size)
-        return _sweep_order(scores, draws)
+    def counted(g, draws):
+        rows.append(g.size)
+        return _sweep_order(g, draws)
 
     monkeypatch.setattr(threshold_opt, "_sweep_order", counted)
     return rows
@@ -379,10 +379,15 @@ TIE_SCORES = st.sampled_from([-0.0, 0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 1.0]
 TIE_DRAWS = st.sampled_from([0.0, 0.5, np.nextafter(0.5, 0.0), 1.0])
 
 
+def group_numbers(scores) -> np.ndarray:
+    """Each score's index among the distinct scores (``0.0 == -0.0``)."""
+    return np.searchsorted(np.unique(scores), scores)
+
+
 def assert_sweep_order(scores, draws):
     """``_sweep_order`` equals the lexsort order and marks exactly its repeated pairs."""
     want = lexsort_sweep_reference(scores, draws)
-    order, repeat = _sweep_order(scores, draws)
+    order, repeat = _sweep_order(group_numbers(scores), draws)
     # The permutation, since 0.0 == -0.0 hides a swapped pair from the values.
     assert np.array_equal(order, want)
     s, z = scores[want], draws[want]
@@ -488,8 +493,16 @@ def test_key_collision_one_ulp_apart_in_a_high_group_falls_back(leader):
     draws[[first, last]] = 0.5, np.nextafter(0.5, 0.0)
     group = float(np.searchsorted(np.unique(scores), level))
     assert group >= 1_024
-    assert group - draws[first] == group - draws[last]  # g - draw merges the pair
+    assert 2 * group - draws[first] == 2 * group - draws[last]  # 2g - draw merges the pair
     assert_sweep_order(scores, draws)
+
+
+def test_key_order_separates_draw_0_from_the_next_groups_draw_1():
+    # 2g - draw keeps a whole step between groups, so these keys differ.
+    scores, draws = np.array([0.2, 0.4]), np.array([0.0, 1.0])
+    order, repeat = _sweep_order(group_numbers(scores), draws)
+    assert order.tolist() == lexsort_sweep_reference(scores, draws).tolist()
+    assert repeat is None
 
 
 def test_key_order_with_signed_zero_scores_in_one_group():
