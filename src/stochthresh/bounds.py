@@ -11,9 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ParameterDomainError, RegimeError, UnsupportedSpecError
+from .errors import (
+    ParameterDomainError,
+    RegimeError,
+    UnsupportedSpecError,
+    check_count,
+    check_real,
+)
 from .metrics import CmmSpec
 
 __all__ = [
@@ -52,44 +56,23 @@ class BoundInputs:
     L_M: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ParameterDomainError(f"n={self.n!r} must be a positive int")
-        if not isinstance(self.k, (int, np.integer)) or not 1 <= self.k <= self.n:
-            raise ParameterDomainError(f"k={self.k!r} outside [1, n={self.n}]")
-        if not isinstance(self.d, (int, np.integer)) or self.d < 1:
-            raise ParameterDomainError(f"d={self.d!r} must be a positive int")
-        for name, v, lo, hi in (
-            ("r", self.r, 0.0, 1.0),
-            ("alpha", self.alpha, 0.0, 1.0),
-            ("p_star", self.p_star, 0.0, 1.0),
+        n = check_count("n", self.n)
+        if check_count("k", self.k) > n:
+            raise ParameterDomainError(f"k={self.k!r} outside [1, n={n}]")
+        check_count("d", self.d)
+        for name, interval in (
+            ("r", "(0, 1]"), ("alpha", "(0, 1]"), ("p_star", "(0, 1]"), ("delta", "(0, 1)"),
+            ("L", "(0, inf)"), ("C_margin", "[0, inf)"), ("beta_margin", "(0, inf)"),
+            ("L_M", "(0, inf)"),
         ):
-            if not (np.isfinite(v) and lo < v <= hi):
-                raise ParameterDomainError(f"{name}={v!r} outside ({lo}, {hi}]")
-        if not (np.isfinite(self.delta) and 0.0 < self.delta < 1.0):
-            raise ParameterDomainError(f"delta={self.delta!r} outside (0, 1)")
-        if not (np.isfinite(self.L) and self.L > 0.0):
-            raise ParameterDomainError(f"L={self.L!r} must be positive")
-        if self.eps_star is not None and not (
-            np.isfinite(self.eps_star) and self.eps_star > 0.0
-        ):
-            raise ParameterDomainError(f"eps_star={self.eps_star!r} must be positive")
-        if not (np.isfinite(self.C_margin) and self.C_margin >= 0.0):
-            raise ParameterDomainError(f"C_margin={self.C_margin!r} must be >= 0")
-        if not (np.isfinite(self.beta_margin) and self.beta_margin > 0.0):
-            raise ParameterDomainError(
-                f"beta_margin={self.beta_margin!r} must be positive"
-            )
-        if not (np.isfinite(self.L_M) and self.L_M > 0.0):
-            raise ParameterDomainError(f"L_M={self.L_M!r} must be positive")
+            check_real(name, getattr(self, name), interval)
+        if self.eps_star is not None:
+            check_real("eps_star", self.eps_star, "(0, inf)")
 
 
 def shattering_bound(n: int, d: int) -> int:
     """Max number of labelings threshold rules induce on n scored points: 2 n^(d+1) + 2."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterDomainError(f"n={n!r} must be a positive int")
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ParameterDomainError(f"d={d!r} must be a positive int")
-    return 2 * int(n) ** (int(d) + 1) + 2
+    return 2 * check_count("n", n) ** (check_count("d", d) + 1) + 2
 
 
 @dataclass(frozen=True)
@@ -147,10 +130,8 @@ def estimation_error_bound(n: int, delta: float) -> float:
     sqrt((8 / n) log(32 (2 n + 1) / delta)) — simultaneously over every
     stochastic threshold and all four cells, with probability 1 - delta.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterDomainError(f"n={n!r} must be a positive int")
-    if not (np.isfinite(delta) and 0.0 < delta < 1.0):
-        raise ParameterDomainError(f"delta={delta!r} outside (0, 1)")
+    check_count("n", n)
+    check_real("delta", delta, "(0, 1)")
     return math.sqrt((8.0 / n) * math.log(32.0 * (2.0 * n + 1.0) / delta))
 
 
@@ -161,8 +142,7 @@ def regret_bound(inputs: BoundInputs, sup_err: float) -> float:
     :func:`uniform_error_bound`); ``est_err`` is
     :func:`estimation_error_bound` at the inputs' n and delta.
     """
-    if not (np.isfinite(sup_err) and sup_err >= 0.0):
-        raise ParameterDomainError(f"sup_err={sup_err!r} must be >= 0")
+    check_real("sup_err", sup_err, "[0, inf)")
     return inputs.L_M * (
         inputs.C_margin * sup_err**inputs.beta_margin
         + 2.0 * estimation_error_bound(inputs.n, inputs.delta)
@@ -183,13 +163,7 @@ def cmm_lipschitz_constant(spec: CmmSpec, positive_rate: float | None = None) ->
         w = spec.param
         return max(w, 1.0 - w)
     if spec.kind in ("recall", "f_beta"):
-        if positive_rate is None or not (
-            np.isfinite(positive_rate) and 0.0 < positive_rate <= 1.0
-        ):
-            raise ParameterDomainError(
-                f"{spec.kind} needs the positive rate P in (0, 1], "
-                f"got {positive_rate!r}"
-            )
+        check_real("positive_rate", positive_rate, "(0, 1]")
         if spec.kind == "recall":
             return 2.0 / positive_rate
         b2 = spec.param * spec.param

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, ParameterDomainError
+from .errors import DegenerateInputError, DomainError, ParameterDomainError, check_real
 from .metrics import ConfusionMatrix
 
 __all__ = [
@@ -37,10 +37,8 @@ class StochasticThreshold:
     p: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.t) and 0.0 <= self.t <= 1.0):
-            raise ParameterDomainError(f"threshold t={self.t!r} outside [0, 1]")
-        if not (np.isfinite(self.p) and 0.0 <= self.p <= 1.0):
-            raise ParameterDomainError(f"tie probability p={self.p!r} outside [0, 1]")
+        check_real("threshold t", self.t, "[0, 1]")
+        check_real("tie probability p", self.p, "[0, 1]")
 
 
 def _check_unit_interval(name: str, values: np.ndarray) -> None:
@@ -130,9 +128,8 @@ class Piece:
             raise ParameterDomainError(
                 f"piece interval [{self.lo!r}, {self.hi!r}] invalid within [0, 1]"
             )
-        for v in (self.v_lo, self.v_hi):
-            if not (np.isfinite(v) and 0.0 <= v <= 1.0):
-                raise ParameterDomainError(f"piece value {v!r} outside [0, 1]")
+        check_real("piece v_lo", self.v_lo, "[0, 1]")
+        check_real("piece v_hi", self.v_hi, "[0, 1]")
 
 
 @dataclass(frozen=True)
@@ -164,8 +161,7 @@ class RegressionFunctionSpec:
                 "exactly one of pieces / atom must be provided"
             )
         if self.atom is not None:
-            if not (np.isfinite(self.atom) and 0.0 <= self.atom <= 1.0):
-                raise ParameterDomainError(f"atom value {self.atom!r} outside [0, 1]")
+            check_real("atom value", self.atom, "[0, 1]")
         else:
             if self.pieces[0].lo != 0.0 or self.pieces[-1].hi != 1.0:
                 raise ParameterDomainError("pieces must cover [0, 1]")

@@ -81,9 +81,11 @@ def _config_defaults(ctx, param, path):
     """Make the --config JSON object the command's option defaults.
 
     Click then parses each value with the matching flag's type and
-    callback.  Keys that name no option of the command (``config``,
-    ``out`` and ``data`` are flag-only) exit 1, as do unreadable files,
-    through ``main``'s error boundary.
+    callback.  A scalar option gets a number, list or boolean as its JSON
+    text, so ``1.7`` fails an int flag as ``--trials 1.7`` does; a list
+    option gets the value itself.  Keys that name no option of the command
+    (``config``, ``out`` and ``data`` are flag-only) exit 1, as do
+    unreadable files, through ``main``'s error boundary.
     """
     if path is None:
         return
@@ -101,7 +103,11 @@ def _config_defaults(ctx, param, path):
             f"{path}: unknown config key {unknown[0]!r}; "
             f"allowed: {', '.join(sorted(allowed))}"
         )
-    ctx.default_map = cfg
+    lists = {p.name for p in ctx.command.params if isinstance(p.type, _CommaList)}
+    ctx.default_map = {
+        k: v if k in lists or v is None or isinstance(v, str) else json.dumps(v)
+        for k, v in cfg.items()
+    }
 
 
 #: A seed is a non-negative int, as ``numpy.random.SeedSequence`` needs.

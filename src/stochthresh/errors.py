@@ -1,12 +1,23 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its two scalar rules.
 
 Everything derives from :class:`ValueError` so callers that do not care about
 the fine-grained category can catch one thing.  The CLI maps these to exit
 code 1 (data / domain problems) while argument-parsing mistakes surface as
 usage errors (exit code 2).
+
+Every scalar parameter is checked by one of two functions, kept out of
+``__all__``: :func:`check_count` takes an integer (an ``int`` or a
+``numpy.integer``) of at least a lower bound, and :func:`check_real` a
+finite number in one of the five intervals in :data:`_INTERVALS`.  Both
+raise :class:`ParameterDomainError` in one form, ``name=value must be an
+integer >= low`` or ``name=value outside interval``.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 __all__ = [
     "StochthreshError",
@@ -65,3 +76,30 @@ class SizeError(StochthreshError):
 
 class ShapeError(StochthreshError):
     """Array arguments have incompatible shapes or dimensions."""
+
+
+def check_count(name: str, value, low: int = 1) -> int:
+    """``value`` as an ``int``, if it is an ``int`` or ``numpy.integer`` of at least ``low``."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise ParameterDomainError(f"{name}={value!r} must be an integer >= {low}")
+    return int(value)
+
+
+#: The intervals :func:`check_real` accepts, each with its membership test.
+_INTERVALS = {
+    "[0, 1]": lambda v: 0.0 <= v <= 1.0,
+    "(0, 1]": lambda v: 0.0 < v <= 1.0,
+    "(0, 1)": lambda v: 0.0 < v < 1.0,
+    "(0, inf)": lambda v: v > 0.0,
+    "[0, inf)": lambda v: v >= 0.0,
+}
+
+
+def check_real(name: str, value, interval: str) -> None:
+    """Raise unless ``value`` is a finite number in ``interval``, a key of :data:`_INTERVALS`."""
+    try:
+        ok = math.isfinite(value) and _INTERVALS[interval](value)
+    except TypeError:  # None, a string or another non-number
+        ok = False
+    if not ok:
+        raise ParameterDomainError(f"{name}={value!r} outside {interval}")

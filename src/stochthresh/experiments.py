@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .classify import empirical_confusion
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, check_count
 from .io import (
     SPLIT_FRACTIONS,
     load_csv,
@@ -75,6 +75,12 @@ def default_n_grid() -> tuple[int, ...]:
     return tuple(int(round(10.0 ** (2.0 + 2.0 * i / 9.0))) for i in range(10))
 
 
+def _check_runs(trials, master_seed, workers) -> tuple[int, int, int]:
+    """The run counts of every experiment: trials and workers >= 1, master_seed >= 0."""
+    return (check_count("trials", trials), check_count("master_seed", master_seed, low=0),
+            check_count("workers", workers))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs shared by the synthetic experiment drivers."""
@@ -94,20 +100,14 @@ class ExperimentConfig:
             raise ParameterDomainError(
                 f"experiment {self.experiment!r} not one of exp1/exp2"
             )
-        grid = tuple(int(n) for n in self.n_grid)
-        if not grid or any(n < 2 for n in grid):
-            raise ParameterDomainError("n_grid must hold sizes >= 2")
+        grid = tuple(check_count("n_grid size", n, low=2) for n in self.n_grid)
+        if not grid:
+            raise ParameterDomainError("n_grid must name at least one size")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterDomainError("n_grid must be strictly increasing")
         object.__setattr__(self, "n_grid", grid)
-        if self.trials < 1:
-            raise ParameterDomainError(f"trials={self.trials!r} must be >= 1")
-        if self.master_seed < 0:
-            raise ParameterDomainError(f"master_seed={self.master_seed!r} must be >= 0")
-        if self.test_size < 1:
-            raise ParameterDomainError(f"test_size={self.test_size!r} must be >= 1")
-        if self.workers < 1:
-            raise ParameterDomainError(f"workers={self.workers!r} must be >= 1")
+        _check_runs(self.trials, self.master_seed, self.workers)
+        check_count("test_size", self.test_size)
         if self.score_source not in ("knn", "eta"):
             raise ParameterDomainError(
                 f"score_source {self.score_source!r} not one of knn/eta"
@@ -451,18 +451,13 @@ def run_fraud_pipeline(
     validation scores; deterministic tuning sweeps the same candidates with
     p = 0.  Returns (rows, summary_rows).
     """
-    if trials < 1:
-        raise ParameterDomainError(f"trials={trials!r} must be >= 1")
-    if master_seed < 0:
-        raise ParameterDomainError(f"master_seed={master_seed!r} must be >= 0")
-    if workers < 1:
-        raise ParameterDomainError(f"workers={workers!r} must be >= 1")
-    if not k_values or any(k < 1 for k in k_values):
-        raise ParameterDomainError(f"k_values {k_values!r} must be positive")
+    trials, master_seed, workers = _check_runs(trials, master_seed, workers)
+    k_values = tuple(check_count("k", k) for k in k_values)
+    if not k_values:
+        raise ParameterDomainError("k_values must name at least one k")
     ds = load_csv(data_path, label_column=label_column, draw_column=draw_column)
     trial = functools.partial(
-        _fraud_trial, ds, master_seed, tuple(int(k) for k in k_values),
-        bool(stratified), downsample_negative_ratio,
+        _fraud_trial, ds, master_seed, k_values, bool(stratified), downsample_negative_ratio,
     )
     rows = _run_jobs(trial, list(range(trials)), workers)
 

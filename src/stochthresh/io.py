@@ -21,11 +21,11 @@ import numpy as np
 from .errors import (
     DegenerateFeatureError,
     DegenerateInputError,
-    ParameterDomainError,
     ParseError,
     SchemaError,
     ShapeError,
     SizeError,
+    check_real,
 )
 
 __all__ = [
@@ -406,11 +406,10 @@ def split(
     empty.
     """
     ratio = downsample_negative_ratio
-    if ratio is not None and not 0.0 < ratio <= 1.0:
-        raise ParameterDomainError(f"downsample ratio {ratio!r} outside (0, 1]")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     labels = ds.labels
     if ratio is not None:
+        check_real("downsample ratio", ratio, "(0, 1]")
         neg = np.flatnonzero(labels == 0)
         keep_n = int(round(ratio * neg.size))
         kept_neg = np.sort(rng.choice(neg, size=keep_n, replace=False))

@@ -66,6 +66,8 @@ from .errors import (
     ParameterDomainError,
     ShapeError,
     UnsupportedSpecError,
+    check_count,
+    check_real,
 )
 
 __all__ = [
@@ -88,9 +90,10 @@ _TINY = np.finfo(np.float64).tiny
 
 
 def _check_k(k, n: int) -> int:
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
-        raise ParameterDomainError(f"k={k!r} outside [1, n={n}]")
-    return int(k)
+    k = check_count("k", k)
+    if k > n:
+        raise ParameterDomainError(f"k={k} outside [1, n={n}]")
+    return k
 
 
 def _as_matrix(covariates) -> np.ndarray:
@@ -389,16 +392,13 @@ def select_k(rule: str, n: int, r: float = 1.0, alpha: float = 1.0, d: int = 1) 
     if rule not in K_RULES:
         raise ParameterDomainError(f"k rule {rule!r} not one of {'/'.join(K_RULES)}")
     if rule != "extreme":
-        if not (np.isfinite(alpha) and 0.0 < alpha <= 1.0):
-            raise ParameterDomainError(f"alpha={alpha!r} outside (0, 1]")
-        if not isinstance(d, (int, np.integer)) or d < 1:
-            raise ParameterDomainError(f"dimension d={d!r} must be a positive int")
-        if rule != "exp1" and not (np.isfinite(r) and 0.0 < r <= 1.0):
-            raise ParameterDomainError(f"imbalance r={r!r} outside (0, 1]")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterDomainError(f"sample size n={n!r} must be a positive int")
+        check_real("alpha", alpha, "(0, 1]")
+        check_count("dimension d", d)
+        if rule != "exp1":
+            check_real("imbalance r", r, "(0, 1]")
+    n = check_count("sample size n", n)
     if rule == "extreme":
-        return int(n)
+        return n
     expo = 2.0 * alpha / (2.0 * alpha + d)
     side = d / (2.0 * alpha + d)
     base = n**expo * (1.0 if rule == "exp1" else r) ** (-side)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterDomainError
+from .errors import DegenerateInputError, ParameterDomainError, check_real
 
 __all__ = [
     "ConfusionMatrix",
@@ -98,18 +98,8 @@ class CmmSpec:
                 )
             return
         p = self.param
-        if p is None or not np.isfinite(p):
-            raise ParameterDomainError(
-                f"measure {self.kind!r} requires a finite parameter"
-            )
-        if self.kind == "weighted_accuracy" and not 0.0 < p < 1.0:
-            raise ParameterDomainError(
-                f"weighted_accuracy weight must lie in (0, 1), got {p!r}"
-            )
-        if self.kind in ("f_beta", "tp_pow_theta_tn") and not p > 0.0:
-            raise ParameterDomainError(
-                f"{self.kind} parameter must be positive, got {p!r}"
-            )
+        check_real(f"{self.kind} parameter", p,
+                   "(0, 1)" if self.kind == "weighted_accuracy" else "(0, inf)")
         if self.kind == "f_beta" and not np.isfinite(p * p):
             raise ParameterDomainError(f"f_beta parameter {p!r} squared overflows")
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classify import Piece, RegressionFunctionSpec
-from .errors import ParameterDomainError
+from .errors import check_count, check_real
 from .io import LabeledDataset
 
 __all__ = [
@@ -46,8 +46,7 @@ def exp1_problem() -> RegressionFunctionSpec:
 
 def exp2_uci_problem(r: float) -> RegressionFunctionSpec:
     """Linear ramp r*(1 - x): everywhere below r, imbalance degree r."""
-    if not (np.isfinite(r) and 0.0 < r <= 1.0):
-        raise ParameterDomainError(f"imbalance r={r!r} outside (0, 1]")
+    check_real("imbalance r", r, "(0, 1]")
     return RegressionFunctionSpec(pieces=(Piece(0.0, 1.0, r, 0.0),))
 
 
@@ -57,8 +56,7 @@ def exp2_nonuci_problem(r: float) -> RegressionFunctionSpec:
     The overall positive fraction shrinks with r while the sup stays 1, so
     no nontrivial imbalance decomposition exists.
     """
-    if not (np.isfinite(r) and 0.0 < r <= 1.0):
-        raise ParameterDomainError(f"shape r={r!r} outside (0, 1]")
+    check_real("shape r", r, "(0, 1]")
     if r == 1.0:
         pieces = (Piece(0.0, 1.0, 1.0, 0.0),)
     else:
@@ -68,15 +66,13 @@ def exp2_nonuci_problem(r: float) -> RegressionFunctionSpec:
 
 def singleton_problem(eta0: float) -> RegressionFunctionSpec:
     """All covariate mass at a single point with regression value eta0."""
-    if not (np.isfinite(eta0) and 0.0 < eta0 <= 1.0):
-        raise ParameterDomainError(f"eta0={eta0!r} outside (0, 1]")
+    check_real("eta0", eta0, "(0, 1]")
     return RegressionFunctionSpec(atom=float(eta0))
 
 
 def constant_problem(c: float) -> RegressionFunctionSpec:
     """Constant regression function c on [0, 1]; c = 0 and c = 1 are allowed."""
-    if not (np.isfinite(c) and 0.0 <= c <= 1.0):
-        raise ParameterDomainError(f"constant c={c!r} outside [0, 1]")
+    check_real("constant c", c, "[0, 1]")
     return RegressionFunctionSpec(pieces=(Piece(0.0, 1.0, float(c), float(c)),))
 
 
@@ -87,8 +83,7 @@ def generate(eta: RegressionFunctionSpec, n: int, seed) -> LabeledDataset:
     sequences are spawned, one for covariates + labels and one for the tie
     draws, each feeding a Philox generator.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterDomainError(f"sample size n={n!r} must be a positive int")
+    n = check_count("sample size n", n)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     data_ss, draw_ss = ss.spawn(2)
     rng_data = np.random.Generator(np.random.Philox(data_ss))

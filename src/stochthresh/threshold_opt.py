@@ -76,7 +76,7 @@ from .classify import (
     as_sample_arrays,
     population_confusion_parts,
 )
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, check_count
 from .metrics import (
     CmmSpec,
     ConfusionMatrix,
@@ -109,9 +109,8 @@ class ThresholdSearchResult:
     classification_prefix_index: int | None
 
     def __post_init__(self) -> None:
-        j = self.classification_prefix_index
-        if j is not None and j < 0:
-            raise ParameterDomainError(f"prefix index {j!r} must be >= 0")
+        if self.classification_prefix_index is not None:
+            check_count("prefix index", self.classification_prefix_index, low=0)
 
 
 #: Above twice the rounding error of any measure value (module docstring).

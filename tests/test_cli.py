@@ -478,7 +478,12 @@ def test_config_accepts_every_key_its_command_reads(runner, tmp_path):
     (["experiment", "exp1"], {"trials": "x"}, "--trials"),
     (["bounds"], {"n": 800, "r": "abc"}, "--r"),
     (["fraud", "--data", "missing.csv"], {"k_list": []}, "--k-list"),
-], ids=["exp1-n_grid", "exp1-trials", "bounds-r", "fraud-k_list"])
+    (["experiment", "exp1"], {"trials": 1.7}, "--trials"),
+    (["experiment", "exp1"], {"seed": 3.9}, "--seed"),
+    (["bounds"], {"n": 800.9}, "--n"),
+    (["experiment", "exp1"], {"trials": [3]}, "--trials"),
+], ids=["exp1-n_grid", "exp1-trials", "bounds-r", "fraud-k_list", "exp1-float-trials",
+        "exp1-float-seed", "bounds-float-n", "exp1-list-trials"])
 def test_malformed_config_value_is_a_usage_error_naming_the_flag(
     runner, tmp_path, args, mapping, flag
 ):

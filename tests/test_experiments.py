@@ -68,10 +68,15 @@ def test_experiment_config_validation():
         dict(n_grid=(1, 10)),
         dict(n_grid=(10, 10)),
         dict(n_grid=(20, 10)),
+        dict(n_grid=(100.7,)),
         dict(trials=0),
+        dict(trials=1.5),
         dict(master_seed=-1),
+        dict(master_seed=1.5),
         dict(test_size=0),
+        dict(test_size=10.5),
         dict(workers=0),
+        dict(workers=1.5),
         dict(score_source="other"),
         dict(k_rule="bogus"),
         dict(experiment="exp2", metric=CmmSpec("accuracy")),
@@ -453,6 +458,10 @@ def test_fraud_pipeline_validation(tmp_path):
         run_fraud_pipeline(path, k_values=())
     with pytest.raises(ParameterDomainError):
         run_fraud_pipeline(path, k_values=(0,))
+    with pytest.raises(ParameterDomainError):
+        run_fraud_pipeline(path, k_values=(2.5,))
+    with pytest.raises(ParameterDomainError):
+        run_fraud_pipeline(path, trials=1.5)
     with pytest.raises(ParameterDomainError, match="downsample ratio"):
         run_fraud_pipeline(path, downsample_negative_ratio=1.5)
     with pytest.raises(ParameterDomainError, match="master_seed"):

@@ -364,6 +364,8 @@ def test_fit_and_predict_validation(rng):
         KnnModel.fit(np.empty((0, 1)), np.empty(0), 1)
     with pytest.raises(ShapeError):
         KnnModel.fit([[0.1], [0.2]], [0], 1)
+    with pytest.raises(ShapeError):
+        KnnModel.fit(np.zeros((2, 1, 1)), [0, 1], 1)
     with pytest.raises(ParameterDomainError):
         KnnModel.fit([0.1, 0.2], [0, 2], 1)
     with pytest.raises(ParameterDomainError):

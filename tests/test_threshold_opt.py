@@ -21,7 +21,7 @@ from stochthresh import (
     optimize_threshold_deterministic,
     population_confusion_parts,
 )
-from stochthresh.classify import Piece, RegressionFunctionSpec
+from stochthresh.classify import Piece, RegressionFunctionSpec, StochasticThreshold
 from stochthresh.errors import ParameterDomainError
 from stochthresh.knn import KnnModel
 from stochthresh.metrics import _cmm_values, _score_cuts
@@ -367,6 +367,8 @@ def test_result_validation():
             metric_value=1.0,
             classification_prefix_index=-1,
         )
+    with pytest.raises(ParameterDomainError):
+        ThresholdSearchResult(StochasticThreshold(0.0, 0.0), 0.5, classification_prefix_index=1.5)
 
 
 # ---------------------------------------------------------------------------
