@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, ParameterDomainError, check_real
+from .errors import (DegenerateInputError, DomainError, ParameterDomainError,
+                     check_labels, check_real, check_unit_interval)
 from .metrics import ConfusionMatrix
 
 __all__ = [
@@ -39,15 +40,6 @@ class StochasticThreshold:
     def __post_init__(self) -> None:
         check_real("threshold t", self.t, "[0, 1]")
         check_real("tie probability p", self.p, "[0, 1]")
-
-
-def _check_unit_interval(name: str, values: np.ndarray) -> None:
-    # min/max propagate NaN, which then fails both comparisons.
-    if not (values.min() >= 0.0 and values.max() <= 1.0):
-        i = int(np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))[0])
-        raise ParameterDomainError(
-            f"{name} {float(values[i])!r} at row {i} outside [0, 1]"
-        )
 
 
 def as_sample_arrays(
@@ -79,12 +71,10 @@ def as_sample_arrays(
         raise DegenerateInputError("empty sample collection")
     if scores.shape != labels.shape or (draws is not None and draws.shape != scores.shape):
         raise ParameterDomainError("scores, labels and draws differ in length")
-    if not np.all((labels == 0) | (labels == 1)):
-        raise ParameterDomainError("labels must be 0/1")
-    labels = labels.astype(np.int64)
-    _check_unit_interval("score", scores)
+    labels = check_labels(labels)
+    check_unit_interval("score", scores)
     if draws is not None:
-        _check_unit_interval("draw", draws)
+        check_unit_interval("draw", draws)
     if require_draws and draws is None:
         raise DegenerateInputError(
             "this operation needs stored uniform draws for every sample"
@@ -205,11 +195,9 @@ class RegressionFunctionSpec:
         """Function value at x (scalar or array); out-of-domain points raise."""
         arr = np.asarray(x, dtype=np.float64)
         pts = np.atleast_1d(arr)
-        if self.atom is not None:
-            if np.any(pts != 0.0):
-                raise DomainError("atom regression function is defined only at 0")
-        elif pts.size and (np.min(pts) < 0.0 or np.max(pts) > 1.0):
-            raise DomainError("points outside the domain [0, 1]")
+        check_unit_interval("point", pts, DomainError)
+        if self.atom is not None and np.any(pts != 0.0):
+            raise DomainError("atom regression function is defined only at 0")
         out = self.on_piece(pts)
         return float(out[0]) if arr.ndim == 0 else out
 
@@ -229,9 +217,7 @@ def population_confusion_parts(
     array shaped like ``t``.  Exact closed form; no sampling.
     """
     t = np.asarray(t, dtype=np.float64)
-    ok = (t >= 0.0) & (t <= 1.0)  # NaN fails both comparisons
-    if not ok.all():
-        raise ParameterDomainError(f"threshold t={float(t[~ok][0])!r} outside [0, 1]")
+    check_unit_interval("threshold t", t)
     # Mass integrals over the strict-above region A, the tie set E and the
     # rest B: pos_* = integral of eta, neg_* = integral of (1 - eta).  Each
     # piece adds one term to an accumulator (0.0 where it misses the region),

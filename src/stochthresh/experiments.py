@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .classify import empirical_confusion
-from .errors import ParameterDomainError, check_count
+from .errors import ParameterDomainError, check_count, check_real
 from .io import (
     SPLIT_FRACTIONS,
     load_csv,
@@ -106,8 +106,10 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterDomainError("n_grid must be strictly increasing")
         object.__setattr__(self, "n_grid", grid)
-        _check_runs(self.trials, self.master_seed, self.workers)
-        check_count("test_size", self.test_size)
+        runs = _check_runs(self.trials, self.master_seed, self.workers)
+        for name, value in zip(("trials", "master_seed", "workers"), runs):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "test_size", check_count("test_size", self.test_size))
         if self.score_source not in ("knn", "eta"):
             raise ParameterDomainError(
                 f"score_source {self.score_source!r} not one of knn/eta"
@@ -452,6 +454,8 @@ def run_fraud_pipeline(
     p = 0.  Returns (rows, summary_rows).
     """
     trials, master_seed, workers = _check_runs(trials, master_seed, workers)
+    if downsample_negative_ratio is not None:
+        check_real("downsample ratio", downsample_negative_ratio, "(0, 1]")
     k_values = tuple(check_count("k", k) for k in k_values)
     if not k_values:
         raise ParameterDomainError("k_values must name at least one k")

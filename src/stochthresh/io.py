@@ -21,11 +21,15 @@ import numpy as np
 from .errors import (
     DegenerateFeatureError,
     DegenerateInputError,
+    ParameterDomainError,
     ParseError,
     SchemaError,
     ShapeError,
     SizeError,
+    check_labels,
+    check_matrix,
     check_real,
+    check_unit_interval,
 )
 
 __all__ = [
@@ -48,11 +52,7 @@ class LabeledDataset:
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.covariates, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[:, None]
-        if x.ndim != 2:
-            raise ShapeError(f"covariates must be 2-d, got shape {x.shape}")
+        x = check_matrix("covariates", self.covariates)
         y = np.asarray(self.labels).ravel()
         if y.shape[0] != x.shape[0]:
             raise ShapeError(
@@ -60,8 +60,7 @@ class LabeledDataset:
             )
         if x.shape[0] == 0:
             raise DegenerateInputError("empty dataset")
-        if not np.all((y == 0) | (y == 1)):
-            raise SchemaError("labels must be 0/1")
+        y = check_labels(y, SchemaError)
         z = self.draws
         if z is not None:
             z = np.asarray(z, dtype=np.float64).ravel()
@@ -69,9 +68,7 @@ class LabeledDataset:
                 raise ShapeError(
                     f"{x.shape[0]} rows but {z.shape[0]} draws"
                 )
-            # NaN fails both comparisons, so it is rejected too.
-            if z.size and not (z.min() >= 0.0 and z.max() <= 1.0):
-                raise SchemaError("draws must lie in [0, 1]")
+            check_unit_interval("draw", z, SchemaError)
         names = self.feature_names
         if names is None:
             names = tuple(f"x{j}" for j in range(x.shape[1]))
@@ -82,7 +79,7 @@ class LabeledDataset:
                     f"{len(names)} feature names for {x.shape[1]} columns"
                 )
         object.__setattr__(self, "covariates", x)
-        object.__setattr__(self, "labels", y.astype(np.int64))
+        object.__setattr__(self, "labels", y)
         object.__setattr__(self, "draws", z)
         object.__setattr__(self, "feature_names", names)
 
@@ -99,7 +96,10 @@ class LabeledDataset:
         return int(self.labels.sum())
 
     def subset(self, indices) -> "LabeledDataset":
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = np.asarray(indices)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ParameterDomainError(f"row indices must be integers, not {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
         return LabeledDataset(
             covariates=self.covariates[idx],
             labels=self.labels[idx],

@@ -67,6 +67,8 @@ from .errors import (
     ShapeError,
     UnsupportedSpecError,
     check_count,
+    check_labels,
+    check_matrix,
     check_real,
 )
 
@@ -96,17 +98,6 @@ def _check_k(k, n: int) -> int:
     return k
 
 
-def _as_matrix(covariates) -> np.ndarray:
-    x = np.asarray(covariates, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2:
-        raise ShapeError(f"covariates must be (n,) or (n, d), got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ParameterDomainError("covariates must be finite")
-    return x
-
-
 @dataclass(frozen=True, eq=False)
 class KnnModel:
     """Fitted k-NN regressor; build via :meth:`fit`."""
@@ -126,7 +117,9 @@ class KnnModel:
 
     @classmethod
     def fit(cls, covariates, labels, k: int) -> "KnnModel":
-        x = _as_matrix(covariates)
+        x = check_matrix("covariates", covariates)
+        if not np.isfinite(x).all():
+            raise ParameterDomainError("covariates must be finite")
         y = np.asarray(labels).ravel()
         n = x.shape[0]
         if n == 0:
@@ -135,8 +128,7 @@ class KnnModel:
             raise ShapeError(
                 f"{n} covariate rows but {y.shape[0]} labels"
             )
-        if not np.all((y == 0) | (y == 1)):
-            raise ParameterDomainError("training labels must be 0/1")
+        y = check_labels(y)
         k = _check_k(k, n)
         # Canonical order: covariate tuple ascending, then original index.
         # The first coordinate is its primary key, so when no two of those are
@@ -198,31 +190,14 @@ class KnnModel:
     def _queries(self, queries) -> tuple[np.ndarray, bool]:
         """Query rows as (m,) for d = 1 or (m, d), plus whether it was one point."""
         q = np.asarray(queries, dtype=np.float64)
-        scalar = q.ndim == 0
-        if self.d == 1:
-            flat = np.atleast_1d(q)
-            if flat.ndim == 2 and flat.shape[1] == 1:
-                flat = flat[:, 0]
-            if flat.ndim != 1:
-                raise ShapeError(
-                    f"model has d=1 but queries have shape {q.shape}"
-                )
-            q = flat
-        else:
-            if q.ndim == 1:
-                if q.shape[0] != self.d:
-                    raise ShapeError(
-                        f"query has {q.shape[0]} coordinates, model has d={self.d}"
-                    )
-                q = q[None, :]
-                scalar = True
-            if q.ndim != 2 or q.shape[1] != self.d:
-                raise ShapeError(
-                    f"queries must be (m, {self.d}), got shape {q.shape}"
-                )
-        if not np.isfinite(q).all():
+        # One point is a scalar when d = 1 and a length-d vector otherwise.
+        scalar = q.ndim == (0 if self.d == 1 else 1)
+        rows = check_matrix("queries", q.reshape(1, -1) if scalar else q)
+        if rows.shape[1] != self.d:
+            raise ShapeError(f"queries must be (m, {self.d}), got shape {q.shape}")
+        if not np.isfinite(rows).all():
             raise ParameterDomainError("queries must be finite")
-        return q, scalar
+        return (rows[:, 0] if self.d == 1 else rows), scalar
 
     def _path(self, q: np.ndarray, ks: tuple[int, ...]):
         """One prediction row per k in ``ks``."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterDomainError, check_real
+from .errors import DegenerateInputError, ParameterDomainError, check_labels, check_real
 
 __all__ = [
     "ConfusionMatrix",
@@ -244,9 +244,7 @@ def roc_and_auroc(scores, labels) -> RocCurve:
         )
     if not np.isfinite(s).all():
         raise ParameterDomainError("ROC scores must be finite")
-    if not np.all((y == 0) | (y == 1)):
-        raise ParameterDomainError("labels must be 0/1")
-    y = y.astype(np.int64)
+    y = check_labels(y)
     npos = int(y.sum())
     nneg = int(y.size - npos)
     if npos == 0 or nneg == 0:

@@ -235,8 +235,9 @@ def test_evaluate_piecewise_and_atom():
     assert eta.evaluate(0.1) == 0.0
     assert eta.evaluate(0.9) == 1.0
     assert eta.evaluate(1.0) == 1.0
-    with pytest.raises(DomainError):
-        eta.evaluate(1.5)
+    for bad in (1.5, np.nan, [0.2, np.nan]):
+        with pytest.raises(DomainError):
+            eta.evaluate(bad)
 
     atom = RegressionFunctionSpec(atom=0.7)
     assert atom.evaluate(0.0) == 0.7

@@ -87,6 +87,17 @@ def test_experiment_config_validation():
             ExperimentConfig(**kwargs)
 
 
+def test_numpy_integer_counts_write_the_plain_int_bytes(tmp_path):
+    counts = dict(trials=2, master_seed=3, test_size=50, workers=1)
+    cfg = ExperimentConfig(n_grid=(20,), **{key: np.int64(v) for key, v in counts.items()})
+    assert all(type(getattr(cfg, key)) is int for key in counts)
+    run_experiment1(ExperimentConfig(n_grid=(20,), **counts), out=tmp_path / "plain.csv")
+    run_experiment1(cfg, out=tmp_path / "wide.csv")
+    for stem in ("", "_summary"):
+        assert (tmp_path / f"wide{stem}.csv").read_bytes() == (
+            tmp_path / f"plain{stem}.csv").read_bytes()
+
+
 def test_each_driver_rejects_the_other_experiments_config():
     with pytest.raises(ParameterDomainError, match="needs an exp1 config"):
         run_experiment1(ExperimentConfig(experiment="exp2", n_grid=(20, 40), trials=1))
@@ -462,8 +473,9 @@ def test_fraud_pipeline_validation(tmp_path):
         run_fraud_pipeline(path, k_values=(2.5,))
     with pytest.raises(ParameterDomainError):
         run_fraud_pipeline(path, trials=1.5)
-    with pytest.raises(ParameterDomainError, match="downsample ratio"):
-        run_fraud_pipeline(path, downsample_negative_ratio=1.5)
+    for data in (path, tmp_path / "missing.csv"):  # checked before the file is read
+        with pytest.raises(ParameterDomainError, match="downsample ratio"):
+            run_fraud_pipeline(data, downsample_negative_ratio=1.5)
     with pytest.raises(ParameterDomainError, match="master_seed"):
         run_fraud_pipeline(path, master_seed=-1)
     for workers in (0, -4):

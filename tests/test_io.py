@@ -66,7 +66,7 @@ def test_dataset_validation():
         LabeledDataset(covariates=[[1.0, 2.0]], labels=[1], feature_names=("a",))
     # A NaN draw would save to a CSV that load_csv then rejects.
     for draws in ([np.nan, 0.5], [0.5, np.nan]):
-        with pytest.raises(SchemaError, match=r"draws must lie in \[0, 1\]"):
+        with pytest.raises(SchemaError, match=r"draw nan at row \d outside \[0, 1\]"):
             LabeledDataset(covariates=[[0.1], [0.2]], labels=[1, 0], draws=draws)
 
 
@@ -82,6 +82,12 @@ def test_dataset_subset_keeps_order_and_draws():
     assert sub.labels.tolist() == [0, 0]
     assert sub.draws.tolist() == [0.3, 0.1]
     assert sub.feature_names == ("v",)
+    # A mask or float positions would be read as other rows.
+    for bad in ([True, False, True], [0.9, 2.7]):
+        with pytest.raises(ParameterDomainError, match="row indices must be integers"):
+            ds.subset(bad)
+    with pytest.raises(DegenerateInputError):
+        ds.subset([])
 
 
 # ---------------------------------------------------------------------------
